@@ -20,7 +20,6 @@ from .core import (
     SolveOutcome,
     SolverConfig,
     TraceRow,
-    check_membership,
     cutting_plane,
     step_size,
 )

@@ -20,11 +20,11 @@ from .core import (
     L1Ball,
     Polytope,
     BallProduct,
-    ProductRegion,
     QuadraticForm,
     ReferenceData,
     SmoothOracle,
     SolverConfig,
+    cutting_plane,
     step_size,
 )
 from .harness import (
@@ -36,15 +36,7 @@ from .harness import (
     reference_lower,
     sample_region,
 )
-from .oracles import (
-    LpProblem,
-    halfspace_lmo,
-    lmo,
-    project_ball_product,
-    project_l1_ball,
-    project_polytope,
-    simplex_solve,
-)
+from .oracles import LpProblem, halfspace_lmo, lmo, project, simplex_solve
 from .problems import (
     DictLearnSpec,
     dictionary_problem,
@@ -52,7 +44,7 @@ from .problems import (
     regression_problem,
     toy_problem,
 )
-from .solvers import cg_bio, initialize_lower, standard_cg
+from .solvers import cg_bio, initialize_lower
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +115,7 @@ def _cuts_from_trace(instance, x0, trace) -> list[Halfspace]:
         if row.iterate is None:
             continue
         g_val, g_grad = instance.lower(row.iterate)
-        cuts.append(Halfspace(g_grad, float(g_grad @ row.iterate) + g0 - g_val))
+        cuts.append(cutting_plane(g_grad, row.iterate, g0, g_val))
     return cuts
 
 
@@ -485,7 +477,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         d = int(rng.integers(2, 7))
         radius = float(rng.uniform(0.5, 2.0))
         y = rng.standard_normal(d) * 2.0
-        p = project_l1_ball(y, radius)
+        p = project(L1Ball(radius, d), y)
         ref = _project_l1_reference(y, radius)
         worst = max(worst, float(np.linalg.norm(p - ref)))
     results.append(("l1 projection vs threshold bisection", worst <= 1e-6, f"worst {worst:.2e}"))
@@ -494,7 +486,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     for _ in range(count):
         reg = _random_polytope(rng)
         y = rng.standard_normal(reg.dimension) * 1.5
-        p = project_polytope(reg, y)
+        p = project(reg, y)
         ref = _project_polytope_reference(reg, y)
         worst = max(worst, float(np.linalg.norm(p - ref)))
     results.append(("polytope projection vs active-set QP", worst <= 1e-6, f"worst {worst:.2e}"))
@@ -503,7 +495,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     for _ in range(count):
         reg = BallProduct(2, 2, float(rng.uniform(0.5, 2.0)))
         y = rng.standard_normal(reg.dimension) * 2.0
-        p = project_ball_product(reg, y)
+        p = project(reg, y)
         cols = reg.columns(y)
         for j in range(reg.num_cols):
             ref_col = _project_disk_reference(cols[:, j], float(reg.radii[j]))

@@ -8,7 +8,7 @@ import json
 import sys
 from typing import Optional
 
-from .harness import run_experiment
+from .harness import SuiteError, run_experiment
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -19,7 +19,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="harmonic:c | constant:g | inv-sqrt:c0")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="runs", help="output directory")
-    sub.add_argument("--trace-iterates", action="store_true")
     sub.add_argument("--record-timing", action="store_true",
                      help="keep wall-clock columns (breaks byte-identical reruns)")
     sub.add_argument("--solvers", default="cg-bio",
@@ -118,11 +117,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "suite":
         with open(args.path, encoding="utf-8") as fh:
             cells = json.load(fh)
-        summaries = run_experiment(cells, args.out, jobs=args.jobs,
-                                   record_timing=args.record_timing)
     else:
         cells = _family_cells(args)
-        summaries = run_experiment(cells, args.out, record_timing=args.record_timing)
+    try:
+        summaries = run_experiment(cells, args.out, jobs=getattr(args, "jobs", 1),
+                                   record_timing=args.record_timing)
+    except SuiteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     failed = False
     for summary in summaries:

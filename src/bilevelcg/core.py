@@ -1,12 +1,15 @@
-"""Problem model shared by every solver: smooth oracles, feasible regions,
-bilevel instances, stepsize schedules, cutting planes, and run traces."""
+"""Problem model shared by every solver: smooth oracles, feasible regions
+with their oracles, bilevel instances, stepsize schedules, cutting planes,
+and run traces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
+
+from . import oracles
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -77,8 +80,33 @@ class SmoothOracle:
 # Feasible regions
 # ---------------------------------------------------------------------------
 
+BISECT_TOL = 1e-10
+BISECT_MAX_DOUBLINGS = 200
+DYKSTRA_MAX_SWEEPS = 100_000
+
+
+class Region:
+    """Operations every feasible region carries, on float vectors of length
+    ``dimension`` (the checked entry points live in :mod:`oracles`):
+
+    - ``lmo(c)``: argmin of <c, s> over the region;
+    - ``cut_lmo(h, c, plain)``: the same over the region cut by the
+      halfspace ``h``, given ``plain = lmo(c)``, which violates ``h``;
+    - ``project(v, tol)``: Euclidean projection;
+    - ``feasible_point()``: a deterministic feasible point;
+    - ``sample(count, rng)``: feasible samples (rows) covering the region;
+    - ``grid_box()``: a bounding box (lo, hi) for grid estimates.
+
+    All tie-breaking is lowest-index deterministic so that traces are
+    reproducible across platforms.
+    """
+
+    def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
+        raise ValueError("grid estimation supports l1 balls and small polytopes only")
+
+
 @dataclass(frozen=True)
-class L1Ball:
+class L1Ball(Region):
     """{x : ||x||_1 <= radius} in ``dimension`` variables."""
 
     radius: float
@@ -97,9 +125,58 @@ class L1Ball:
         tol = self.membership_tol if tol is None else tol
         return float(np.abs(x).sum()) <= self.radius + tol
 
+    def lmo(self, c: np.ndarray) -> np.ndarray:
+        i = int(np.argmax(np.abs(c)))
+        s = np.zeros_like(c)
+        s[i] = -self.radius if c[i] >= 0 else self.radius
+        return s
+
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> np.ndarray:
+        # Split s = s+ - s- and solve the 2d-variable, 2-row LP.
+        d = self.dimension
+        ones = np.ones(d)
+        A = np.vstack(
+            [
+                np.concatenate([ones, ones]),
+                np.concatenate([h.normal, -h.normal]),
+            ]
+        )
+        b = np.array([self.radius, h.offset])
+        sol = oracles.simplex_solve(oracles.LpProblem(np.concatenate([c, -c]), A, b))
+        if sol.status != "optimal":
+            raise OracleError(f"l1-ball halfspace LP is {sol.status}")
+        return sol.point[:d] - sol.point[d:]
+
+    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+        """Sort-based soft-thresholding (Duchi et al. style)."""
+        if np.abs(v).sum() <= self.radius:
+            return v.copy()
+        u = np.sort(np.abs(v))[::-1]
+        cumsum = np.cumsum(u)
+        ks = np.arange(1, v.size + 1)
+        rho = int(np.nonzero(u - (cumsum - self.radius) / ks > 0)[0].max())
+        theta = (cumsum[rho] - self.radius) / (rho + 1.0)
+        return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+
+    def feasible_point(self) -> np.ndarray:
+        return np.zeros(self.dimension)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        d = self.dimension
+        # Dirichlet magnitudes with random signs fill the l1 sphere; a radial
+        # factor u^(1/d) fills the ball.
+        mags = rng.dirichlet(np.ones(d), size=count)
+        signs = rng.choice([-1.0, 1.0], size=(count, d))
+        radial = rng.uniform(size=(count, 1)) ** (1.0 / d)
+        return self.radius * radial * mags * signs
+
+    def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
+        r = self.radius
+        return -r * np.ones(self.dimension), r * np.ones(self.dimension)
+
 
 @dataclass(frozen=True)
-class BallProduct:
+class BallProduct(Region):
     """Product of per-column Euclidean balls for a matrix variable stored
     column-major as a flat vector of length col_dim * num_cols."""
 
@@ -133,9 +210,74 @@ class BallProduct:
         norms = np.linalg.norm(self.columns(x), axis=0)
         return bool(np.all(norms <= self.radii + tol))
 
+    def lmo(self, c: np.ndarray) -> np.ndarray:
+        cols = self.columns(c)
+        out = np.zeros_like(cols)
+        for j in range(self.num_cols):
+            u = cols[:, j]
+            nrm = np.linalg.norm(u)
+            if nrm <= 1e-10:
+                # Zero objective column: any feasible point is optimal; fix the
+                # first axis direction for determinism.
+                out[0, j] = -self.radii[j]
+            else:
+                out[:, j] = -self.radii[j] * u / nrm
+        return self.flatten(out)
+
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> np.ndarray:
+        a = h.normal
+
+        def candidate(mu: float) -> np.ndarray:
+            return self.lmo(c + mu * a)
+
+        def residual(mu: float) -> float:
+            return h.violation(candidate(mu))
+
+        # mu = 0 is the unconstrained LMO point; keep it when already feasible.
+        if residual(0.0) <= BISECT_TOL:
+            return candidate(0.0)
+        lo, hi = 0.0, 1.0
+        for _ in range(BISECT_MAX_DOUBLINGS):
+            if residual(hi) <= 0.0:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            raise OracleError("no bisection bracket for the ball-product subproblem")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            r = residual(mid)
+            if abs(r) <= BISECT_TOL:
+                return candidate(mid)
+            if r > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-16 * max(1.0, hi):
+                break
+        return candidate(hi)
+
+    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+        cols = self.columns(v).copy()
+        norms = np.linalg.norm(cols, axis=0)
+        over = norms > self.radii
+        cols[:, over] *= self.radii[over] / norms[over]
+        return self.flatten(cols)
+
+    def feasible_point(self) -> np.ndarray:
+        return np.zeros(self.dimension)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        cols = np.empty((count, self.col_dim, self.num_cols))
+        for j in range(self.num_cols):
+            g = rng.standard_normal((count, self.col_dim))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            radial = rng.uniform(size=(count, 1)) ** (1.0 / self.col_dim)
+            cols[:, :, j] = self.radii[j] * radial * g
+        return np.stack([self.flatten(cols[i]) for i in range(count)])
+
 
 @dataclass(frozen=True)
-class Polytope:
+class Polytope(Region):
     """{x : Ax <= b} intersected with the nonnegative orthant when
     ``nonnegative`` is set.  Must be bounded (it backs an LMO)."""
 
@@ -207,9 +349,83 @@ class Polytope:
                 best = max(best, float(d.max()))
         return best
 
+    def _lp_point(self, c: np.ndarray, cut: Optional[Halfspace] = None) -> np.ndarray:
+        """A vertex minimizing <c, x> over the polytope, cut by ``cut`` when
+        given, from the dense simplex."""
+        A, b = self.A, self.b
+        if cut is not None:
+            A = np.vstack([A, cut.normal[None, :]])
+            b = np.append(b, cut.offset)
+        if self.nonnegative:
+            sol = oracles.simplex_solve(oracles.LpProblem(c, A, b))
+        else:
+            # Free variables: x = u - v with u, v >= 0.
+            sol = oracles.simplex_solve(oracles.LpProblem(np.concatenate([c, -c]), np.hstack([A, -A]), b))
+        if sol.status == "infeasible":
+            raise OracleError("LP subproblem infeasible")
+        if sol.status == "unbounded":
+            raise OracleError("LP subproblem unbounded (region not compact)")
+        if self.nonnegative:
+            return sol.point
+        n = c.shape[0]
+        return sol.point[:n] - sol.point[n:]
+
+    def lmo(self, c: np.ndarray) -> np.ndarray:
+        return self._lp_point(c)
+
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> np.ndarray:
+        return self._lp_point(c, h)
+
+    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+        """Dykstra's alternating projections over the individual halfspaces."""
+        planes = self.halfspaces()
+        x = v.copy()
+        corrections = [np.zeros_like(x) for _ in planes]
+        for _ in range(DYKSTRA_MAX_SWEEPS):
+            # The iterate alone can be momentarily stationary mid-run, so the
+            # convergence test must include the correction terms.
+            change = 0.0
+            x_prev = x.copy()
+            for i, (a, beta) in enumerate(planes):
+                y = x + corrections[i]
+                viol = float(a @ y) - beta
+                x = y if viol <= 0.0 else y - (viol / float(a @ a)) * a
+                new_corr = y - x
+                change += float(np.linalg.norm(new_corr - corrections[i]))
+                corrections[i] = new_corr
+            change += float(np.linalg.norm(x - x_prev))
+            if change < tol:
+                return x
+        raise OracleError("Dykstra projection did not converge within the sweep cap")
+
+    def feasible_point(self) -> np.ndarray:
+        origin = np.zeros(self.dimension)
+        if self.contains(origin):
+            return origin
+        # Phase-1 style: any vertex of the feasible set.
+        return self._lp_point(origin)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        lo, hi = self.grid_box()
+        out = np.empty((count, self.dimension))
+        have = 0
+        for _ in range(200):
+            cand = rng.uniform(lo, hi, size=(4 * count, self.dimension))
+            ok = np.array([self.contains(c) for c in cand])
+            take = cand[ok][: count - have]
+            out[have : have + take.shape[0]] = take
+            have += take.shape[0]
+            if have == count:
+                return out
+        raise RuntimeError("rejection sampling failed to fill the polytope sample")
+
+    def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
+        verts = self.vertices()
+        return verts.min(axis=0), verts.max(axis=0)
+
 
 @dataclass(frozen=True)
-class ProductRegion:
+class ProductRegion(Region):
     """Cartesian product of regions over consecutive blocks of the variable
     vector.  Used by the dictionary-learning family (dictionary columns in
     l2 balls times coefficient columns in l1 balls)."""
@@ -247,16 +463,34 @@ class ProductRegion:
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
         return all(b.contains(part, tol) for b, part in zip(self.blocks, self.split(x)))
 
+    def lmo(self, c: np.ndarray) -> np.ndarray:
+        return np.concatenate([b.lmo(part) for b, part in zip(self.blocks, self.split(c))])
+
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> np.ndarray:
+        normals = self.split(h.normal)
+        active = [i for i, n in enumerate(normals) if np.any(n != 0.0)]
+        if len(active) != 1:
+            raise OracleError("halfspace couples several product blocks")
+        i = active[0]
+        lo, hi = self.offsets()[i]
+        # The halfspace offset is absorbed into the active block: the other
+        # blocks contribute zero to it, and keep their slices of ``plain``.
+        cut, part = Halfspace(normals[i], h.offset), plain[lo:hi]
+        if not cut.contains(part, tol=0.0):
+            part = self.blocks[i].cut_lmo(cut, c[lo:hi], part)
+        return np.concatenate([plain[:lo], part, plain[hi:]])
+
+    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+        return np.concatenate([b.project(part, tol) for b, part in zip(self.blocks, self.split(v))])
+
+    def feasible_point(self) -> np.ndarray:
+        return np.concatenate([b.feasible_point() for b in self.blocks])
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.hstack([b.sample(count, rng) for b in self.blocks])
+
 
 FeasibleRegion = Union[L1Ball, BallProduct, Polytope, ProductRegion]
-
-
-def check_membership(region: FeasibleRegion, x: np.ndarray, tol: Optional[float] = None) -> bool:
-    """True iff all defining constraints of ``region`` hold within ``tol``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (region.dimension,):
-        raise ValueError(f"point has shape {x.shape}, expected ({region.dimension},)")
-    return region.contains(x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +550,13 @@ class Halfspace:
         return float(self.normal @ x) - self.offset
 
 
-def cutting_plane(g: SmoothOracle, x0: np.ndarray, xk: np.ndarray) -> Halfspace:
-    """Halfspace keeping every point whose linearized lower-level value at
-    ``xk`` does not exceed g(x0).  By convexity of g it contains the whole
-    lower-level solution set whenever g(x0) >= min g."""
-    x0 = np.asarray(x0, dtype=float)
-    xk = np.asarray(xk, dtype=float)
-    g0 = g.value(x0)
-    gk, grad = g(xk)
-    offset = float(grad @ xk) + g0 - gk
-    return Halfspace(normal=grad, offset=offset)
+def cutting_plane(grad: np.ndarray, xk: np.ndarray, g0: float, gk: float) -> Halfspace:
+    """Halfspace {s : gk + <grad, s - xk> <= g0} from the lower-level values
+    g0 = g(x0), gk = g(xk) and gradient grad = grad g(xk): it keeps every
+    point whose linearized value at ``xk`` does not exceed g(x0), so by
+    convexity of g it contains the whole lower-level solution set whenever
+    g(x0) >= min g."""
+    return Halfspace(normal=grad, offset=float(grad @ xk) + (g0 - gk))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +619,6 @@ class SolverConfig:
     eps_g: float = 1e-5
     max_iters: int = 1000
     schedule: Schedule = Harmonic(2)
-    rng_seed: int = 0
     keep_iterates: bool = False
 
     def __post_init__(self):

@@ -5,22 +5,20 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    BallProduct,
     BilevelInstance,
     ConstantStep,
     Harmonic,
     InvSqrt,
-    L1Ball,
     Polytope,
-    ProductRegion,
     Schedule,
     SmoothOracle,
     SolveOutcome,
@@ -273,16 +271,6 @@ def dist_to_hull(x: np.ndarray, verts: np.ndarray, iters: int = 500) -> float:
     return float(np.linalg.norm(verts.T @ w - x))
 
 
-def _region_box(region) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(region, L1Ball):
-        r = region.radius
-        return -r * np.ones(region.dimension), r * np.ones(region.dimension)
-    if isinstance(region, Polytope):
-        verts = region.vertices()
-        return verts.min(axis=0), verts.max(axis=0)
-    raise ValueError("grid estimation supports l1 balls and small polytopes only")
-
-
 def hoelder_estimate(
     instance: BilevelInstance,
     order: float = 1.0,
@@ -303,7 +291,7 @@ def hoelder_estimate(
         for p in _face_points(verts, 2000)
     )
 
-    lo, hi = _region_box(instance.region)
+    lo, hi = instance.region.grid_box()
     axes = [np.linspace(lo[i], hi[i], grid_per_axis) for i in range(instance.dimension)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, instance.dimension)
     alpha = np.inf
@@ -331,45 +319,7 @@ def hoelder_estimate(
 def sample_region(region, count: int, seed: int = 0) -> np.ndarray:
     """Uniform-ish feasible samples (rows).  Exact uniformity is not needed;
     coverage of the region is."""
-    rng = np.random.default_rng(seed)
-    return _sample(region, count, rng)
-
-
-def _sample(region, count, rng) -> np.ndarray:
-    if isinstance(region, L1Ball):
-        d = region.dimension
-        # Dirichlet magnitudes with random signs fill the l1 sphere; a radial
-        # factor u^(1/d) fills the ball.
-        mags = rng.dirichlet(np.ones(d), size=count)
-        signs = rng.choice([-1.0, 1.0], size=(count, d))
-        radial = rng.uniform(size=(count, 1)) ** (1.0 / d)
-        return region.radius * radial * mags * signs
-    if isinstance(region, Polytope):
-        verts = region.vertices()
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        out = np.empty((count, region.dimension))
-        have = 0
-        for _ in range(200):
-            cand = rng.uniform(lo, hi, size=(4 * count, region.dimension))
-            ok = np.array([region.contains(c) for c in cand])
-            take = cand[ok][: count - have]
-            out[have : have + take.shape[0]] = take
-            have += take.shape[0]
-            if have == count:
-                return out
-        raise RuntimeError("rejection sampling failed to fill the polytope sample")
-    if isinstance(region, BallProduct):
-        cols = np.empty((count, region.col_dim, region.num_cols))
-        for j in range(region.num_cols):
-            g = rng.standard_normal((count, region.col_dim))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            radial = rng.uniform(size=(count, 1)) ** (1.0 / region.col_dim)
-            cols[:, :, j] = region.radii[j] * radial * g
-        return np.stack([region.flatten(cols[i]) for i in range(count)])
-    if isinstance(region, ProductRegion):
-        parts = [_sample(b, count, rng) for b in region.blocks]
-        return np.hstack(parts)
-    raise TypeError(f"unsupported region {region!r}")
+    return region.sample(count, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +346,7 @@ def value_transfer_check(
     rng = np.random.default_rng(seed)
     face = _face_points(verts, samples, seed=seed)
     jittered = face + 0.01 * rng.standard_normal(face.shape)
-    pool = np.vstack([_sample(instance.region, samples, rng), face, jittered])
+    pool = np.vstack([instance.region.sample(samples, rng), face, jittered])
     kept = [x for x in pool if instance.region.contains(x) and instance.lower.value(x) - g_star <= eps_g]
     if not kept:
         raise RuntimeError("no sampled points were eps_g-optimal for the lower level")
@@ -515,14 +465,13 @@ def config_to_dict(config: SolverConfig) -> dict:
         "eps_g": config.eps_g,
         "max_iters": config.max_iters,
         "schedule": schedule_to_string(config.schedule),
-        "rng_seed": config.rng_seed,
     }
 
 
 def config_from_dict(data: dict) -> SolverConfig:
     cfg = SolverConfig()
     fields = {}
-    for key in ("eps_f", "eps_g", "max_iters", "rng_seed"):
+    for key in ("eps_f", "eps_g", "max_iters"):
         if key in data:
             fields[key] = data[key]
     if "schedule" in data:
@@ -612,7 +561,9 @@ def run_solver(
     start: Optional[np.ndarray] = None,
     options: Optional[dict] = None,
 ) -> SolveOutcome:
-    """Dispatch a named solver on an instance."""
+    """Dispatch a named solver on an instance.  ``options`` holds
+    ``init_iters`` for cg-bio, ``line_search`` for cg, and the fields of
+    the config dataclass for a baseline (unknown ones raise TypeError)."""
     opts = dict(options or {})
     if solver == "cg-bio":
         x0 = start
@@ -624,27 +575,35 @@ def run_solver(
             instance.upper, instance.region, config,
             line_search=opts.get("line_search"), start=start,
         )
-    if solver == "big-sam":
-        cfg = BigSamConfig(
-            eta_f=opts.get("eta_f"), eta_g=opts.get("eta_g"), gamma=float(opts.get("gamma", 10.0))
-        )
-        return big_sam(instance, cfg, max_iters=config.max_iters, keep_iterates=config.keep_iterates, start=start)
-    if solver == "a-irg":
-        cfg = AIrgConfig(gamma0=float(opts.get("gamma0", 0.01)), eta0=float(opts.get("eta0", 1.0)))
-        return a_irg(instance, cfg, max_iters=config.max_iters, keep_iterates=config.keep_iterates, start=start)
-    if solver == "dbgd":
-        cfg = DbgdConfig(
-            alpha=float(opts.get("alpha", 1.0)), beta=float(opts.get("beta", 1.0)),
-            g_hat=float(opts.get("g_hat", 0.0)), step=float(opts.get("step", 0.1)),
-        )
-        return dbgd(instance, cfg, max_iters=config.max_iters, keep_iterates=config.keep_iterates, start=start)
-    if solver == "mng":
-        M = opts.get("M", instance.lower.lipschitz_grad)
-        if M is None:
-            raise ValueError("MNG requires a smoothing constant M")
-        return mng(instance, MngConfig(M=float(M)), max_iters=config.max_iters,
-                   keep_iterates=config.keep_iterates, start=start)
-    raise ValueError(f"unknown solver {solver!r}")
+    # Built per call so that the module-level solver names are the ones run.
+    baselines = {
+        "big-sam": (BigSamConfig, big_sam),
+        "a-irg": (AIrgConfig, a_irg),
+        "dbgd": (DbgdConfig, dbgd),
+        "mng": (MngConfig, mng),
+    }
+    if solver not in baselines:
+        raise ValueError(f"unknown solver {solver!r}")
+    if solver == "mng" and opts.setdefault("M", instance.lower.lipschitz_grad) is None:
+        raise ValueError("MNG requires a smoothing constant M")
+    make_config, run = baselines[solver]
+    return run(instance, make_config(**opts), max_iters=config.max_iters,
+               keep_iterates=config.keep_iterates, start=start)
+
+
+class SuiteError(ValueError):
+    """A suite cell is malformed; raised before any cell runs."""
+
+
+def _cell_settings(cell) -> tuple[SolverConfig, int]:
+    """The solver config and seed of a suite cell; raises TypeError or
+    ValueError when the cell is malformed."""
+    if not isinstance(cell, dict):
+        raise TypeError("a cell must be a JSON object")
+    for key in ("instance", "solver"):
+        if key not in cell:
+            raise ValueError(f"missing {key!r}")
+    return config_from_dict(cell.get("config", {})), int(cell.get("seed", 0))
 
 
 def _cell_stem(cell: dict, index: int) -> str:
@@ -658,9 +617,7 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
     if os.path.exists(trace_path) and os.path.exists(summary_path):
         with open(summary_path, encoding="utf-8") as fh:
             return json.load(fh)
-    seed = int(cell.get("seed", 0))
-    config = config_from_dict(cell.get("config", {}))
-    config = replace(config, rng_seed=seed)
+    config, seed = _cell_settings(cell)
     try:
         instance, start, _ = build_instance(cell["instance"], seed=seed, options=cell.get("options"))
         outcome = run_solver(instance, cell["solver"], config, start=start, options=cell.get("solver_options"))
@@ -696,10 +653,19 @@ def run_experiment(
     """Execute a suite of cells {instance, solver, config, seed, ...},
     persisting one trace CSV and one summary JSON per cell.  Completed
     cells (both files present) are skipped, making reruns resumable, and
-    fixed seeds reproduce output files byte-for-byte."""
+    fixed seeds reproduce output files byte-for-byte.  Every cell is
+    validated before the first one runs (SuiteError names a malformed
+    one); ``jobs`` > 1 runs the independent cells in worker processes."""
+    for index, cell in enumerate(suite):
+        try:
+            _cell_settings(cell)
+        except (TypeError, ValueError) as exc:
+            raise SuiteError(f"cell {index}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    if jobs <= 1:
+    if jobs <= 1 or len(suite) <= 1:
         return [_run_cell(c, i, out_dir, record_timing) for i, c in enumerate(suite)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # Spawned workers: forking a process that may hold BLAS threads is unsafe.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(suite)), mp_context=spawn) as pool:
         futs = [pool.submit(_run_cell, c, i, out_dir, record_timing) for i, c in enumerate(suite)]
         return [f.result() for f in futs]

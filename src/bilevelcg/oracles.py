@@ -1,8 +1,12 @@
-"""Linear minimization and projection oracles over the supported feasible
-regions, backed by a dense two-phase simplex solver for the polytope cases.
+"""The dense two-phase simplex LP solver, and the checked entry points
+through which the solvers call a region's oracles.
 
-All tie-breaking is lowest-index deterministic so that traces are
-reproducible across platforms.
+Each region class in :mod:`core` carries its own linear minimization oracle
+(plain and restricted to a halfspace cut), projection and feasible point;
+the functions here validate the input vector and call them.  The regions'
+LP-backed oracles reach the simplex as ``oracles.simplex_solve``.  All
+tie-breaking is lowest-index deterministic so that traces are reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -11,21 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BallProduct,
-    FeasibleRegion,
-    Halfspace,
-    L1Ball,
-    OracleError,
-    Polytope,
-    ProductRegion,
-)
-
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
-BISECT_TOL = 1e-10
-BISECT_MAX_DOUBLINGS = 200
-DYKSTRA_MAX_SWEEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -165,249 +156,41 @@ def simplex_solve(lp: LpProblem) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Linear minimization oracles
+# Checked entry points
 # ---------------------------------------------------------------------------
 
-def _l1_vertex(radius: float, c: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(c)))
-    s = np.zeros_like(c)
-    s[i] = -radius if c[i] >= 0 else radius
-    return s
+def _checked(region, v: np.ndarray, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (region.dimension,):
+        raise ValueError(f"{what} has shape {v.shape}, expected ({region.dimension},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    return v
 
 
-def _ball_columns(region: BallProduct, c: np.ndarray) -> np.ndarray:
-    cols = region.columns(c)
-    out = np.zeros_like(cols)
-    for j in range(region.num_cols):
-        u = cols[:, j]
-        nrm = np.linalg.norm(u)
-        if nrm <= PIVOT_TOL:
-            # Zero objective column: any feasible point is optimal; fix the
-            # first axis direction for determinism.
-            out[0, j] = -region.radii[j]
-        else:
-            out[:, j] = -region.radii[j] * u / nrm
-    return out
-
-
-def _polytope_lp(region: Polytope, extra: Halfspace | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Inequality system (A, b) for the polytope plus an optional halfspace,
-    in the variables passed to the simplex (split when free)."""
-    A, b = region.A, region.b
-    if extra is not None:
-        A = np.vstack([A, extra.normal[None, :]])
-        b = np.append(b, extra.offset)
-    return A, b, region.nonnegative
-
-
-def _solve_polytope_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, nonneg: bool) -> np.ndarray:
-    if nonneg:
-        sol = simplex_solve(LpProblem(c, A, b))
-    else:
-        # Free variables: x = u - v with u, v >= 0.
-        sol = simplex_solve(LpProblem(np.concatenate([c, -c]), np.hstack([A, -A]), b))
-    if sol.status == "infeasible":
-        raise OracleError("LP subproblem infeasible")
-    if sol.status == "unbounded":
-        raise OracleError("LP subproblem unbounded (region not compact)")
-    if nonneg:
-        return sol.point
-    n = c.shape[0]
-    return sol.point[:n] - sol.point[n:]
-
-
-def lmo(region: FeasibleRegion, c: np.ndarray) -> np.ndarray:
+def lmo(region, c: np.ndarray) -> np.ndarray:
     """argmin_{s in region} <c, s>."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (region.dimension,):
-        raise ValueError(f"objective has shape {c.shape}, expected ({region.dimension},)")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("objective must be finite")
-    if isinstance(region, L1Ball):
-        return _l1_vertex(region.radius, c)
-    if isinstance(region, BallProduct):
-        return region.flatten(_ball_columns(region, c))
-    if isinstance(region, Polytope):
-        A, b, nonneg = _polytope_lp(region)
-        return _solve_polytope_lp(c, A, b, nonneg)
-    if isinstance(region, ProductRegion):
-        return np.concatenate(
-            [lmo(block, part) for block, part in zip(region.blocks, region.split(c))]
-        )
-    raise TypeError(f"unsupported region {region!r}")
+    return region.lmo(_checked(region, c, "objective"))
 
 
-def _l1_halfspace_lmo(region: L1Ball, h: Halfspace, c: np.ndarray) -> np.ndarray:
-    # Split s = s+ - s- and solve the 2d-variable, 2-row LP.
-    d = region.dimension
-    ones = np.ones(d)
-    A = np.vstack(
-        [
-            np.concatenate([ones, ones]),
-            np.concatenate([h.normal, -h.normal]),
-        ]
-    )
-    b = np.array([region.radius, h.offset])
-    sol = simplex_solve(LpProblem(np.concatenate([c, -c]), A, b))
-    if sol.status != "optimal":
-        raise OracleError(f"l1-ball halfspace LP is {sol.status}")
-    return sol.point[:d] - sol.point[d:]
-
-
-def _ball_product_halfspace_lmo(region: BallProduct, h: Halfspace, c: np.ndarray) -> np.ndarray:
-    a = h.normal
-
-    def candidate(mu: float) -> np.ndarray:
-        return region.flatten(_ball_columns(region, c + mu * a))
-
-    def residual(mu: float) -> float:
-        return h.violation(candidate(mu))
-
-    # mu = 0 is the unconstrained LMO point; keep it when already feasible.
-    if residual(0.0) <= BISECT_TOL:
-        return candidate(0.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_DOUBLINGS):
-        if residual(hi) <= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise OracleError("no bisection bracket for the ball-product subproblem")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= BISECT_TOL:
-            return candidate(mid)
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    return candidate(hi)
-
-
-def halfspace_lmo(region: FeasibleRegion, h: Halfspace, c: np.ndarray) -> np.ndarray:
+def halfspace_lmo(region, h, c: np.ndarray) -> np.ndarray:
     """argmin_{s in region, <h.normal, s> <= h.offset} <c, s>."""
     c = np.asarray(c, dtype=float)
-    if c.shape != (region.dimension,):
-        raise ValueError(f"objective has shape {c.shape}, expected ({region.dimension},)")
     # When the plain LMO point already satisfies the halfspace it solves the
-    # constrained problem too; this also makes an inactive halfspace follow
-    # the exact same tie-break path as lmo().
+    # constrained problem too, and it is returned itself: an inactive cut
+    # follows the exact same tie-break path as lmo().
     plain = lmo(region, c)
     if h.contains(plain, tol=0.0):
         return plain
-    if isinstance(region, L1Ball):
-        return _l1_halfspace_lmo(region, h, c)
-    if isinstance(region, BallProduct):
-        return _ball_product_halfspace_lmo(region, h, c)
-    if isinstance(region, Polytope):
-        A, b, nonneg = _polytope_lp(region, h)
-        return _solve_polytope_lp(c, A, b, nonneg)
-    if isinstance(region, ProductRegion):
-        parts_n = region.split(h.normal)
-        active = [i for i, p in enumerate(parts_n) if np.any(p != 0.0)]
-        if len(active) != 1:
-            raise OracleError("halfspace couples several product blocks")
-        i = active[0]
-        parts_c = region.split(c)
-        out = []
-        for j, block in enumerate(region.blocks):
-            if j == i:
-                # The halfspace offset is absorbed into the active block:
-                # contributions of the other blocks are zero there.
-                out.append(halfspace_lmo(block, Halfspace(parts_n[i], h.offset), parts_c[j]))
-            else:
-                out.append(lmo(block, parts_c[j]))
-        return np.concatenate(out)
-    raise TypeError(f"unsupported region {region!r}")
+    return region.cut_lmo(h, c, plain)
 
 
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : ||x||_1 <= radius} by sort-based
-    soft-thresholding (Duchi et al. style)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    v = np.asarray(v, dtype=float)
-    if np.abs(v).sum() <= radius:
-        return v.copy()
-    u = np.sort(np.abs(v))[::-1]
-    cumsum = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u - (cumsum - radius) / ks > 0)[0].max())
-    theta = (cumsum[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
-
-
-def _project_halfspace(x: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    viol = float(normal @ x) - offset
-    if viol <= 0.0:
-        return x
-    return x - (viol / float(normal @ normal)) * normal
-
-
-def project_polytope(region: Polytope, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Dykstra's alternating projections over the individual halfspaces."""
-    planes = region.halfspaces()
-    x = np.asarray(v, dtype=float).copy()
-    corrections = [np.zeros_like(x) for _ in planes]
-    for _ in range(DYKSTRA_MAX_SWEEPS):
-        # The iterate alone can be momentarily stationary mid-run, so the
-        # convergence test must include the correction terms.
-        change = 0.0
-        x_prev = x.copy()
-        for i, (a, beta) in enumerate(planes):
-            y = x + corrections[i]
-            x = _project_halfspace(y, a, beta)
-            new_corr = y - x
-            change += float(np.linalg.norm(new_corr - corrections[i]))
-            corrections[i] = new_corr
-        change += float(np.linalg.norm(x - x_prev))
-        if change < tol:
-            return x
-    raise OracleError("Dykstra projection did not converge within the sweep cap")
-
-
-def project_ball_product(region: BallProduct, v: np.ndarray) -> np.ndarray:
-    cols = region.columns(v).copy()
-    norms = np.linalg.norm(cols, axis=0)
-    over = norms > region.radii
-    cols[:, over] *= region.radii[over] / norms[over]
-    return region.flatten(cols)
-
-
-def project(region: FeasibleRegion, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def project(region, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Euclidean projection onto ``region`` (used by the projection-based
     baseline solvers)."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(region, L1Ball):
-        return project_l1_ball(v, region.radius)
-    if isinstance(region, BallProduct):
-        return project_ball_product(region, v)
-    if isinstance(region, Polytope):
-        return project_polytope(region, v, tol)
-    if isinstance(region, ProductRegion):
-        return np.concatenate(
-            [project(b, part, tol) for b, part in zip(region.blocks, region.split(v))]
-        )
-    raise TypeError(f"unsupported region {region!r}")
+    return region.project(_checked(region, v, "point"), tol)
 
 
-def feasible_point(region: FeasibleRegion) -> np.ndarray:
+def feasible_point(region) -> np.ndarray:
     """A deterministic feasible starting point."""
-    if isinstance(region, (L1Ball, BallProduct)):
-        return np.zeros(region.dimension)
-    if isinstance(region, Polytope):
-        origin = np.zeros(region.dimension)
-        if region.contains(origin):
-            return origin
-        # Phase-1 style: any vertex of the feasible set.
-        return _solve_polytope_lp(origin, *_polytope_lp(region))
-    if isinstance(region, ProductRegion):
-        return np.concatenate([feasible_point(b) for b in region.blocks])
-    raise TypeError(f"unsupported region {region!r}")
+    return region.feasible_point()

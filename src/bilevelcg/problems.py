@@ -139,9 +139,12 @@ def load_csv(
             vals = []
             for col, cell in zip(header, raw):
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(f"row {lineno}, column {col!r}: non-numeric value {cell!r}")
+                if not np.isfinite(value):
+                    raise DataError(f"row {lineno}, column {col!r}: non-finite value {cell!r}")
+                vals.append(value)
             rows.append(vals)
     if not rows:
         raise DataError("empty dataset: no data rows")

@@ -182,7 +182,7 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     for k in range(config.max_iters):
         f_val, f_grad = instance.upper(x)
         g_val, g_grad = instance.lower(x)
-        cut = _cut_from_values(g_grad, x, g0_val - g_val)
+        cut = cutting_plane(g_grad, x, g0_val, g_val)
         try:
             s = halfspace_lmo(region, cut, f_grad)
         except OracleError as exc:
@@ -197,7 +197,7 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
         x = (1.0 - gamma) * x + gamma * s
     f_val, f_grad = instance.upper(x)
     g_val, g_grad = instance.lower(x)
-    cut = _cut_from_values(g_grad, x, g0_val - g_val)
+    cut = cutting_plane(g_grad, x, g0_val, g_val)
     try:
         s = halfspace_lmo(region, cut, f_grad)
         f_gap = float(f_grad @ (x - s))
@@ -206,13 +206,6 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
         f_gap = g_gap = np.nan
     tracer.add(config.max_iters, f_val, g_val, f_gap=f_gap, g_gap=g_gap, iterate=x)
     return tracer.outcome(x, "budget_exhausted")
-
-
-def _cut_from_values(g_grad, xk, rhs_gap):
-    # Same halfspace as cutting_plane(), built from already-evaluated values.
-    from .core import Halfspace
-
-    return Halfspace(normal=g_grad, offset=float(g_grad @ xk) + rhs_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,24 @@ class TestSuiteCommand:
             {"instance": "toy", "solver": "dbgd",
              "config": {"max_iters": 30}, "seed": 1},
         ]))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["suite", str(suite), "--out", str(serial), "--jobs", "1"]) == 0
+        assert main(["suite", str(suite), "--out", str(parallel), "--jobs", "2"]) == 0
+        names = sorted(p.name for p in serial.iterdir())
+        assert len(names) == 4 and names == sorted(p.name for p in parallel.iterdir())
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_malformed_cell_exits_2_naming_it(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([
+            {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0},
+            {"instance": "toy", "solver": "cg-bio", "config": {"schedule": "constant:2"}},
+        ]))
         out = tmp_path / "runs"
-        assert main(["suite", str(suite), "--out", str(out), "--jobs", "2"]) == 0
-        assert len(list(out.glob("*.json"))) == 2
+        assert main(["suite", str(suite), "--out", str(out)]) == 2
+        assert "cell 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_cell_exits_1(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"

@@ -19,7 +19,6 @@ from bilevelcg.core import (
     SolveOutcome,
     SolverConfig,
     TraceRow,
-    check_membership,
     cutting_plane,
     step_size,
 )
@@ -140,10 +139,6 @@ class TestProductRegion:
         reg = self.region()
         assert reg.diameter == pytest.approx(np.sqrt(2.0**2 + 4.0**2))
 
-    def test_check_membership_validates_shape(self):
-        with pytest.raises(ValueError):
-            check_membership(self.region(), np.zeros(4))
-
 
 class TestHalfspace:
     def test_contains_and_violation(self):
@@ -156,14 +151,18 @@ class TestHalfspace:
 class TestCuttingPlane:
     def test_matches_hand_computation(self):
         g = quad_oracle(np.zeros((2, 2)), np.array([-1.0, -1.0]))
-        cut = cutting_plane(g, np.array([1.0, 0.0]), np.array([0.25, 0.25]))
+        xk = np.array([0.25, 0.25])
+        gk, grad = g(xk)
+        cut = cutting_plane(grad, xk, g.value(np.array([1.0, 0.0])), gk)
         np.testing.assert_allclose(cut.normal, [-1.0, -1.0])
         assert cut.offset == pytest.approx(-1.0)
 
     def test_keeps_all_lower_optima(self):
         # Points with g-value equal to g(x0) lie exactly on the cut boundary.
         g = quad_oracle(np.zeros((2, 2)), np.array([-1.0, -1.0]))
-        cut = cutting_plane(g, np.array([1.0, 0.0]), np.array([0.3, 0.3]))
+        xk = np.array([0.3, 0.3])
+        gk, grad = g(xk)
+        cut = cutting_plane(grad, xk, g.value(np.array([1.0, 0.0])), gk)
         for t in np.linspace(0.0, 1.0, 11):
             s = (1 - t) * np.array([0.5, 0.5]) + t * np.array([1.0, 0.0])
             assert cut.contains(s, tol=1e-12)

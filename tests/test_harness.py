@@ -16,6 +16,7 @@ from bilevelcg.core import (
 from bilevelcg.harness import (
     HoelderParams,
     RunRecord,
+    SuiteError,
     config_from_dict,
     config_to_dict,
     dist_to_hull,
@@ -323,6 +324,24 @@ class TestRunExperiment:
         summaries = run_experiment(cells, str(tmp_path))
         assert summaries[0]["stop_reason"].startswith("error")
         assert summaries[1]["stop_reason"] == "criterion_met"
+
+    def test_unknown_solver_option_is_an_error_summary(self, tmp_path):
+        cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5},
+                  "seed": 0, "solver_options": {"stpe": 0.1}}]
+        summaries = run_experiment(cells, str(tmp_path))
+        assert summaries[0]["stop_reason"].startswith("error:")
+        assert "stpe" in summaries[0]["stop_reason"]
+
+    @pytest.mark.parametrize("bad, reason", [
+        ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": "bogus"}}, "unknown schedule"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": -1}}, "tolerances"),
+        ({"solver": "cg-bio"}, "missing 'instance'"),
+    ])
+    def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
+        good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}
+        with pytest.raises(SuiteError, match=f"cell 1: .*{reason}"):
+            run_experiment([good, bad], str(tmp_path / "runs"))
+        assert not (tmp_path / "runs").exists()
 
     def test_summary_json_well_formed(self, tmp_path):
         cells = [{"instance": "toy", "solver": "cg-bio",

@@ -16,9 +16,6 @@ from bilevelcg.oracles import (
     halfspace_lmo,
     lmo,
     project,
-    project_ball_product,
-    project_l1_ball,
-    project_polytope,
     simplex_solve,
 )
 
@@ -153,23 +150,23 @@ class TestHalfspaceLmo:
 class TestProjections:
     def test_l1_inside_point_unchanged(self):
         y = np.array([0.3, -0.2])
-        np.testing.assert_array_equal(project_l1_ball(y, 1.0), y)
+        np.testing.assert_array_equal(project(L1Ball(1.0, 2), y), y)
 
     def test_l1_frozen_case(self):
-        np.testing.assert_allclose(project_l1_ball(np.array([2.0, 1.0]), 1.0), [1.0, 0.0])
+        np.testing.assert_allclose(project(L1Ball(1.0, 2), np.array([2.0, 1.0])), [1.0, 0.0])
 
     def test_l1_boundary_norm(self):
-        p = project_l1_ball(np.array([3.0, -2.0, 1.0]), 1.5)
+        p = project(L1Ball(1.5, 3), np.array([3.0, -2.0, 1.0]))
         assert np.abs(p).sum() == pytest.approx(1.5)
 
     def test_polytope_projection_frozen_case(self):
-        p = project_polytope(TOY_REGION, np.array([1.0, 1.0]))
+        p = project(TOY_REGION, np.array([1.0, 1.0]))
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-8)
 
     def test_ball_product_per_column(self):
         region = BallProduct(num_cols=2, col_dim=2, radii=1.0)
         y = region.flatten(np.array([[3.0, 0.2], [4.0, 0.1]]))
-        p = project_ball_product(region, y)
+        p = project(region, y)
         cols = region.columns(p)
         np.testing.assert_allclose(cols[:, 0], [0.6, 0.8])
         np.testing.assert_allclose(cols[:, 1], [0.2, 0.1])
@@ -180,6 +177,14 @@ class TestProjections:
         p = project(region, y)
         np.testing.assert_allclose(p, [1.0, 0.0, 0.6, 0.8])
 
+    def test_rejects_point_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            project(L1Ball(1.0, 3), np.zeros(4))
+
+    def test_rejects_non_finite_point(self):
+        with pytest.raises(ValueError, match="finite"):
+            project(L1Ball(1.0, 3), np.array([0.5, np.nan, 0.0]))
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_l1_projection_idempotent_and_nonexpansive(self, seed):
@@ -187,8 +192,9 @@ class TestProjections:
         d = int(rng.integers(2, 6))
         r = float(rng.uniform(0.5, 2.0))
         y, z = rng.standard_normal(d) * 3.0, rng.standard_normal(d) * 3.0
-        py, pz = project_l1_ball(y, r), project_l1_ball(z, r)
-        np.testing.assert_allclose(project_l1_ball(py, r), py, atol=1e-12)
+        ball = L1Ball(r, d)
+        py, pz = project(ball, y), project(ball, z)
+        np.testing.assert_allclose(project(ball, py), py, atol=1e-12)
         assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-12
 
     @given(st.integers(0, 2**31 - 1))
@@ -197,7 +203,7 @@ class TestProjections:
         # Variational inequality: <y - p, z - p> <= 0 for all feasible z.
         rng = np.random.default_rng(seed)
         y = rng.standard_normal(2) * 2.0
-        p = project_polytope(TOY_REGION, y)
+        p = project(TOY_REGION, y)
         assert TOY_REGION.contains(p, tol=1e-7)
         for v in TOY_REGION.vertices():
             assert float((y - p) @ (v - p)) <= 1e-7

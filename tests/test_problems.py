@@ -211,6 +211,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 4.*'b'"):
             load_csv(path, target_column="y")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, bad):
+        rows = ["1,2,0"] * 5
+        rows[3] = f"1,{bad},0"
+        path = self.write(tmp_path, "a,b,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match="row 5, column 'b': non-finite"):
+            load_csv(path, target_column="y")
+
     def test_missing_target_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="missing column 'y'"):
