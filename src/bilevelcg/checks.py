@@ -19,6 +19,7 @@ from .core import (
     Halfspace,
     L1Ball,
     Polytope,
+    ProductRegion,
     BallProduct,
     QuadraticForm,
     ReferenceData,
@@ -317,6 +318,28 @@ def brute_min_over_points(points: np.ndarray, c: np.ndarray) -> float:
     return float(np.min(points @ c))
 
 
+def cut_certificate_gap(region, h: Halfspace, c: np.ndarray, s: np.ndarray, mu: float, tol: float = 1e-9) -> float:
+    """Duality gap <c, s> - (min_{s' in region} <c + mu a, s'> - mu beta) of
+    an answer (s, mu) of ``region.cut_lmo(h, c, plain)``; inf when s leaves
+    the region or the halfspace by more than ``tol`` or mu is not a finite
+    nonnegative number.  By weak duality the gap of a feasible s is at least
+    the gap of s to the cut-restricted minimum, so gap <= tol certifies
+    that s is tol-optimal without any search."""
+    if not (0.0 <= mu < np.inf and region.contains(s, tol) and h.contains(s, tol)):
+        return np.inf
+    shifted = c + mu * h.normal
+    return float(c @ s) - (float(shifted @ lmo(region, shifted)) - mu * h.offset)
+
+
+def l1_cut_lp_value(region: L1Ball, h: Halfspace, c: np.ndarray) -> float:
+    """min <c, s> over the l1 ball cut by ``h`` from the dense simplex on the
+    split LP s = s+ - s-: sum(s+ + s-) <= r, <a, s+ - s-> <= beta."""
+    ones = np.ones(region.dimension)
+    A = np.vstack([np.concatenate([ones, ones]), np.concatenate([h.normal, -h.normal])])
+    sol = simplex_solve(LpProblem(np.concatenate([c, -c]), A, np.array([region.radius, h.offset])))
+    return sol.value
+
+
 def _grid_zoom_projection(objective: Callable[[np.ndarray], float], center, radius, dims, rounds=8, per_axis=11):
     """Nested zooming grid minimizer used as an independent projection oracle."""
     center = np.array(center, dtype=float)
@@ -501,6 +524,31 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
             ref_col = _project_disk_reference(cols[:, j], float(reg.radii[j]))
             worst = max(worst, float(np.linalg.norm(reg.columns(p)[:, j] - ref_col)))
     results.append(("ball projection vs zooming grid", worst <= 1e-6, f"worst {worst:.2e}"))
+
+    # Cut LMO certificates: each answer (s, mu) closes the duality gap, and
+    # the l1 walk matches the dense simplex on the split LP.
+    makers = {
+        "l1 ball": lambda: L1Ball(float(rng.uniform(0.5, 3.0)), int(rng.integers(2, 51))),
+        "ball product": lambda: _random_ball_product(rng),
+        "polytope": lambda: _random_polytope(rng),
+        "product region": lambda: ProductRegion(
+            (L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 6))), _random_ball_product(rng),
+             _random_polytope(rng))
+        ),
+    }
+    lp_worst = 0.0
+    for label, make in makers.items():
+        worst = 0.0
+        for _ in range(count):
+            reg = make()
+            c = rng.standard_normal(reg.dimension)
+            h, plain = _active_cut(reg, c, rng)
+            s, mu = reg.cut_lmo(h, c, plain)
+            worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
+            if isinstance(reg, L1Ball):
+                lp_worst = max(lp_worst, abs(float(c @ s) - l1_cut_lp_value(reg, h, c)))
+        results.append((f"{label} cut LMO certificate", worst <= 1e-9, f"worst gap {worst:.2e}"))
+    results.append(("l1 cut LMO vs split-LP simplex", lp_worst <= 1e-9, f"worst {lp_worst:.2e}"))
     return results
 
 
@@ -519,6 +567,28 @@ def _project_disk_reference(y: np.ndarray, radius: float) -> np.ndarray:
         rounds=12, per_axis=21,
     )
     return point(best)
+
+
+def _random_ball_product(rng) -> BallProduct:
+    num_cols = int(rng.integers(1, 5))
+    return BallProduct(num_cols, int(rng.integers(2, 5)), rng.uniform(0.5, 2.0, size=num_cols))
+
+
+def _active_cut(region, c: np.ndarray, rng) -> tuple[Halfspace, np.ndarray]:
+    """A random halfspace that cuts off the plain LMO point of ``c`` yet
+    meets the region, and that point.  On a product region the normal lives
+    in one random block."""
+    plain = lmo(region, c)
+    while True:
+        normal = rng.standard_normal(region.dimension)
+        if isinstance(region, ProductRegion):
+            keep = np.zeros(region.dimension)
+            lo, hi = region.offsets()[int(rng.integers(len(region.blocks)))]
+            keep[lo:hi] = 1.0
+            normal *= keep
+        low, high = float(normal @ lmo(region, normal)), float(normal @ plain)
+        if high > low + 1e-6:
+            return Halfspace(normal, low + float(rng.uniform(0.05, 0.95)) * (high - low)), plain
 
 
 def _random_polytope(rng) -> Polytope:

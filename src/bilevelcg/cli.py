@@ -115,8 +115,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if ok else 1
 
     if args.command == "suite":
-        with open(args.path, encoding="utf-8") as fh:
-            cells = json.load(fh)
+        try:
+            with open(args.path, encoding="utf-8") as fh:
+                cells = json.load(fh)
+            if not isinstance(cells, list):
+                raise ValueError(f"expected a JSON list of cells, got {type(cells).__name__}")
+        except (OSError, ValueError) as exc:
+            print(f"error: {args.path}: {exc}", file=sys.stderr)
+            return 2
     else:
         cells = _family_cells(args)
     try:

@@ -563,8 +563,12 @@ def run_solver(
 ) -> SolveOutcome:
     """Dispatch a named solver on an instance.  ``options`` holds
     ``init_iters`` for cg-bio, ``line_search`` for cg, and the fields of
-    the config dataclass for a baseline (unknown ones raise TypeError)."""
+    the config dataclass for a baseline; an unknown option raises
+    ValueError (TypeError for a baseline)."""
     opts = dict(options or {})
+    allowed = {"cg-bio": {"init_iters"}, "cg": {"line_search"}}.get(solver)
+    if allowed is not None and not set(opts) <= allowed:
+        raise ValueError(f"unknown {solver} options {sorted(set(opts) - allowed)}")
     if solver == "cg-bio":
         x0 = start
         if x0 is None:

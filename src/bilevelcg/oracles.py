@@ -3,8 +3,9 @@ through which the solvers call a region's oracles.
 
 Each region class in :mod:`core` carries its own linear minimization oracle
 (plain and restricted to a halfspace cut), projection and feasible point;
-the functions here validate the input vector and call them.  The regions'
-LP-backed oracles reach the simplex as ``oracles.simplex_solve``.  All
+the functions here validate the input vector and call them.  Only
+``Polytope`` reaches the simplex, as ``oracles.simplex_solve``: the l1-ball
+and ball-product cut LMOs solve their one-dimensional dual directly.  All
 tie-breaking is lowest-index deterministic so that traces are reproducible
 across platforms.
 """
@@ -44,9 +45,14 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``duals`` holds the multipliers y >= 0 of the rows A x <= b (the
+    final reduced costs of their slacks), so c + A'y >= 0 and
+    <c, point> = -<b, y> at the optimum; NaN unless optimal."""
+
     point: np.ndarray
     value: float
     status: str  # "optimal" | "infeasible" | "unbounded"
+    duals: np.ndarray
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -125,7 +131,7 @@ def simplex_solve(lp: LpProblem) -> LpSolution:
         T[-1, n + m : total] = 0.0
         status = _bland_iterate(T, basis, total)
         if status != "optimal" or -T[-1, -1] > FEAS_TOL:
-            return LpSolution(np.full(n, np.nan), np.nan, "infeasible")
+            return LpSolution(np.full(n, np.nan), np.nan, "infeasible", np.full(m, np.nan))
         # Drive remaining artificials out of the basis where possible.
         for i in range(m):
             if basis[i] >= n + m:
@@ -145,14 +151,16 @@ def simplex_solve(lp: LpProblem) -> LpSolution:
             T[-1] -= T[-1, bi] * T[i]
     status = _bland_iterate(T, basis, n + m)
     if status == "unbounded":
-        return LpSolution(np.full(n, np.nan), np.nan, "unbounded")
+        return LpSolution(np.full(n, np.nan), np.nan, "unbounded", np.full(m, np.nan))
 
     x = np.zeros(n + m)
     for i, bi in enumerate(basis):
         if bi < n + m:
             x[bi] = T[i, -1]
     point = x[:n]
-    return LpSolution(point, float(lp.c @ point), "optimal")
+    # Reduced costs stop at -PIVOT_TOL, so clip their rounding below zero.
+    duals = np.maximum(T[-1, n : n + m], 0.0)
+    return LpSolution(point, float(lp.c @ point), "optimal", duals)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +190,7 @@ def halfspace_lmo(region, h, c: np.ndarray) -> np.ndarray:
     plain = lmo(region, c)
     if h.contains(plain, tol=0.0):
         return plain
-    return region.cut_lmo(h, c, plain)
+    return region.cut_lmo(h, c, plain)[0]
 
 
 def project(region, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -101,6 +101,20 @@ class TestSuiteCommand:
         assert "cell 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file"),
+        ('{"instance": "toy"', "Expecting"),
+        ('{"instance": "toy", "solver": "cg-bio"}', "expected a JSON list"),
+    ])
+    def test_bad_suite_file_exits_2(self, tmp_path, capsys, content, reason):
+        suite = tmp_path / "suite.json"
+        if content is not None:
+            suite.write_text(content)
+        assert main(["suite", str(suite), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {suite}: ") and reason in err
+        assert not (tmp_path / "runs").exists()
+
     def test_failed_cell_exits_1(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps([

@@ -332,6 +332,14 @@ class TestRunExperiment:
         assert summaries[0]["stop_reason"].startswith("error:")
         assert "stpe" in summaries[0]["stop_reason"]
 
+    @pytest.mark.parametrize("solver, typo", [("cg-bio", "init_iter"), ("cg", "line_serach")])
+    def test_unknown_option_of_cg_solvers_is_an_error_summary(self, tmp_path, solver, typo):
+        cells = [{"instance": "toy", "solver": solver, "config": {"max_iters": 5},
+                  "seed": 0, "solver_options": {typo: "exact"}}]
+        summaries = run_experiment(cells, str(tmp_path))
+        assert summaries[0]["stop_reason"].startswith("error:")
+        assert typo in summaries[0]["stop_reason"]
+
     @pytest.mark.parametrize("bad, reason", [
         ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": "bogus"}}, "unknown schedule"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": -1}}, "tolerances"),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bilevelcg import oracles
+from bilevelcg.checks import cut_certificate_gap, l1_cut_lp_value
 from bilevelcg.core import (
     BallProduct,
     Halfspace,
@@ -52,6 +54,17 @@ class TestSimplex:
         a = simplex_solve(problem)
         b = simplex_solve(problem)
         np.testing.assert_array_equal(a.point, b.point)
+
+    @pytest.mark.parametrize("c, A, b, duals", [
+        ([-1.0, -1.0], TOY_REGION.A, TOY_REGION.b, [1.0, 0.0]),
+        ([1.0], [[-1.0], [1.0]], [-0.5, 2.0], [1.0, 0.0]),  # negated row, phase one
+    ])
+    def test_row_duals_certify_the_value(self, c, A, b, duals):
+        lp = LpProblem(c=np.array(c), A=np.array(A), b=np.array(b))
+        sol = simplex_solve(lp)
+        np.testing.assert_allclose(sol.duals, duals, atol=1e-12)
+        assert np.all(lp.c + lp.A.T @ sol.duals >= -1e-12)
+        assert sol.value == pytest.approx(-float(lp.b @ sol.duals), abs=1e-12)
 
 
 class TestLmo:
@@ -145,6 +158,133 @@ class TestHalfspaceLmo:
         h = Halfspace(np.array([1.0, 0.0]), -5.0)  # x1 <= -5 misses the ball
         with pytest.raises(OracleError):
             halfspace_lmo(region, h, np.array([0.0, 1.0]))
+
+
+def _cut(region, h, c):
+    """The cut LMO answer (s, mu) and its certificate gap."""
+    c = np.asarray(c, dtype=float)
+    plain = lmo(region, c)
+    assert not h.contains(plain)
+    s, mu = region.cut_lmo(h, c, plain)
+    return s, mu, cut_certificate_gap(region, h, c, s, mu)
+
+
+class TestCutLmo:
+    def test_l1_tied_coefficients_lowest_index_wins(self):
+        # |c_0| = |c_1| and a_0 = a_1: every point with s_0 + s_1 = 0.5 on the
+        # positive face is optimal; the walk keeps coordinate 0.
+        h = Halfspace(np.array([1.0, 1.0, 0.0]), 0.5)
+        s, mu, gap = _cut(L1Ball(1.0, 3), h, [-1.0, -1.0, 0.0])
+        np.testing.assert_allclose(s, [0.5, 0.0, 0.0], atol=1e-15)
+        assert mu == 1.0 and gap <= 1e-12
+
+    def test_l1_zero_entries_in_normal(self):
+        h = Halfspace(np.array([0.0, 1.0, 0.0]), 0.25)
+        s, mu, gap = _cut(L1Ball(1.0, 3), h, [0.0, -2.0, 1.0])
+        np.testing.assert_allclose(s, [0.0, 0.25, -0.75], atol=1e-15)
+        assert mu == 1.0 and gap <= 1e-12
+
+    def test_l1_cut_through_a_single_vertex(self):
+        a = np.array([1.0, -3.0, 2.0])
+        region = L1Ball(2.0, 3)
+        h = Halfspace(a, -region.radius * np.abs(a).max())
+        s, mu, gap = _cut(region, h, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(s, [0.0, 2.0, 0.0])
+        assert mu == 0.5 and gap <= 1e-12
+
+    def test_ball_product_cut_through_a_single_face(self):
+        # <a, s> >= -5 on the region, so the cut pins column 0 to -a_0 / |a_0|;
+        # no finite multiplier attains the dual.
+        region = BallProduct(num_cols=2, col_dim=2, radii=1.0)
+        c = region.flatten(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        normal = region.flatten(np.array([[3.0, 0.0], [4.0, 0.0]]))
+        plain = lmo(region, c)
+        s, mu = region.cut_lmo(Halfspace(normal, -5.0), c, plain)
+        np.testing.assert_allclose(region.columns(s), [[-0.6, 0.0], [-0.8, -1.0]])
+        assert mu == np.inf
+
+    @pytest.mark.parametrize("region", [L1Ball(1.0, 3), BallProduct(num_cols=2, col_dim=2, radii=1.0)])
+    def test_cut_excluding_the_region_raises(self, region):
+        normal = np.array([1.0, -2.0, 0.5, 0.0])[: region.dimension]
+        with pytest.raises(OracleError, match="excludes"):
+            halfspace_lmo(region, Halfspace(normal, -10.0), np.ones(region.dimension))
+
+    def test_ball_product_zero_column_at_the_multiplier(self):
+        # c + mu a = 0 at mu = 1, where the residual jumps from 0.5 to -1.5
+        # (at the zero-column threshold, 1e-10 before): the answer mixes the
+        # two LMO points (1, 0) and (-1, 0) onto the cut, 3:1.
+        region = BallProduct(num_cols=1, col_dim=2, radii=1.0)
+        h = Halfspace(np.array([1.0, 0.0]), 0.5)
+        s, mu, gap = _cut(region, h, [-1.0, 0.0])
+        np.testing.assert_allclose(s, [0.5, 0.0], atol=1e-12)
+        assert mu == pytest.approx(1.0, abs=1e-9) and gap <= 1e-9
+
+    def test_ball_product_newton_lands_on_the_cut(self):
+        rng = np.random.default_rng(11)
+        region = BallProduct(num_cols=6, col_dim=4, radii=rng.uniform(0.5, 2.0, size=6))
+        c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
+        h = Halfspace(normal, float(normal @ lmo(region, c)) - 1.0)
+        s, mu, gap = _cut(region, h, c)
+        assert abs(h.violation(s)) <= 1e-12 and mu > 0.0 and abs(gap) <= 1e-11
+
+    def test_product_region_forwards_the_block_multiplier(self):
+        region = ProductRegion((L1Ball(1.0, 2), L1Ball(1.0, 2)))
+        h = Halfspace(np.array([1.0, 0.0, 0.0, 0.0]), 0.25)
+        s, mu, gap = _cut(region, h, [-1.0, 0.0, -1.0, 0.0])
+        np.testing.assert_allclose(s, [0.25, 0.0, 1.0, 0.0], atol=1e-15)
+        assert mu == 1.0 and gap <= 1e-12
+
+    def test_polytope_multiplier_from_the_tableau(self):
+        h = Halfspace(np.array([-1.0, -1.0]), -1.0)
+        s, mu, gap = _cut(TOY_REGION, h, [1.0, 0.0])
+        np.testing.assert_allclose(s, [0.5, 0.5], atol=1e-9)
+        assert mu >= 0.0 and gap <= 1e-9
+
+    def test_l1_frozen_d5000_matches_simplex(self):
+        rng = np.random.default_rng(20221006)
+        region = L1Ball(1.0, 5000)
+        c, normal = rng.standard_normal(5000), rng.standard_normal(5000)
+        plain = lmo(region, c)
+        low = -float(np.abs(normal).max())
+        h = Halfspace(normal, low + 0.3 * (float(normal @ plain) - low))
+        s, mu, gap = _cut(region, h, c)
+        assert abs(float(c @ s) - l1_cut_lp_value(region, h, c)) <= 1e-9
+        assert gap <= 1e-9
+
+    def test_l1_and_ball_product_cuts_never_call_the_simplex(self, monkeypatch):
+        def forbidden(lp):
+            raise AssertionError("simplex_solve called")
+
+        monkeypatch.setattr(oracles, "simplex_solve", forbidden)
+        rng = np.random.default_rng(3)
+        for region in (L1Ball(1.5, 40), BallProduct(num_cols=5, col_dim=3, radii=1.0)):
+            c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
+            plain = lmo(region, c)
+            h = Halfspace(normal, float(normal @ plain) - 0.5)
+            s = halfspace_lmo(region, h, c)
+            assert region.contains(s, tol=1e-9) and h.contains(s, tol=1e-9)
+        with pytest.raises(AssertionError, match="simplex_solve called"):
+            halfspace_lmo(TOY_REGION, Halfspace(np.array([-1.0, -1.0]), -1.0), np.array([1.0, 0.0]))
+
+
+class TestCutCertificate:
+    REGION = L1Ball(1.0, 3)
+    CUT = Halfspace(np.array([0.0, 1.0, 0.0]), 0.25)
+    C = np.array([0.0, -2.0, 1.0])
+
+    def test_exact_answer_passes(self):
+        s, mu = self.REGION.cut_lmo(self.CUT, self.C, lmo(self.REGION, self.C))
+        assert cut_certificate_gap(self.REGION, self.CUT, self.C, s, mu) <= 1e-12
+
+    @pytest.mark.parametrize("s, mu", [
+        ([0.0, 0.25 - 1e-6, -0.75], 1.0),  # feasible, 2e-6 worse than optimal
+        ([1e-6, 0.25, -0.75], 1.0),  # outside the ball
+        ([0.0, 0.25 + 1e-6, -0.75 + 1e-6], 1.0),  # outside the cut
+        ([0.0, 0.25, -0.75], 1.5),  # wrong multiplier
+        ([0.0, 0.25, -0.75], -1.0),  # negative multiplier
+    ])
+    def test_perturbed_answer_fails(self, s, mu):
+        assert cut_certificate_gap(self.REGION, self.CUT, self.C, np.array(s), mu) > 1e-9
 
 
 class TestProjections:
