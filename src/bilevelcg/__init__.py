@@ -35,7 +35,7 @@ from .harness import (
     run_experiment,
     true_fw_gap,
 )
-from .oracles import feasible_point, halfspace_lmo, lmo, project
+from .oracles import halfspace_lmo, lmo, project
 from .problems import (
     DatasetSplit,
     DictLearnSpec,

@@ -35,7 +35,6 @@ from .harness import (
     value_transfer_check,
     reference_bilevel,
     reference_lower,
-    sample_region,
 )
 from .oracles import LpProblem, halfspace_lmo, lmo, project, simplex_solve
 from .problems import (
@@ -340,15 +339,16 @@ def l1_cut_lp_value(region: L1Ball, h: Halfspace, c: np.ndarray) -> float:
     return sol.value
 
 
-def _grid_zoom_projection(objective: Callable[[np.ndarray], float], center, radius, dims, rounds=8, per_axis=11):
-    """Nested zooming grid minimizer used as an independent projection oracle."""
-    center = np.array(center, dtype=float)
+def _grid_zoom_projection(objective: Callable[[np.ndarray], np.ndarray], center, half_widths, rounds=12, per_axis=21):
+    """Nested zooming grid minimizer used as an independent projection
+    oracle: each round evaluates ``objective`` on the rows of a grid over
+    the box center +- half_widths and recenters on the best row."""
+    center, half = np.array(center, dtype=float), np.array(half_widths, dtype=float)
     for _ in range(rounds):
-        axes = [np.linspace(center[i] - radius, center[i] + radius, per_axis) for i in range(dims)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
-        vals = np.array([objective(x) for x in mesh])
-        center = mesh[int(np.argmin(vals))]
-        radius *= 2.5 / (per_axis - 1)
+        axes = [np.linspace(c - h, c + h, per_axis) for c, h in zip(center, half)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, center.size)
+        center = mesh[int(np.argmin(objective(mesh)))]
+        half *= 2.5 / (per_axis - 1)
     return center
 
 
@@ -414,7 +414,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     for _ in range(count):
         reg = BallProduct(int(rng.integers(1, 4)), int(rng.integers(2, 4)), float(rng.uniform(0.5, 2.0)))
         c = rng.standard_normal(reg.dimension)
-        cloud = sample_region(reg, 1000, seed=int(rng.integers(1 << 30)))
+        cloud = reg.sample(1000, np.random.default_rng(int(rng.integers(1 << 30))))
         worst = max(worst, float(lmo(reg, c) @ c) - brute_min_over_points(cloud, c))
     results.append(("ball-product LMO vs sampled cloud", worst <= 1e-8, f"worst {worst:.2e}"))
 
@@ -434,7 +434,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         d = int(rng.integers(2, 5))
         reg = L1Ball(float(rng.uniform(0.5, 2.0)), d)
         c = rng.standard_normal(d)
-        interior = sample_region(reg, 200, seed=int(rng.integers(1 << 30)))
+        interior = reg.sample(200, np.random.default_rng(int(rng.integers(1 << 30))))
         anchor = interior[0]
         h = Halfspace(rng.standard_normal(d), 0.0)
         h = Halfspace(h.normal, float(h.normal @ anchor))  # guaranteed nonempty
@@ -451,7 +451,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     for _ in range(count):
         reg = BallProduct(int(rng.integers(1, 3)), 2, float(rng.uniform(0.5, 2.0)))
         c = rng.standard_normal(reg.dimension)
-        cloud = sample_region(reg, 3000, seed=int(rng.integers(1 << 30)))
+        cloud = reg.sample(3000, np.random.default_rng(int(rng.integers(1 << 30))))
         anchor = cloud[0]
         normal = rng.standard_normal(reg.dimension)
         h = Halfspace(normal, float(normal @ anchor))
@@ -553,20 +553,27 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
 
 
 def _project_disk_reference(y: np.ndarray, radius: float) -> np.ndarray:
-    """Projection onto a 2-D disk by a zooming grid in polar coordinates,
-    where every grid point is feasible by construction."""
+    """Projection onto a 2-D disk: the better of two zooming grids that
+    cover the whole disk from their first round and score feasible points
+    only.  The Cartesian grid over the bounding square finds interior points
+    but misses a curved boundary; the polar grid finds boundary points but
+    degenerates near the origin, where the angle is free."""
 
-    def point(params):
-        rho, theta = params
-        rho = min(max(rho, 0.0), radius)
-        return np.array([rho * np.cos(theta), rho * np.sin(theta)])
+    def sq_dist(points):
+        return np.sum((points - y) ** 2, axis=1)
 
-    best = _grid_zoom_projection(
-        lambda params: float(np.sum((point(params) - y) ** 2)),
-        np.array([radius / 2.0, 0.0]), max(radius, np.pi), 2,
-        rounds=12, per_axis=21,
+    def polar(params):
+        rho = np.clip(params[:, 0], 0.0, radius)
+        return np.column_stack([rho * np.cos(params[:, 1]), rho * np.sin(params[:, 1])])
+
+    on_polar = polar(_grid_zoom_projection(
+        lambda params: sq_dist(polar(params)), [radius / 2.0, 0.0], [radius / 2.0, np.pi]
+    )[None, :])[0]
+    on_square = _grid_zoom_projection(
+        lambda points: np.where(np.sum(points**2, axis=1) <= radius**2, sq_dist(points), np.inf),
+        [0.0, 0.0], [radius, radius],
     )
-    return point(best)
+    return min(on_polar, on_square, key=lambda z: float(np.sum((z - y) ** 2)))
 
 
 def _random_ball_product(rng) -> BallProduct:
@@ -606,7 +613,7 @@ def _random_polytope(rng) -> Polytope:
 def _l1_halfspace_boundary_grid(reg: L1Ball, h: Halfspace, rng) -> np.ndarray:
     """Dense feasible cloud biased toward the l1 sphere and the cut boundary."""
     d = reg.dimension
-    pts = sample_region(reg, 2000, seed=int(rng.integers(1 << 30)))
+    pts = reg.sample(2000, np.random.default_rng(int(rng.integers(1 << 30))))
     sphere = np.sign(rng.standard_normal((2000, d))) * rng.dirichlet(np.ones(d), 2000) * reg.radius
     cloud = np.vstack([pts, sphere])
     # slide points onto the cut boundary along -normal where possible

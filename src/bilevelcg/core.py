@@ -119,7 +119,6 @@ class L1Ball(Region):
 
     radius: float
     dimension: int
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -130,7 +129,7 @@ class L1Ball(Region):
         return 2.0 * self.radius
 
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
-        tol = self.membership_tol if tol is None else tol
+        tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
         return float(np.abs(x).sum()) <= self.radius + tol
 
     def lmo(self, c: np.ndarray) -> np.ndarray:
@@ -209,7 +208,6 @@ class BallProduct(Region):
     num_cols: int
     col_dim: int
     radii: np.ndarray
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL
 
     def __post_init__(self):
         radii = np.broadcast_to(np.asarray(self.radii, dtype=float), (self.num_cols,))
@@ -232,7 +230,7 @@ class BallProduct(Region):
         return cols.reshape(-1, order="F")
 
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
-        tol = self.membership_tol if tol is None else tol
+        tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
         norms = np.linalg.norm(self.columns(x), axis=0)
         return bool(np.all(norms <= self.radii + tol))
 
@@ -343,8 +341,6 @@ class Polytope(Region):
     A: np.ndarray
     b: np.ndarray
     nonnegative: bool = True
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL
-    diameter_hint: Optional[float] = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -359,7 +355,7 @@ class Polytope(Region):
         return self.A.shape[1]
 
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
-        tol = self.membership_tol if tol is None else tol
+        tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
         x = np.asarray(x, dtype=float)
         if self.nonnegative and np.any(x < -tol):
             return False
@@ -398,8 +394,6 @@ class Polytope(Region):
 
     @property
     def diameter(self) -> float:
-        if self.diameter_hint is not None:
-            return self.diameter_hint
         verts = self.vertices()
         best = 0.0
         for i in range(len(verts)):
@@ -505,10 +499,6 @@ class ProductRegion(Region):
     def diameter(self) -> float:
         return float(np.sqrt(sum(b.diameter**2 for b in self.blocks)))
 
-    @property
-    def membership_tol(self) -> float:
-        return max(b.membership_tol for b in self.blocks)
-
     def offsets(self) -> list[tuple[int, int]]:
         out, start = [], 0
         for b in self.blocks:
@@ -550,9 +540,6 @@ class ProductRegion(Region):
         return np.hstack([b.sample(count, rng) for b in self.blocks])
 
 
-FeasibleRegion = Union[L1Ball, BallProduct, Polytope, ProductRegion]
-
-
 # ---------------------------------------------------------------------------
 # Bilevel instances
 # ---------------------------------------------------------------------------
@@ -574,7 +561,7 @@ class ReferenceData:
 class BilevelInstance:
     upper: SmoothOracle
     lower: SmoothOracle
-    region: FeasibleRegion
+    region: Region
     reference: Optional[ReferenceData] = None
     name: str = "instance"
 

@@ -3,8 +3,8 @@ and run persistence (trace CSV + summary JSON)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +19,8 @@ from .core import (
     Harmonic,
     InvSqrt,
     Polytope,
+    QuadraticForm,
+    Region,
     Schedule,
     SmoothOracle,
     SolveOutcome,
@@ -51,20 +53,18 @@ def _is_linear(oracle: SmoothOracle) -> bool:
     return q is not None and not np.any(q.Q)
 
 
-def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
-    """High-accuracy estimate of the lower-level optimal value.
+def _line_search(oracle: SmoothOracle) -> str:
+    """Exact line search for a tagged quadratic, backtracking otherwise."""
+    return "exact" if oracle.quadratic is not None else "backtracking"
 
-    Linear objectives over desk-scale polytopes are solved exactly by vertex
-    enumeration; otherwise a long conditional-gradient run with line search
-    certifies g(x) - g* <= tol through the duality gap.
-    """
-    lower, region = instance.lower, instance.region
-    if _is_linear(lower) and isinstance(region, Polytope) and region.dimension <= 4:
-        verts = region.vertices()
-        return float(min(lower.value(v) for v in verts))
-    mode = "exact" if lower.quadratic is not None else "backtracking"
+
+def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
+    """High-accuracy estimate of the lower-level optimal value: a long
+    conditional-gradient run with line search certifies g(x) - g* <= tol
+    through the duality gap.  On a linear objective the exact line search
+    steps onto an optimal vertex at once."""
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
-    out = standard_cg(lower, region, cfg, line_search=mode)
+    out = standard_cg(instance.lower, instance.region, cfg, line_search=_line_search(instance.lower))
     if out.stop_reason != "criterion_met":
         raise RuntimeError(
             f"lower-level reference budget exhausted; achieved gap {out.trace[-1].surrogate_f_gap:.3e}"
@@ -85,79 +85,43 @@ def _solution_face(instance: BilevelInstance) -> np.ndarray:
     raise ValueError("instance carries no lower-level solution-set description")
 
 
-def _golden_section(h, lo: float, hi: float, tol: float) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    hc, hd = h(c), h(d)
-    while b - a > tol:
-        if hc <= hd:
-            b, d, hd = d, c, hc
-            c = b - phi * (b - a)
-            hc = h(c)
-        else:
-            a, c, hc = c, d, hd
-            d = a + phi * (b - a)
-            hd = h(d)
-    return 0.5 * (a + b)
+@dataclass(frozen=True)
+class _Hull(Region):
+    """The convex hull of the vertex rows, as a region for standard_cg."""
+
+    verts: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.verts.shape[1]
+
+    def lmo(self, c: np.ndarray) -> np.ndarray:
+        return self.verts[int(np.argmin(self.verts @ c))]  # lowest index on ties
+
+
+def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max_iters: int):
+    """Minimize a convex objective over the hull of the vertex rows.  Returns
+    (point, certified): certified means the point is exact or its FW gap is
+    at most ``tol``.  A tagged quadratic over at most 16 vertices is solved
+    exactly in barycentric weights; otherwise conditional gradient runs from
+    the barycenter."""
+    quad = oracle.quadratic
+    if quad is not None and verts.shape[0] <= 16:
+        w = _minimize_quadratic_over_simplex(verts @ quad.Q @ verts.T, verts @ quad.q)
+        return verts.T @ w, True
+    cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
+    out = standard_cg(oracle, _Hull(verts), cfg, line_search=_line_search(oracle), start=verts.mean(axis=0))
+    return out.final_point, out.stop_reason == "criterion_met"
 
 
 def reference_bilevel(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
     """Estimate of the optimal upper-level value over the lower-level
     solution set, which must be available as a vertex list (or derivable
     for a linear lower level over a small polytope)."""
-    verts = _solution_face(instance)
-    f = instance.upper
-    if verts.shape[0] == 1:
-        return f.value(verts[0])
-    if verts.shape[0] == 2:
-        a, b = verts
-
-        def h(t):
-            return f.value((1.0 - t) * a + t * b)
-
-        # Coarse grid localizes the minimum, golden section refines it.
-        grid = np.linspace(0.0, 1.0, 10_001)
-        vals = np.array([h(t) for t in grid])
-        i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        seg_len = float(np.linalg.norm(b - a))
-        t_star = _golden_section(h, lo, hi, tol / max(seg_len, 1e-12))
-        return min(float(vals[i]), h(t_star))
-    # More than two vertices.  Quadratic objectives are minimized exactly
-    # over the hull by enumerating simplex supports in barycentric weights;
-    # otherwise conditional gradient with line search runs to the tolerance.
-    n = verts.shape[0]
-    if f.quadratic is not None and n <= 16:
-        quad = f.quadratic
-        Qt = verts @ quad.Q @ verts.T
-        qt = verts @ (quad.q)
-        w = _minimize_quadratic_over_simplex(Qt, qt)
-        return f.value(verts.T @ w)
-    w = np.full(n, 1.0 / n)
-    ls_state: dict = {}
-    from .solvers import _cg_step_length
-
-    def hull_oracle_eval(weights):
-        x = verts.T @ weights
-        val, grad = f(x)
-        return val, verts @ grad
-
-    hull_oracle = SmoothOracle(n, hull_oracle_eval)
-    for _ in range(max_iters):
-        val, grad = hull_oracle(w)
-        j = int(np.argmin(grad))
-        d = -w.copy()
-        d[j] += 1.0
-        gap = float(-(grad @ d))
-        if gap <= tol:
-            return val
-        gamma = _cg_step_length(hull_oracle, w, val, grad, d, "backtracking", ls_state)
-        if gamma <= 0.0:
-            return val
-        w = w + gamma * d
-    raise RuntimeError("upper-level reference budget exhausted over the solution face")
+    point, certified = _minimize_over_hull(instance.upper, _solution_face(instance), tol, max_iters)
+    if not certified:
+        raise RuntimeError("upper-level reference budget exhausted over the solution face")
+    return instance.upper.value(point)
 
 
 def _minimize_quadratic_over_simplex(Qt: np.ndarray, qt: np.ndarray) -> np.ndarray:
@@ -234,41 +198,16 @@ def _face_points(verts: np.ndarray, count: int, seed: int = 0) -> np.ndarray:
 
 
 def dist_to_hull(x: np.ndarray, verts: np.ndarray, iters: int = 500) -> float:
-    """Euclidean distance from x to the convex hull of the vertex rows."""
+    """Euclidean distance from x to the convex hull of the vertex rows.  When
+    conditional gradient stops uncertified after ``iters`` steps, the
+    distance to its last iterate over-estimates the true one."""
     x = np.asarray(x, dtype=float)
-    if verts.shape[0] == 1:
-        return float(np.linalg.norm(x - verts[0]))
-    if verts.shape[0] == 2:
-        a, b = verts
-        d = b - a
-        denom = float(d @ d)
-        t = 0.0 if denom == 0.0 else float(np.clip((x - a) @ d / denom, 0.0, 1.0))
-        return float(np.linalg.norm(x - (a + t * d)))
-    # Exact least-distance over the hull by simplex-support enumeration for
-    # small vertex lists; conditional gradient fallback otherwise.
-    n = verts.shape[0]
-    if n <= 16:
-        w = _minimize_quadratic_over_simplex(verts @ verts.T, -(verts @ x))
-        return float(np.linalg.norm(verts.T @ w - x))
-    w = np.full(n, 1.0 / n)
-    for _ in range(iters):
-        p = verts.T @ w
-        grad = verts @ (p - x)
-        j = int(np.argmin(grad))
-        d = -w.copy()
-        d[j] += 1.0
-        gap = float(-(grad @ d))
-        if gap <= 1e-16:
-            break
-        step_dir = verts.T @ d
-        denom = float(step_dir @ step_dir)
-        if denom <= 0.0:
-            break
-        gamma = float(np.clip(-((p - x) @ step_dir) / denom, 0.0, 1.0))
-        if gamma == 0.0:
-            break
-        w = w + gamma * d
-    return float(np.linalg.norm(verts.T @ w - x))
+    half_sq = SmoothOracle(
+        x.size, lambda p: (0.5 * float((p - x) @ (p - x)), p - x),
+        quadratic=QuadraticForm(np.eye(x.size), -x, 0.5 * float(x @ x)),
+    )
+    point, _ = _minimize_over_hull(half_sq, verts, 1e-16, iters)
+    return float(np.linalg.norm(point - x))
 
 
 def hoelder_estimate(
@@ -310,16 +249,6 @@ def hoelder_estimate(
     if alpha <= 0:
         raise ValueError("estimated error-bound modulus is not positive")
     return HoelderParams(alpha=float(alpha), order=order, M=M)
-
-
-# ---------------------------------------------------------------------------
-# Region sampling
-# ---------------------------------------------------------------------------
-
-def sample_region(region, count: int, seed: int = 0) -> np.ndarray:
-    """Uniform-ish feasible samples (rows).  Exact uniformity is not needed;
-    coverage of the region is."""
-    return region.sample(count, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +547,13 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
     stem = _cell_stem(cell, index)
     trace_path = os.path.join(out_dir, stem + ".csv")
     summary_path = os.path.join(out_dir, stem + ".json")
+    cell_hash = hashlib.sha256(json.dumps(cell, sort_keys=True).encode("utf-8")).hexdigest()
     if os.path.exists(trace_path) and os.path.exists(summary_path):
         with open(summary_path, encoding="utf-8") as fh:
-            return json.load(fh)
+            stored = json.load(fh)
+        # A summary written for another cell config is stale: rerun the cell.
+        if stored.get("cell_sha256") == cell_hash:
+            return stored
     config, seed = _cell_settings(cell)
     try:
         instance, start, _ = build_instance(cell["instance"], seed=seed, options=cell.get("options"))
@@ -640,6 +573,7 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
             "iterations": 0, "final_f_gap": None, "final_g_gap": None,
             "wall_nanos_total": 0, "seed": seed,
         }
+    summary["cell_sha256"] = cell_hash
     tmp = summary_path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -656,7 +590,8 @@ def run_experiment(
 ) -> list[dict]:
     """Execute a suite of cells {instance, solver, config, seed, ...},
     persisting one trace CSV and one summary JSON per cell.  Completed
-    cells (both files present) are skipped, making reruns resumable, and
+    cells (both files present, the summary's ``cell_sha256`` matching the
+    cell) are skipped, making reruns resumable, and
     fixed seeds reproduce output files byte-for-byte.  Every cell is
     validated before the first one runs (SuiteError names a malformed
     one); ``jobs`` > 1 runs the independent cells in worker processes."""

@@ -2,8 +2,8 @@
 through which the solvers call a region's oracles.
 
 Each region class in :mod:`core` carries its own linear minimization oracle
-(plain and restricted to a halfspace cut), projection and feasible point;
-the functions here validate the input vector and call them.  Only
+(plain and restricted to a halfspace cut) and projection; the functions
+here validate the input vector and call them.  Only
 ``Polytope`` reaches the simplex, as ``oracles.simplex_solve``: the l1-ball
 and ball-product cut LMOs solve their one-dimensional dual directly.  All
 tie-breaking is lowest-index deterministic so that traces are reproducible
@@ -197,8 +197,3 @@ def project(region, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Euclidean projection onto ``region`` (used by the projection-based
     baseline solvers)."""
     return region.project(_checked(region, v, "point"), tol)
-
-
-def feasible_point(region) -> np.ndarray:
-    """A deterministic feasible starting point."""
-    return region.feasible_point()

@@ -486,8 +486,6 @@ def dictionary_problem(
         R = D @ X - A_new
         return 0.5 * float(np.sum(R * R)) / n_new, dict_pack(R @ X.T / n_new, D.T @ R / n_new)
 
-    gram = X_hat_pad @ X_hat_pad.T
-
     def g_eval(z):
         D, _ = dict_unpack(z, m, q, n_new)
         R = D @ X_hat_pad - A_old

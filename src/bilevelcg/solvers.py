@@ -13,8 +13,8 @@ import numpy as np
 from .core import (
     BilevelInstance,
     ConfigurationError,
-    FeasibleRegion,
     OracleError,
+    Region,
     SmoothOracle,
     SolveOutcome,
     SolverConfig,
@@ -22,7 +22,7 @@ from .core import (
     cutting_plane,
     step_size,
 )
-from .oracles import feasible_point, halfspace_lmo, lmo, project
+from .oracles import halfspace_lmo, lmo, project
 
 _X0_SLACK = 1e-9
 
@@ -91,7 +91,7 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state):
 
 def standard_cg(
     oracle: SmoothOracle,
-    region: FeasibleRegion,
+    region: Region,
     config: SolverConfig,
     line_search: Optional[str] = None,
     start: Optional[np.ndarray] = None,
@@ -103,7 +103,7 @@ def standard_cg(
     "exact" (exact for quadratics).  The FW gap is recorded in the
     ``surrogate_f_gap`` trace column.
     """
-    x = np.array(feasible_point(region) if start is None else start, dtype=float)
+    x = np.array(region.feasible_point() if start is None else start, dtype=float)
     tracer = _Tracer(config.keep_iterates)
     ls_state: dict = {}
     for k in range(config.max_iters):
@@ -284,7 +284,7 @@ class MngConfig:
 # ---------------------------------------------------------------------------
 
 def _baseline_loop(instance, max_iters, keep_iterates, update, start=None):
-    x = np.array(feasible_point(instance.region) if start is None else start, dtype=float)
+    x = np.array(instance.region.feasible_point() if start is None else start, dtype=float)
     tracer = _Tracer(keep_iterates)
     for k in range(max_iters):
         f_val, f_grad = instance.upper(x)

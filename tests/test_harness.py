@@ -6,6 +6,7 @@ import pytest
 from bilevelcg.core import (
     BilevelInstance,
     L1Ball,
+    Polytope,
     QuadraticForm,
     ReferenceData,
     SmoothOracle,
@@ -29,7 +30,6 @@ from bilevelcg.harness import (
     reference_bilevel,
     reference_lower,
     run_experiment,
-    sample_region,
     schedule_to_string,
     true_fw_gap,
     write_trace_csv,
@@ -37,17 +37,31 @@ from bilevelcg.harness import (
 from bilevelcg.problems import synthetic_fair_data, toy_problem
 
 
-def quad_instance(Q, q, segment, region=None):
-    """Convex quadratic upper level with a constant-zero lower level whose
-    declared solution face is the given segment."""
-    form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), 0.0)
-    dim = form.q.shape[0]
-    upper = SmoothOracle(dim, lambda x: (form.value(x), form.gradient(x)), quadratic=form)
+def face_instance(upper, verts):
+    """``upper`` over a constant-zero lower level whose declared solution
+    face is the hull of the rows of ``verts``."""
+    dim = upper.dimension
     lower = SmoothOracle(dim, lambda x: (0.0, np.zeros(dim)), lipschitz_grad=0.0)
     return BilevelInstance(
-        upper, lower, region or L1Ball(10.0, dim),
-        ReferenceData(g_star=0.0, lower_solution_set=np.asarray(segment, float)),
+        upper, lower, L1Ball(10.0, dim),
+        ReferenceData(g_star=0.0, lower_solution_set=np.asarray(verts, float)),
     )
+
+
+def quad_instance(Q, q, segment):
+    """Convex quadratic upper level with a constant-zero lower level whose
+    declared solution face is the given segment (or vertex list)."""
+    form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), 0.0)
+    upper = SmoothOracle(form.q.shape[0], lambda x: (form.value(x), form.gradient(x)), quadratic=form)
+    return face_instance(upper, segment)
+
+
+# sum(exp(x_i) - x_i), minimized at the origin with value 2: no quadratic
+# tag, so the hull minimizer runs backtracking conditional gradient.
+EXP_SUM = SmoothOracle(2, lambda x: (float(np.sum(np.exp(x) - x)), np.exp(x) - 1.0))
+TRIANGLE = [[-1.0, -1.0], [3.0, -1.0], [-1.0, 3.0]]
+ANGLES = 2.0 * np.pi * np.arange(20) / 20.0
+POLYGON_20 = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])  # regular 20-gon, unit circumradius
 
 
 class TestReferenceLower:
@@ -67,6 +81,19 @@ class TestReferenceLower:
         inst = BilevelInstance(oracle, oracle, L1Ball(1.0, 2))
         with pytest.raises(RuntimeError, match="achieved gap"):
             reference_lower(inst, tol=1e-16, max_iters=5)
+
+    def test_linear_objective_over_five_dimensional_polytope(self):
+        rng = np.random.default_rng(0)
+        region = Polytope(
+            A=np.vstack([np.eye(5), rng.uniform(0.2, 1.0, size=(2, 5))]),
+            b=np.concatenate([np.ones(5), [1.5, 2.0]]),
+        )
+        c = rng.standard_normal(5)
+        form = QuadraticForm(np.zeros((5, 5)), c, 0.0)
+        oracle = SmoothOracle(5, lambda x: (float(c @ x), c), lipschitz_grad=0.0, quadratic=form)
+        inst = BilevelInstance(oracle, oracle, region)
+        vertex_min = min(float(c @ v) for v in region.vertices())
+        assert reference_lower(inst) == pytest.approx(vertex_min, abs=1e-12)
 
 
 class TestReferenceBilevel:
@@ -105,6 +132,25 @@ class TestReferenceBilevel:
         # unconstrained minimum (0.5, 0.5) lies inside the triangle
         assert reference_bilevel(inst, tol=1e-10) == pytest.approx(-0.25, abs=1e-8)
 
+    def test_smooth_objective_over_triangle(self):
+        # The optimum (0, 0) is interior and away from the barycenter (1/3, 1/3).
+        inst = face_instance(EXP_SUM, TRIANGLE)
+        assert reference_bilevel(inst, tol=1e-6) == pytest.approx(2.0, abs=1e-9)
+
+    def test_budget_exhaustion_raises(self):
+        inst = face_instance(EXP_SUM, TRIANGLE)
+        with pytest.raises(RuntimeError, match="budget exhausted"):
+            reference_bilevel(inst, tol=1e-12, max_iters=50)
+
+    def test_quadratic_over_twenty_gon(self):
+        # More than 16 vertices: exact line-search conditional gradient, not
+        # the simplex QP; the minimum (0.2, -0.1) is interior.
+        Q = np.diag([1.0, 3.0])
+        x_min = np.array([0.2, -0.1])
+        inst = quad_instance(Q, -Q @ x_min, POLYGON_20)
+        expected = -0.5 * float(x_min @ Q @ x_min)
+        assert reference_bilevel(inst, tol=1e-12) == pytest.approx(expected, abs=1e-9)
+
     def test_missing_face_rejected(self):
         oracle = SmoothOracle(5, lambda x: (0.0, np.zeros(5)))
         inst = BilevelInstance(oracle, oracle, L1Ball(1.0, 5))
@@ -133,6 +179,10 @@ class TestDistToHull:
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert dist_to_hull(np.array([0.25, 0.25]), tri) == pytest.approx(0.0, abs=1e-7)
         assert dist_to_hull(np.array([1.0, 1.0]), tri) == pytest.approx(np.sqrt(0.5), abs=1e-7)
+
+    def test_twenty_gon(self):
+        assert dist_to_hull(np.array([2.0, 0.3]), POLYGON_20) == pytest.approx(1.034618680107207, abs=1e-9)
+        assert dist_to_hull(np.array([0.1, -0.2]), POLYGON_20) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestHoelder:
@@ -239,8 +289,8 @@ class TestSampleRegion:
         L1Ball(1.5, 3),
     ])
     def test_samples_feasible_and_deterministic(self, region):
-        a = sample_region(region, 200, seed=1)
-        b = sample_region(region, 200, seed=1)
+        a = region.sample(200, np.random.default_rng(1))
+        b = region.sample(200, np.random.default_rng(1))
         np.testing.assert_array_equal(a, b)
         for x in a:
             assert region.contains(x, tol=1e-9)
@@ -315,6 +365,19 @@ class TestRunExperiment:
         run_experiment(cells, str(tmp_path))
         assert (tmp_path / "000_toy_cg-bio_seed0.json").stat().st_mtime_ns == stamp
 
+    def test_resume_reruns_a_cell_whose_config_changed(self, tmp_path):
+        cell = {"instance": "toy", "solver": "cg-bio",
+                "config": {"eps_f": 1e-5, "eps_g": 1e-5, "max_iters": 3}, "seed": 0}
+        first = run_experiment([cell], str(tmp_path))[0]
+        assert first["iterations"] == 3
+        cell["config"]["max_iters"] = 200
+        second = run_experiment([cell], str(tmp_path))[0]
+        assert second["stop_reason"] == "criterion_met"
+        assert second["iterations"] < 200
+        assert second["cell_sha256"] != first["cell_sha256"]
+        stored = json.loads((tmp_path / "000_toy_cg-bio_seed0.json").read_text())
+        assert stored == second
+
     def test_cell_failure_recorded_suite_continues(self, tmp_path):
         cells = [
             {"instance": "nonsense", "solver": "cg-bio", "config": {}, "seed": 0},
@@ -358,6 +421,6 @@ class TestRunExperiment:
         data = json.loads((tmp_path / "000_toy_cg-bio_seed3.json").read_text())
         assert set(data) == {
             "instance", "solver", "config", "stop_reason", "iterations",
-            "final_f_gap", "final_g_gap", "wall_nanos_total", "seed",
+            "final_f_gap", "final_g_gap", "wall_nanos_total", "seed", "cell_sha256",
         }
         assert data["seed"] == 3

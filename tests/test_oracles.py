@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilevelcg import oracles
-from bilevelcg.checks import cut_certificate_gap, l1_cut_lp_value
+from bilevelcg.checks import _project_disk_reference, check_oracles, cut_certificate_gap, l1_cut_lp_value
 from bilevelcg.core import (
     BallProduct,
     Halfspace,
@@ -14,7 +14,6 @@ from bilevelcg.core import (
 )
 from bilevelcg.oracles import (
     LpProblem,
-    feasible_point,
     halfspace_lmo,
     lmo,
     project,
@@ -287,6 +286,20 @@ class TestCutCertificate:
         assert cut_certificate_gap(self.REGION, self.CUT, self.C, np.array(s), mu) > 1e-9
 
 
+class TestDiskProjectionReference:
+    def test_point_near_the_origin_is_its_own_projection(self):
+        y = np.array([0.0748, -0.0656])
+        np.testing.assert_allclose(_project_disk_reference(y, 1.08), y, atol=1e-6)
+
+    def test_outside_point_lands_on_the_circle(self):
+        y = np.array([-3.0, 4.0])
+        np.testing.assert_allclose(_project_disk_reference(y, 2.0), [-1.2, 1.6], atol=1e-6)
+
+    def test_check_oracles_at_count_40_passes_every_label(self):
+        failed = [(label, detail) for label, ok, detail in check_oracles(count=40) if not ok]
+        assert failed == []
+
+
 class TestProjections:
     def test_l1_inside_point_unchanged(self):
         y = np.array([0.3, -0.2])
@@ -358,11 +371,11 @@ class TestFeasiblePoint:
             ProductRegion((L1Ball(1.0, 2), BallProduct(1, 2, 1.0))),
         ]
         for region in regions:
-            x = feasible_point(region)
+            x = region.feasible_point()
             assert region.contains(x, tol=1e-9)
 
     def test_polytope_with_mandatory_lower_bounds(self):
         # Origin infeasible: x1 >= 0.5 encoded as -x1 <= -0.5.
         region = Polytope(A=np.array([[-1.0, 0.0], [1.0, 1.0]]), b=np.array([-0.5, 2.0]))
-        x = feasible_point(region)
+        x = region.feasible_point()
         assert region.contains(x, tol=1e-9)
