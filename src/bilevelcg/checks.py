@@ -44,7 +44,7 @@ from .problems import (
     regression_problem,
     toy_problem,
 )
-from .solvers import cg_bio, initialize_lower
+from .solvers import cg_bio, initialize_lower, minimize_quadratic_over_halfspaces
 
 
 # ---------------------------------------------------------------------------
@@ -368,32 +368,10 @@ def _project_l1_reference(y: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _project_polytope_reference(region: Polytope, y: np.ndarray) -> np.ndarray:
-    """Exact projection by enumerating active subsets of the defining
-    halfspaces (equality-constrained least squares + feasibility filter)."""
-    from itertools import combinations
-
-    planes = region.halfspaces()
-    d = region.dimension
-    best, best_val = None, np.inf
-    for r in range(0, min(len(planes), d) + 1):
-        for idx in combinations(range(len(planes)), r):
-            if r == 0:
-                x = y.copy()
-            else:
-                A = np.array([planes[i][0] for i in idx])
-                b = np.array([planes[i][1] for i in idx])
-                # minimize |x - y|^2 s.t. Ax = b via KKT
-                K = np.block([[np.eye(d), A.T], [A, np.zeros((r, r))]])
-                rhs = np.concatenate([y, b])
-                sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-                if np.linalg.norm(K @ sol - rhs) > 1e-8:
-                    continue
-                x = sol[:d]
-            if region.contains(x, tol=1e-8):
-                val = float(np.sum((x - y) ** 2))
-                if val < best_val:
-                    best, best_val = x, val
-    return best
+    """Exact projection: the active-set QP of min 0.5 |x - y|^2 over the
+    defining halfspaces, each written <-a, x> >= -beta."""
+    quad = QuadraticForm(np.eye(y.size), -y, 0.5 * float(y @ y))
+    return minimize_quadratic_over_halfspaces(quad, [(-a, -beta) for a, beta in region.halfspaces()])
 
 
 def check_oracles(count: int = 100, seed: int = 0) -> list:
@@ -477,7 +455,6 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         s = halfspace_lmo(reg, h, c)
         cut_poly = Polytope(
             A=np.vstack([reg.A, h.normal]), b=np.append(reg.b, h.offset),
-            nonnegative=reg.nonnegative,
         )
         ref = brute_min_over_points(cut_poly.vertices(), c)
         ok_feas = reg.contains(s, tol=1e-7) and h.contains(s, tol=1e-7)

@@ -4,6 +4,7 @@ and run traces."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -86,6 +87,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
 ZERO_COLUMN_NORM = 1e-10
 DYKSTRA_MAX_SWEEPS = 100_000
+DYKSTRA_TOL = 1e-10
 
 
 class Region:
@@ -100,7 +102,7 @@ class Region:
       rounding, a certificate of optimality that
       :func:`bilevelcg.checks.cut_certificate_gap` verifies; it raises
       :class:`OracleError` when the cut excludes the whole region;
-    - ``project(v, tol)``: Euclidean projection;
+    - ``project(v)``: Euclidean projection;
     - ``feasible_point()``: a deterministic feasible point;
     - ``sample(count, rng)``: feasible samples (rows) covering the region;
     - ``grid_box()``: a bounding box (lo, hi) for grid estimates.
@@ -172,7 +174,7 @@ class L1Ball(Region):
         s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
         return s, mu
 
-    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def project(self, v: np.ndarray) -> np.ndarray:
         """Sort-based soft-thresholding (Duchi et al. style)."""
         if np.abs(v).sum() <= self.radius:
             return v.copy()
@@ -313,7 +315,7 @@ class BallProduct(Region):
         theta = lo_res / (lo_res - hi_res)
         return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), hi
 
-    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def project(self, v: np.ndarray) -> np.ndarray:
         cols = self.columns(v).copy()
         norms = np.linalg.norm(cols, axis=0)
         over = norms > self.radii
@@ -335,12 +337,10 @@ class BallProduct(Region):
 
 @dataclass(frozen=True)
 class Polytope(Region):
-    """{x : Ax <= b} intersected with the nonnegative orthant when
-    ``nonnegative`` is set.  Must be bounded (it backs an LMO)."""
+    """{x : Ax <= b, x >= 0}.  Must be bounded (it backs an LMO)."""
 
     A: np.ndarray
     b: np.ndarray
-    nonnegative: bool = True
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -357,18 +357,16 @@ class Polytope(Region):
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
         tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
         x = np.asarray(x, dtype=float)
-        if self.nonnegative and np.any(x < -tol):
+        if np.any(x < -tol):
             return False
         return bool(np.all(self.A @ x <= self.b + tol))
 
     def halfspaces(self) -> list[tuple[np.ndarray, float]]:
         """All defining halfspaces (a, beta) with semantics <a, x> <= beta,
-        including the sign constraints when present."""
+        the sign constraints last."""
         rows = [(self.A[i], float(self.b[i])) for i in range(self.A.shape[0])]
-        if self.nonnegative:
-            eye = np.eye(self.dimension)
-            rows += [(-eye[i], 0.0) for i in range(self.dimension)]
-        return rows
+        eye = np.eye(self.dimension)
+        return rows + [(-eye[i], 0.0) for i in range(self.dimension)]
 
     def vertices(self) -> np.ndarray:
         """Enumerate vertices by intersecting d-subsets of the defining
@@ -409,19 +407,12 @@ class Polytope(Region):
         if cut is not None:
             A = np.vstack([A, cut.normal[None, :]])
             b = np.append(b, cut.offset)
-        if self.nonnegative:
-            sol = oracles.simplex_solve(oracles.LpProblem(c, A, b))
-        else:
-            # Free variables: x = u - v with u, v >= 0.
-            sol = oracles.simplex_solve(oracles.LpProblem(np.concatenate([c, -c]), np.hstack([A, -A]), b))
+        sol = oracles.simplex_solve(oracles.LpProblem(c, A, b))
         if sol.status == "infeasible":
             raise OracleError("LP subproblem infeasible")
         if sol.status == "unbounded":
             raise OracleError("LP subproblem unbounded (region not compact)")
-        if self.nonnegative:
-            return sol.point, sol.duals
-        n = c.shape[0]
-        return sol.point[:n] - sol.point[n:], sol.duals
+        return sol.point, sol.duals
 
     def lmo(self, c: np.ndarray) -> np.ndarray:
         return self._lp_point(c)[0]
@@ -430,7 +421,7 @@ class Polytope(Region):
         point, duals = self._lp_point(c, h)
         return point, float(duals[-1])
 
-    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def project(self, v: np.ndarray) -> np.ndarray:
         """Dykstra's alternating projections over the individual halfspaces."""
         planes = self.halfspaces()
         x = v.copy()
@@ -448,7 +439,7 @@ class Polytope(Region):
                 change += float(np.linalg.norm(new_corr - corrections[i]))
                 corrections[i] = new_corr
             change += float(np.linalg.norm(x - x_prev))
-            if change < tol:
+            if change < DYKSTRA_TOL:
                 return x
         raise OracleError("Dykstra projection did not converge within the sweep cap")
 
@@ -530,8 +521,8 @@ class ProductRegion(Region):
             part, mu = self.blocks[i].cut_lmo(cut, c[lo:hi], part)
         return np.concatenate([plain[:lo], part, plain[hi:]]), mu
 
-    def project(self, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        return np.concatenate([b.project(part, tol) for b, part in zip(self.blocks, self.split(v))])
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([b.project(part) for b, part in zip(self.blocks, self.split(v))])
 
     def feasible_point(self) -> np.ndarray:
         return np.concatenate([b.feasible_point() for b in self.blocks])
@@ -669,8 +660,15 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.eps_f <= 0 or self.eps_g <= 0:
+        # Suite files are JSON, where true is not a number and 10.5 is not
+        # an iteration count; bool is excluded because it subclasses int.
+        for eps in (self.eps_f, self.eps_g):
+            if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+                raise TypeError(f"tolerances must be real numbers, got {eps!r}")
+        if not (self.eps_f > 0 and self.eps_g > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise TypeError(f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
 

@@ -37,6 +37,7 @@ from .solvers import (
     cg_bio,
     dbgd,
     initialize_lower,
+    minimize_quadratic_over_halfspaces,
     mng,
     standard_cg,
 )
@@ -103,12 +104,17 @@ def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max
     """Minimize a convex objective over the hull of the vertex rows.  Returns
     (point, certified): certified means the point is exact or its FW gap is
     at most ``tol``.  A tagged quadratic over at most 16 vertices is solved
-    exactly in barycentric weights; otherwise conditional gradient runs from
-    the barycenter."""
+    exactly by the active-set QP in barycentric weights; otherwise conditional
+    gradient runs from the barycenter."""
     quad = oracle.quadratic
     if quad is not None and verts.shape[0] <= 16:
-        w = _minimize_quadratic_over_simplex(verts @ quad.Q @ verts.T, verts @ quad.q)
-        return verts.T @ w, True
+        # Weights w = e_n + P u with P = [I; -1'], so the point is
+        # v_n + B'u for B = P'V, and w >= 0 reads u >= 0, -1'u >= -1.
+        last, B = verts[-1], verts[:-1] - verts[-1]
+        m = B.shape[0]
+        sub = QuadraticForm(B @ quad.Q @ B.T, B @ (quad.Q @ last + quad.q))
+        halfspaces = [(e, 0.0) for e in np.eye(m)] + [(-np.ones(m), -1.0)]
+        return last + B.T @ minimize_quadratic_over_halfspaces(sub, halfspaces), True
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
     out = standard_cg(oracle, _Hull(verts), cfg, line_search=_line_search(oracle), start=verts.mean(axis=0))
     return out.final_point, out.stop_reason == "criterion_met"
@@ -122,38 +128,6 @@ def reference_bilevel(instance: BilevelInstance, tol: float = 1e-9, max_iters: i
     if not certified:
         raise RuntimeError("upper-level reference budget exhausted over the solution face")
     return instance.upper.value(point)
-
-
-def _minimize_quadratic_over_simplex(Qt: np.ndarray, qt: np.ndarray) -> np.ndarray:
-    """Exact argmin of 0.5 w'Qt w + qt'w over the probability simplex,
-    found by enumerating the support sets (Qt positive semidefinite)."""
-    from itertools import combinations
-
-    n = qt.shape[0]
-    best_w, best_val = None, np.inf
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            idx = list(support)
-            K = np.zeros((size + 1, size + 1))
-            K[:size, :size] = Qt[np.ix_(idx, idx)]
-            K[:size, size] = 1.0
-            K[size, :size] = 1.0
-            rhs = np.concatenate([-qt[idx], [1.0]])
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            if np.linalg.norm(K @ sol - rhs) > 1e-9 * max(1.0, np.linalg.norm(rhs)):
-                continue
-            ws = sol[:size]
-            if np.any(ws < -1e-10):
-                continue
-            w = np.zeros(n)
-            w[idx] = np.clip(ws, 0.0, None)
-            w /= w.sum()
-            val = 0.5 * float(w @ Qt @ w) + float(qt @ w)
-            if val < best_val - 1e-15:
-                best_w, best_val = w, val
-    if best_w is None:
-        raise RuntimeError("simplex quadratic subproblem had no solvable support")
-    return best_w
 
 
 def true_fw_gap(instance: BilevelInstance, x: np.ndarray) -> float:
@@ -536,7 +510,10 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     for key in ("instance", "solver"):
         if key not in cell:
             raise ValueError(f"missing {key!r}")
-    return config_from_dict(cell.get("config", {})), int(cell.get("seed", 0))
+    seed = cell.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    return config_from_dict(cell.get("config", {})), seed
 
 
 def _cell_stem(cell: dict, index: int) -> str:

@@ -193,7 +193,7 @@ def halfspace_lmo(region, h, c: np.ndarray) -> np.ndarray:
     return region.cut_lmo(h, c, plain)[0]
 
 
-def project(region, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def project(region, v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto ``region`` (used by the projection-based
     baseline solvers)."""
-    return region.project(_checked(region, v, "point"), tol)
+    return region.project(_checked(region, v, "point"))

@@ -481,11 +481,6 @@ def dictionary_problem(
     region = _dict_region(m, q, spec.n_new, spec.l1_radius)
     n_new = spec.n_new
 
-    def f_eval(z):
-        D, X = dict_unpack(z, m, q, n_new)
-        R = D @ X - A_new
-        return 0.5 * float(np.sum(R * R)) / n_new, dict_pack(R @ X.T / n_new, D.T @ R / n_new)
-
     def g_eval(z):
         D, _ = dict_unpack(z, m, q, n_new)
         R = D @ X_hat_pad - A_old
@@ -494,7 +489,7 @@ def dictionary_problem(
         return 0.5 * float(np.sum(R * R)) / spec.n_old, grad
 
     dim = m * q + q * n_new
-    upper = SmoothOracle(dim, f_eval)
+    upper = _reconstruction_oracle(A_new, m, q)
     lower = SmoothOracle(dim, g_eval, lipschitz_grad=lambda_max_gram(X_hat_pad.T) / spec.n_old)
     bilevel = BilevelInstance(upper, lower, region, ReferenceData(), name="dictionary")
 

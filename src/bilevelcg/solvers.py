@@ -62,8 +62,6 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state):
     """Stepsize in [0, 1] along d = s - x for standard CG."""
     gap = float(-(grad @ d))  # <grad, x - s>
     dd = float(d @ d)
-    if mode is None:
-        raise ValueError("schedule handled by caller")
     if mode == "exact":
         # The objective restricted to the segment is fitted by a parabola;
         # exact for quadratic objectives.

@@ -209,6 +209,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
+    @pytest.mark.parametrize("fields", [
+        {"max_iters": 10.5}, {"max_iters": True}, {"max_iters": "10"},
+        {"eps_f": True}, {"eps_g": False}, {"eps_f": "1e-5"},
+    ])
+    def test_rejects_malformed_numbers(self, fields):
+        with pytest.raises(TypeError):
+            SolverConfig(**fields)
+
 
 class TestSolveOutcome:
     def rows(self, gaps):

@@ -132,6 +132,15 @@ class TestReferenceBilevel:
         # unconstrained minimum (0.5, 0.5) lies inside the triangle
         assert reference_bilevel(inst, tol=1e-10) == pytest.approx(-0.25, abs=1e-8)
 
+    @pytest.mark.parametrize("verts, q, expected", [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0], -0.75),  # optimum on an edge
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [-3.0, 0.0], -2.5),  # optimum at a vertex
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [-0.5, -1.0], -0.125),  # duplicate vertex
+    ])
+    def test_quadratic_over_unit_triangle(self, verts, q, expected):
+        inst = quad_instance(np.eye(2), np.array(q), verts)
+        assert reference_bilevel(inst) == pytest.approx(expected, abs=1e-12)
+
     def test_smooth_objective_over_triangle(self):
         # The optimum (0, 0) is interior and away from the barycenter (1/3, 1/3).
         inst = face_instance(EXP_SUM, TRIANGLE)
@@ -179,6 +188,7 @@ class TestDistToHull:
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert dist_to_hull(np.array([0.25, 0.25]), tri) == pytest.approx(0.0, abs=1e-7)
         assert dist_to_hull(np.array([1.0, 1.0]), tri) == pytest.approx(np.sqrt(0.5), abs=1e-7)
+        assert dist_to_hull(np.array([3.0, 0.0]), tri) == pytest.approx(2.0, abs=1e-12)
 
     def test_twenty_gon(self):
         assert dist_to_hull(np.array([2.0, 0.3]), POLYGON_20) == pytest.approx(1.034618680107207, abs=1e-9)
@@ -407,6 +417,11 @@ class TestRunExperiment:
         ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": "bogus"}}, "unknown schedule"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": -1}}, "tolerances"),
         ({"solver": "cg-bio"}, "missing 'instance'"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"max_iters": 10.5}}, "max_iters must be an int"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"max_iters": True}}, "max_iters must be an int"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": True}}, "tolerances must be real"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"eps_g": float("nan")}}, "tolerances must be positive"),
+        ({"instance": "toy", "solver": "cg-bio", "seed": 1.5}, "seed must be an int"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}

@@ -5,6 +5,7 @@ from bilevelcg.core import (
     ConfigurationError,
     ConstantStep,
     L1Ball,
+    OracleError,
     QuadraticForm,
     ReferenceData,
     SmoothOracle,
@@ -214,6 +215,19 @@ class TestQuadraticSubproblem:
         cons = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 2.0)]
         x = minimize_quadratic_over_halfspaces(quad, cons)
         np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-10)
+
+    def test_infeasible_constraints_raise(self):
+        quad = QuadraticForm(np.eye(1), np.zeros(1), 0.0)
+        # x >= 1 and -x >= 0 have no common point.
+        with pytest.raises(OracleError):
+            minimize_quadratic_over_halfspaces(quad, [(np.array([1.0]), 1.0), (np.array([-1.0]), 0.0)])
+
+    def test_singular_hessian_picks_a_point_on_the_minimizing_line(self):
+        # 0.5 (x1 + x2)^2 - (x1 + x2) is minimized on the line x1 + x2 = 1.
+        quad = QuadraticForm(np.ones((2, 2)), np.array([-1.0, -1.0]), 0.0)
+        x = minimize_quadratic_over_halfspaces(quad, [(np.array([1.0, 0.0]), 2.0)])
+        assert x[0] >= 2.0 - 1e-9
+        assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStartParameter:
