@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -60,7 +61,7 @@ def _line_search(oracle: SmoothOracle) -> str:
 
 
 def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
-    """High-accuracy estimate of the lower-level optimal value: a long
+    """High-accuracy estimate of the lower-level optimal value: a pairwise
     conditional-gradient run with line search certifies g(x) - g* <= tol
     through the duality gap.  On a linear objective the exact line search
     steps onto an optimal vertex at once."""
@@ -104,8 +105,8 @@ def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max
     """Minimize a convex objective over the hull of the vertex rows.  Returns
     (point, certified): certified means the point is exact or its FW gap is
     at most ``tol``.  A tagged quadratic over at most 16 vertices is solved
-    exactly by the active-set QP in barycentric weights; otherwise conditional
-    gradient runs from the barycenter."""
+    exactly by the active-set QP in barycentric weights; otherwise pairwise
+    conditional gradient runs from the barycenter over the vertex rows."""
     quad = oracle.quadratic
     if quad is not None and verts.shape[0] <= 16:
         # Weights w = e_n + P u with P = [I; -1'], so the point is
@@ -513,6 +514,15 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     seed = cell.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
+    # build_instance would truncate 10.5 to 10 and read true as 1.
+    options = cell.get("options") or {}
+    if not isinstance(options, dict):
+        raise TypeError("options must be a JSON object")
+    for key, kind in (("n", numbers.Integral), ("d", numbers.Integral), ("l1_radius", numbers.Real)):
+        value = options.get(key)
+        if key in options and (isinstance(value, bool) or not isinstance(value, kind)):
+            noun = "an int" if kind is numbers.Integral else "a real number"
+            raise TypeError(f"options.{key} must be {noun}, got {value!r}")
     return config_from_dict(cell.get("config", {})), seed
 
 

@@ -58,27 +58,32 @@ class _Tracer:
 # Conditional-gradient methods
 # ---------------------------------------------------------------------------
 
-def _cg_step_length(oracle, x, fx, grad, d, mode, state):
-    """Stepsize in [0, 1] along d = s - x for standard CG."""
-    gap = float(-(grad @ d))  # <grad, x - s>
+def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
+    """Stepsize in [0, gamma_max] along the pairwise direction d = s - v_away
+    of standard CG, where gamma_max is the away atom's weight."""
+    gap = float(-(grad @ d))  # <grad, v_away - s>
     dd = float(d @ d)
     if mode == "exact":
-        # The objective restricted to the segment is fitted by a parabola;
-        # exact for quadratic objectives.
+        # The objective along x + t d is fitted by a parabola through t = 0
+        # and t = 1 (exact for quadratic objectives), then the step is
+        # clipped.  Fitting over [0, gamma_max] instead would divide the
+        # rounding error of f1 - fx by gamma_max**2.
         f1 = oracle.value(x + d)
         curv = f1 - fx + gap
         if curv <= 0.0:
-            return 1.0
-        return float(np.clip(gap / (2.0 * curv), 0.0, 1.0))
+            return gamma_max
+        return float(np.clip(gap / (2.0 * curv), 0.0, gamma_max))
     if mode == "backtracking":
         if dd == 0.0:
             return 0.0
         L = state.setdefault("L", oracle.lipschitz_grad or 1.0)
         for _ in range(60):
-            gamma = float(np.clip(gap / (L * dd), 0.0, 1.0))
+            gamma = float(np.clip(gap / (L * dd), 0.0, gamma_max))
             if gamma == 0.0:
                 return 0.0
-            if oracle.value(x + gamma * d) <= fx - gamma * gap + 0.5 * L * gamma**2 * dd + 1e-14:
+            # No absolute slack: near the optimum the predicted decrease is
+            # below 1e-14, and a slack there accepts steps that raise f.
+            if oracle.value(x + gamma * d) <= fx - gamma * gap + 0.5 * L * gamma**2 * dd:
                 state["L"] = max(L / 2.0, 1e-12)
                 return gamma
             L *= 2.0
@@ -100,8 +105,17 @@ def standard_cg(
     ``line_search`` may be None (use the schedule), "backtracking", or
     "exact" (exact for quadratics).  The FW gap is recorded in the
     ``surrogate_f_gap`` trace column.
+
+    With a line search the steps are pairwise (Lacoste-Julien & Jaggi
+    2015): x is kept as a convex combination of active atoms, the start and
+    the LMO's vertices, and each step moves weight from the away atom (the
+    active atom maximizing <grad, v>, first-inserted on ties) to the LMO
+    vertex, at most all of the away atom's weight.  A schedule step can
+    exceed that weight, so schedule runs take vanilla steps toward s.
     """
     x = np.array(region.feasible_point() if start is None else start, dtype=float)
+    # atom key -> [vertex, weight], in insertion order
+    active = {x.tobytes(): [x, 1.0]}
     tracer = _Tracer(config.keep_iterates)
     ls_state: dict = {}
     for k in range(config.max_iters):
@@ -115,11 +129,18 @@ def standard_cg(
         tracer.add(k, fx, np.nan, f_gap=gap, iterate=x)
         if gap <= config.eps_f:
             return tracer.outcome(x, "criterion_met")
-        d = s - x
         if line_search is None:
+            d = s - x
             gamma = step_size(config.schedule, k)
         else:
-            gamma = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state)
+            away = max(active.values(), key=lambda atom: float(grad @ atom[0]))
+            d = s - away[0]
+            gamma = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, away[1])
+            if gamma > 0.0:
+                away[1] -= gamma
+                if away[1] == 0.0:  # drop step: gamma was all of its weight
+                    del active[away[0].tobytes()]
+                active.setdefault(s.tobytes(), [s, 0.0])[1] += gamma
         x = x + gamma * d
     fx, grad = oracle(x)
     s = lmo(region, grad)

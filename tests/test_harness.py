@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bilevelcg import harness, solvers
 from bilevelcg.core import (
     BilevelInstance,
     L1Ball,
@@ -74,13 +75,23 @@ class TestReferenceLower:
         assert reference_lower(inst) == pytest.approx(3.5)
 
     def test_budget_exhaustion_reports_gap(self):
-        form = QuadraticForm(np.eye(2), np.array([-0.3, -0.2]), 0.0)
-        oracle = SmoothOracle(
-            2, lambda x: (form.value(x), form.gradient(x)), lipschitz_grad=1.0, quadratic=form
-        )
+        # Pairwise steps solve a quadratic with an interior optimum in two
+        # exact line searches; this smooth objective takes 23 backtracking
+        # steps to its interior optimum (0.3, -0.2).
+        c = np.array([0.3, -0.2])
+        oracle = SmoothOracle(2, lambda x: (float(np.sum(np.exp(x - c) - (x - c))), np.exp(x - c) - 1.0))
         inst = BilevelInstance(oracle, oracle, L1Ball(1.0, 2))
         with pytest.raises(RuntimeError, match="achieved gap"):
             reference_lower(inst, tol=1e-16, max_iters=5)
+
+    def test_fair_instance_certified_at_default_tol(self):
+        # Criterion 3's instance; g* from 400k accelerated projected-gradient
+        # steps.  Vanilla FW needs 178,639 steps for tol 1e-6 alone.
+        from bilevelcg.problems import fair_classification_problem
+
+        inst, _ = fair_classification_problem(n=40, d=3, seed=7, l1_radius=2.0)
+        g_star = 0.5834508808330577
+        assert 0.0 <= reference_lower(inst, max_iters=100) - g_star <= 1e-9
 
     def test_linear_objective_over_five_dimensional_polytope(self):
         rng = np.random.default_rng(0)
@@ -146,6 +157,12 @@ class TestReferenceBilevel:
         inst = face_instance(EXP_SUM, TRIANGLE)
         assert reference_bilevel(inst, tol=1e-6) == pytest.approx(2.0, abs=1e-9)
 
+    def test_smooth_objective_with_optimum_on_an_edge(self):
+        # The optimum (0, 0) is on the bottom edge.  Pairwise steps certify it
+        # in 58 steps; vanilla FW is still at gap 7e-6 after 100,000.
+        inst = face_instance(EXP_SUM, [[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        assert reference_bilevel(inst, tol=1e-10, max_iters=200) == pytest.approx(2.0, abs=1e-10)
+
     def test_budget_exhaustion_raises(self):
         inst = face_instance(EXP_SUM, TRIANGLE)
         with pytest.raises(RuntimeError, match="budget exhausted"):
@@ -193,6 +210,20 @@ class TestDistToHull:
     def test_twenty_gon(self):
         assert dist_to_hull(np.array([2.0, 0.3]), POLYGON_20) == pytest.approx(1.034618680107207, abs=1e-9)
         assert dist_to_hull(np.array([0.1, -0.2]), POLYGON_20) == pytest.approx(0.0, abs=1e-9)
+
+    def test_twenty_gon_certified_in_few_steps(self, monkeypatch):
+        runs = []
+
+        def recording_cg(*args, **kwargs):
+            runs.append(solvers.standard_cg(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "standard_cg", recording_cg)
+        dist_to_hull(np.array([2.0, 0.3]), POLYGON_20)
+        (out,) = runs
+        assert out.stop_reason == "criterion_met"
+        assert out.trace[-1].surrogate_f_gap <= 1e-16
+        assert out.iterations <= 10  # the cap is 500
 
 
 class TestHoelder:
@@ -422,6 +453,12 @@ class TestRunExperiment:
         ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": True}}, "tolerances must be real"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"eps_g": float("nan")}}, "tolerances must be positive"),
         ({"instance": "toy", "solver": "cg-bio", "seed": 1.5}, "seed must be an int"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"n": 10.5}}, "options.n must be an int"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"n": True}}, "options.n must be an int"),
+        ({"instance": "fair", "solver": "cg-bio", "options": {"d": "3"}}, "options.d must be an int"),
+        ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": False}}, "options.l1_radius must be a real"),
+        ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": "2"}}, "options.l1_radius must be a real"),
+        ({"instance": "toy", "solver": "cg-bio", "options": [10]}, "options must be a JSON object"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}

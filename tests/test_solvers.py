@@ -73,6 +73,95 @@ class TestStandardCg:
         assert out.trace[-1].k == 3
 
 
+def random_quadratic_oracle(dim=5, seed=0):
+    """Convex quadratic with an interior minimizer in the unit l1 ball."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((dim, dim))
+    Q = B.T @ B + 0.1 * np.eye(dim)
+    return quad_oracle(Q, -Q @ rng.uniform(-0.1, 0.1, dim))
+
+
+# sum(exp(x - c) - (x - c)), minimized at the interior point c; no quadratic tag.
+SHIFT = np.array([0.3, -0.2])
+SHIFTED_EXP = SmoothOracle(
+    2, lambda x: (float(np.sum(np.exp(x - SHIFT) - (x - SHIFT))), np.exp(x - SHIFT) - 1.0)
+)
+
+
+class TestPairwiseCg:
+    """With a line search, standard_cg takes pairwise steps."""
+
+    @pytest.mark.parametrize("oracle, line_search", [
+        (random_quadratic_oracle(), "exact"),
+        (SHIFTED_EXP, "backtracking"),
+    ])
+    def test_iterates_stay_in_the_region(self, oracle, line_search):
+        # Each iterate is a convex combination of the start and LMO vertices.
+        region = L1Ball(1.0, oracle.dimension)
+        cfg = SolverConfig(eps_f=1e-12, max_iters=40, keep_iterates=True)
+        out = standard_cg(oracle, region, cfg, line_search=line_search, start=region.feasible_point())
+        assert out.iterations >= 10
+        for row in out.trace:
+            assert region.contains(row.iterate, tol=1e-12)
+
+    def test_drop_step_removes_the_interior_start_atom(self):
+        # 0.5 |x - (3, 2.5)|^2 from the origin: step 1 moves all of the
+        # start's weight to (1, 0).  At (1, 0) the origin would be the away
+        # atom with weight 0 and stall the run, so step 2 must take weight
+        # from (1, 0) toward (0, 1).
+        oracle = quad_oracle(np.eye(2), np.array([-3.0, -2.5]), L=1.0)
+        region, start = L1Ball(1.0, 2), np.zeros(2)
+        one = standard_cg(oracle, region, SolverConfig(eps_f=1e-12, max_iters=1), line_search="exact", start=start)
+        np.testing.assert_array_equal(one.final_point, [1.0, 0.0])
+        two = standard_cg(oracle, region, SolverConfig(eps_f=1e-12, max_iters=2), line_search="exact", start=start)
+        np.testing.assert_allclose(two.final_point, [0.75, 0.25], rtol=0.0, atol=1e-12)
+
+    def test_away_ties_go_to_the_first_inserted_atom(self):
+        # 0.5 |x - (0.3, 0.5)|^2 from the origin: step 1 moves weight 0.5 to
+        # (0, 1), where the gradient (-0.3, 0) is orthogonal to both active
+        # atoms.  Taking step 2's away weight from the origin reaches
+        # (0.3, 0.5); taking it from (0, 1) would lower x2, to (0.15, 0.35).
+        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.5]), L=1.0)
+        out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-12, max_iters=2),
+                          line_search="exact", start=np.zeros(2))
+        np.testing.assert_allclose(out.final_point, [0.3, 0.5], rtol=0.0, atol=1e-12)
+
+    def test_tiny_away_weight_still_certifies(self):
+        # 0.5 |x - (a, 0.5)|^2 with a = 1 - 2^-30 from the origin: step 1
+        # stops at (a, 0) and leaves the origin the weight 2^-30; step 2 takes
+        # that weight as its away atom and drops it; the optimum
+        # (0.75 - 2^-31, 0.25 + 2^-31) is on the face x1 + x2 = 1.
+        a = 1.0 - 2.0**-30
+        oracle = quad_oracle(np.eye(2), np.array([-a, -0.5]), L=1.0)
+        region, start = L1Ball(1.0, 2), np.zeros(2)
+        step2 = standard_cg(oracle, region, SolverConfig(eps_f=1e-14, max_iters=2), line_search="exact", start=start)
+        np.testing.assert_array_equal(step2.final_point, [a, 2.0**-30])
+        out = standard_cg(oracle, region, SolverConfig(eps_f=1e-14, max_iters=20), line_search="exact", start=start)
+        assert out.stop_reason == "criterion_met"
+        np.testing.assert_allclose(out.final_point, [0.75 - 2.0**-31, 0.25 + 2.0**-31], rtol=0.0, atol=1e-12)
+
+    def test_schedule_run_takes_vanilla_steps(self):
+        # Steps of 0.5 from the origin: step 1 reaches (0.5, 0); step 2 moves
+        # toward (0, 1) from the iterate, to (0.25, 0.5).  A pairwise step
+        # from the away atom (1, 0) would reach (0, 0.5).
+        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.25]), L=1.0)
+        cfg = SolverConfig(eps_f=1e-14, max_iters=2, schedule=ConstantStep(0.5))
+        out = standard_cg(oracle, L1Ball(1.0, 2), cfg, start=np.zeros(2))
+        np.testing.assert_array_equal(out.final_point, [0.25, 0.5])
+
+    def test_matches_the_schedule_run_certified_value(self):
+        from bilevelcg.problems import fair_classification_problem
+
+        inst, _ = fair_classification_problem(n=40, d=3, seed=7, l1_radius=2.0)
+        tol = 1e-3
+        cfg = SolverConfig(eps_f=tol, max_iters=100_000)
+        schedule = standard_cg(inst.lower, inst.region, cfg)
+        pairwise = standard_cg(inst.lower, inst.region, cfg, line_search="backtracking")
+        assert schedule.stop_reason == pairwise.stop_reason == "criterion_met"
+        assert pairwise.iterations < schedule.iterations
+        assert pairwise.trace[-1].f_val == pytest.approx(schedule.trace[-1].f_val, abs=tol)
+
+
 class TestInitializeLower:
     def test_toy_certificate_is_exact(self):
         inst = toy_problem()
