@@ -492,8 +492,10 @@ def run_solver(
     }
     if solver not in baselines:
         raise ValueError(f"unknown solver {solver!r}")
-    if solver == "mng" and opts.setdefault("M", instance.lower.lipschitz_grad) is None:
-        raise ValueError("MNG requires a smoothing constant M")
+    if solver == "mng" and "M" not in opts:
+        if not instance.lower.lipschitz_grad:
+            raise ValueError("MNG needs solver_options.M: the lower Lipschitz constant is 0 or unknown")
+        opts["M"] = instance.lower.lipschitz_grad
     make_config, run = baselines[solver]
     return run(instance, make_config(**opts), max_iters=config.max_iters,
                keep_iterates=config.keep_iterates, start=start)

@@ -436,6 +436,13 @@ class TestRunExperiment:
         assert summaries[0]["stop_reason"].startswith("error:")
         assert "stpe" in summaries[0]["stop_reason"]
 
+    def test_default_mng_on_a_linear_lower_level_names_M(self, tmp_path):
+        # The toy lower level is linear, so L_g = 0 gives no default M.
+        cells = [{"instance": "toy", "solver": "mng", "config": {"max_iters": 5}, "seed": 0}]
+        summaries = run_experiment(cells, str(tmp_path))
+        assert summaries[0]["stop_reason"].startswith("error:")
+        assert "solver_options.M" in summaries[0]["stop_reason"]
+
     @pytest.mark.parametrize("solver, typo", [("cg-bio", "init_iter"), ("cg", "line_serach")])
     def test_unknown_option_of_cg_solvers_is_an_error_summary(self, tmp_path, solver, typo):
         cells = [{"instance": "toy", "solver": solver, "config": {"max_iters": 5},

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilevelcg import oracles
-from bilevelcg.checks import _project_disk_reference, check_oracles, cut_certificate_gap, l1_cut_lp_value
+from bilevelcg.checks import check_oracles, cut_certificate_gap, l1_cut_lp_value
 from bilevelcg.core import (
     BallProduct,
     Halfspace,
@@ -116,6 +116,15 @@ class TestHalfspaceLmo:
         plain = lmo(region, c)
         h = Halfspace(np.array([0.0, 1.0]), 10.0)
         np.testing.assert_array_equal(halfspace_lmo(region, h, c), plain)
+
+    def test_barely_violated_cut_is_enforced(self):
+        # The plain point (1, 0) violates the cut by 1e-6: the shortcut that
+        # returns it must not accept any violation.
+        region = L1Ball(1.0, 2)
+        h = Halfspace(np.array([1.0, 0.0]), 1.0 - 1e-6)
+        s = halfspace_lmo(region, h, np.array([-1.0, 0.0]))
+        assert h.contains(s, tol=1e-15) and region.contains(s, tol=1e-15)
+        assert s[0] == pytest.approx(1.0 - 1e-6, abs=1e-15)
 
     def test_l1_restricted_frozen_case(self):
         # Minimize -x1 over the unit l1 ball cut by x1 <= 0.5.
@@ -266,6 +275,53 @@ class TestCutLmo:
             halfspace_lmo(TOY_REGION, Halfspace(np.array([-1.0, -1.0]), -1.0), np.array([1.0, 0.0]))
 
 
+PROJECTIONS = [
+    (L1Ball(1.0, 3), np.array([2.0, -0.5, 0.2])),
+    (BallProduct(num_cols=2, col_dim=2, radii=np.array([1.0, 2.0])), np.array([3.0, 4.0, 0.5, -0.5])),
+    (ProductRegion((L1Ball(1.0, 2), BallProduct(1, 2, 1.0))), np.array([2.0, 0.5, 3.0, 4.0])),
+]
+
+
+def _along_boundary(region, p, step):
+    """A boundary point of the region that each block moves ``step`` away
+    from the boundary point p: mass moved between the first two
+    coordinates of an l1 block, the first column of a ball product
+    rotated."""
+    if isinstance(region, ProductRegion):
+        return np.concatenate([_along_boundary(b, part, step) for b, part in zip(region.blocks, region.split(p))])
+    moved = p.copy()
+    if isinstance(region, L1Ball):
+        moved[:2] += np.sign(p[0]) * step / np.sqrt(2.0) * np.array([-1.0, 1.0])
+        return moved
+    cols = region.columns(moved)
+    angle = 2.0 * np.arcsin(step / (2.0 * region.radii[0]))
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    cols[:2, 0] = rotation @ cols[:2, 0]
+    return region.flatten(cols)
+
+
+def _ball_project_to_sphere(self, v):
+    cols = self.columns(v)
+    return self.flatten(cols * self.radii / np.linalg.norm(cols, axis=0))
+
+
+def _ball_lmo_first_column_flipped(self, c):
+    cols = self._column_lmo(self.columns(c))[0]
+    cols[:, 0] *= -1.0
+    return self.flatten(cols)
+
+
+def _l1_project_theta_from_rho(self, v):
+    if np.abs(v).sum() <= self.radius:
+        return v.copy()
+    u = np.sort(np.abs(v))[::-1]
+    cumsum = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    rho = int(np.nonzero(u - (cumsum - self.radius) / ks > 0)[0].max())
+    theta = (cumsum[rho] - self.radius) / max(rho, 1)  # mutant: rho, not rho + 1
+    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+
+
 class TestCutCertificate:
     REGION = L1Ball(1.0, 3)
     CUT = Halfspace(np.array([0.0, 1.0, 0.0]), 0.25)
@@ -285,15 +341,47 @@ class TestCutCertificate:
     def test_perturbed_answer_fails(self, s, mu):
         assert cut_certificate_gap(self.REGION, self.CUT, self.C, np.array(s), mu) > 1e-9
 
+    @pytest.mark.parametrize("region, y", PROJECTIONS)
+    def test_exact_projection_passes(self, region, y):
+        p = project(region, y)
+        assert cut_certificate_gap(region, None, p - y, p) <= 1e-12
 
-class TestDiskProjectionReference:
-    def test_point_near_the_origin_is_its_own_projection(self):
-        y = np.array([0.0748, -0.0656])
-        np.testing.assert_allclose(_project_disk_reference(y, 1.08), y, atol=1e-6)
+    @pytest.mark.parametrize("region, y", PROJECTIONS)
+    def test_projection_moved_along_the_boundary_fails(self, region, y):
+        p = project(region, y)
+        moved = _along_boundary(region, p, 1e-5)
+        assert region.contains(moved, tol=1e-12)
+        assert np.linalg.norm(moved - p) >= 1e-5 - 1e-12
+        assert cut_certificate_gap(region, None, moved - y, moved) > 1e-12
 
-    def test_outside_point_lands_on_the_circle(self):
-        y = np.array([-3.0, 4.0])
-        np.testing.assert_allclose(_project_disk_reference(y, 2.0), [-1.2, 1.6], atol=1e-6)
+    @pytest.mark.parametrize("region, y", PROJECTIONS)
+    def test_point_outside_the_region_is_infinite(self, region, y):
+        p = 1.001 * project(region, y)
+        assert cut_certificate_gap(region, None, p - y, p) == np.inf
+
+    def test_nonzero_multiplier_without_a_cut_is_infinite(self):
+        region, y = PROJECTIONS[0]
+        p = project(region, y)
+        assert cut_certificate_gap(region, None, p - y, p, 0.5) == np.inf
+
+    def test_ball_product_lmo_with_a_flipped_column_fails(self):
+        region = BallProduct(num_cols=2, col_dim=2, radii=np.array([1.0, 2.0]))
+        c = np.array([0.3, -1.2, 0.7, 0.4])
+        s = lmo(region, c)
+        assert cut_certificate_gap(region, None, c, s) <= 1e-12
+        cols = region.columns(s).copy()
+        cols[:, 1] *= -1.0
+        assert cut_certificate_gap(region, None, c, region.flatten(cols)) > 1e-8
+
+    @pytest.mark.parametrize("cls, name, mutant, label", [
+        (BallProduct, "project", _ball_project_to_sphere, "ball projection certificate"),
+        (BallProduct, "lmo", _ball_lmo_first_column_flipped, "ball-product LMO support certificate"),
+        (L1Ball, "project", _l1_project_theta_from_rho, "l1 projection certificate"),
+    ])
+    def test_check_oracles_fails_a_mutant(self, monkeypatch, cls, name, mutant, label):
+        monkeypatch.setattr(cls, name, mutant)
+        verdicts = {lab: ok for lab, ok, _ in check_oracles(count=10)}
+        assert verdicts[label] is False
 
     def test_check_oracles_at_count_40_passes_every_label(self):
         failed = [(label, detail) for label, ok, detail in check_oracles(count=40) if not ok]
