@@ -101,11 +101,9 @@ def _random_convex_candidate(seed: int, dim: int) -> BilevelInstance:
     return replace(inst, reference=replace(inst.reference, f_star=f_star))
 
 
-def _cg_bio_trajectory(instance, eps_f, eps_g, max_iters, schedule=None):
+def _cg_bio_trajectory(instance, eps_f, eps_g, max_iters):
     x0, _, certified = initialize_lower(instance, eps_g)
     cfg = SolverConfig(eps_f=eps_f, eps_g=eps_g, max_iters=max_iters, keep_iterates=True)
-    if schedule is not None:
-        cfg = replace(cfg, schedule=schedule)
     out = cg_bio(instance, x0, cfg)
     return x0, cfg, out, certified
 

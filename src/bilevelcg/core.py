@@ -104,15 +104,16 @@ class Region:
       :class:`OracleError` when the cut excludes the whole region;
     - ``project(v)``: Euclidean projection;
     - ``feasible_point()``: a deterministic feasible point;
-    - ``sample(count, rng)``: feasible samples (rows) covering the region;
-    - ``grid_box()``: a bounding box (lo, hi) for grid estimates.
+    - ``sample(count, rng)`` and ``grid_box()``, on a polytope only:
+      feasible samples (rows) covering it, and a bounding box (lo, hi) for
+      grid estimates.
 
     All tie-breaking is lowest-index deterministic so that traces are
     reproducible across platforms.
     """
 
     def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
-        raise ValueError("grid estimation supports l1 balls and small polytopes only")
+        raise ValueError("grid estimation supports small polytopes only")
 
 
 @dataclass(frozen=True)
@@ -188,19 +189,6 @@ class L1Ball(Region):
     def feasible_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dimension
-        # Dirichlet magnitudes with random signs fill the l1 sphere; a radial
-        # factor u^(1/d) fills the ball.
-        mags = rng.dirichlet(np.ones(d), size=count)
-        signs = rng.choice([-1.0, 1.0], size=(count, d))
-        radial = rng.uniform(size=(count, 1)) ** (1.0 / d)
-        return self.radius * radial * mags * signs
-
-    def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
-        r = self.radius
-        return -r * np.ones(self.dimension), r * np.ones(self.dimension)
-
 
 @dataclass(frozen=True)
 class BallProduct(Region):
@@ -262,6 +250,8 @@ class BallProduct(Region):
         res(0) > 0: Newton steps inside a bracket [lo, hi] with
         res(lo) > 0 >= res(hi), and a bisection step whenever a Newton step
         leaves it."""
+        if h.contains(plain, tol=0.0):
+            return plain, 0.0
         a_cols, c_cols = self.columns(h.normal), self.columns(c)
         a_norms = np.linalg.norm(a_cols, axis=0)
         # beta - min_s <a, s>: negative when the cut misses the region.
@@ -324,15 +314,6 @@ class BallProduct(Region):
 
     def feasible_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        cols = np.empty((count, self.col_dim, self.num_cols))
-        for j in range(self.num_cols):
-            g = rng.standard_normal((count, self.col_dim))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            radial = rng.uniform(size=(count, 1)) ** (1.0 / self.col_dim)
-            cols[:, :, j] = self.radii[j] * radial * g
-        return np.stack([self.flatten(cols[i]) for i in range(count)])
 
 
 @dataclass(frozen=True)
@@ -527,9 +508,6 @@ class ProductRegion(Region):
     def feasible_point(self) -> np.ndarray:
         return np.concatenate([b.feasible_point() for b in self.blocks])
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return np.hstack([b.sample(count, rng) for b in self.blocks])
-
 
 # ---------------------------------------------------------------------------
 # Bilevel instances
@@ -686,8 +664,14 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """A solver's result.  ``trace`` holds one row per evaluated iterate,
+    k = 0, ..., at most max_iters, and ``stop_reason`` is decided at its last
+    row: "criterion_met" when that row passed the solver's stop test (at
+    k = max_iters too), "budget_exhausted" when row max_iters did not, and
+    "oracle_failure: ..." when an oracle raised while evaluating it."""
+
     final_point: np.ndarray
-    stop_reason: str  # "criterion_met" | "budget_exhausted" | "oracle_failure: ..."
+    stop_reason: str
     trace: tuple[TraceRow, ...]
 
     def __post_init__(self):

@@ -189,16 +189,14 @@ def hoelder_estimate(
     instance: BilevelInstance,
     order: float = 1.0,
     grid_per_axis: int = 60,
-    g_star: Optional[float] = None,
 ) -> HoelderParams:
     """Grid estimates of the error-bound modulus alpha and of M, the largest
     upper-level gradient norm over the lower-level solution face."""
     if instance.dimension > 3:
         raise ValueError("grid estimation is limited to dimension <= 3")
     verts = _solution_face(instance)
-    if g_star is None:
-        ref = instance.reference
-        g_star = ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
+    ref = instance.reference
+    g_star = ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
 
     M = max(
         float(np.linalg.norm(instance.upper.gradient(p)))
@@ -388,14 +386,13 @@ def _strip_timing(outcome: SolveOutcome) -> SolveOutcome:
     return SolveOutcome(final_point=outcome.final_point, stop_reason=outcome.stop_reason, trace=rows)
 
 
-def write_trace_csv(path, trace, record_timing: bool = False) -> None:
+def write_trace_csv(path, trace) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
         for row in trace:
-            nanos = row.wall_nanos if record_timing else 0
             fh.write(
                 f"{row.k},{row.f_val!r},{row.g_val!r},"
-                f"{row.surrogate_f_gap!r},{row.surrogate_g_gap!r},{nanos}\n"
+                f"{row.surrogate_f_gap!r},{row.surrogate_g_gap!r},{row.wall_nanos}\n"
             )
 
 
@@ -421,40 +418,39 @@ def read_trace_csv(path) -> tuple[TraceRow, ...]:
 
 
 def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
-    """Construct a named experiment instance.  Returns (instance, start,
-    extras) where ``start`` is a mandated initial point or None and
-    ``extras`` carries family-specific artifacts."""
+    """Construct a named experiment instance.  Returns (instance, start)
+    where ``start`` is a mandated initial point or None."""
     from . import problems
 
     opts = dict(options or {})
     if name == "toy":
-        return problems.toy_problem(), None, {}
+        return problems.toy_problem(), None
     if name == "regression":
         data = None
         if opts.get("csv"):
             data = problems.load_csv(opts["csv"], opts["target"], seed=seed)
-        inst, data = problems.regression_problem(
+        inst, _ = problems.regression_problem(
             data=data,
             n=int(opts.get("n", 60)), d=int(opts.get("d", 100)), seed=seed,
             l1_radius=float(opts.get("l1_radius", 1.0)),
         )
-        return inst, None, {"data": data}
+        return inst, None
     if name == "fair":
         data = None
         if opts.get("csv"):
             data = problems.load_csv(
                 opts["csv"], opts["target"], sensitive_column=opts.get("sensitive"), seed=seed
             )
-        inst, data = problems.fair_classification_problem(
+        inst, _ = problems.fair_classification_problem(
             data=data,
             n=int(opts.get("n", 200)), d=int(opts.get("d", 5)), seed=seed,
             l1_radius=float(opts.get("l1_radius", 100.0)),
         )
-        return inst, None, {"data": data}
+        return inst, None
     if name == "dict":
         spec_kwargs = {k: opts[k] for k in opts if k in problems.DictLearnSpec.__dataclass_fields__}
         bundle = problems.dictionary_problem(problems.DictLearnSpec(seed=seed, **spec_kwargs))
-        return bundle.bilevel, bundle.initial_point, {"bundle": bundle}
+        return bundle.bilevel, bundle.initial_point
     raise ValueError(f"unknown instance {name!r}")
 
 
@@ -545,7 +541,7 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
             return stored
     config, seed = _cell_settings(cell)
     try:
-        instance, start, _ = build_instance(cell["instance"], seed=seed, options=cell.get("options"))
+        instance, start = build_instance(cell["instance"], seed=seed, options=cell.get("options"))
         outcome = run_solver(instance, cell["solver"], config, start=start, options=cell.get("solver_options"))
         if not record_timing:
             outcome = _strip_timing(outcome)
@@ -554,7 +550,7 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
             config=config_to_dict(config), seed=seed, outcome=outcome,
         )
         summary = record.summary
-        write_trace_csv(trace_path, outcome.trace, record_timing=record_timing)
+        write_trace_csv(trace_path, outcome.trace)
     except Exception as exc:  # record the failure, keep the suite going
         summary = {
             "instance": cell.get("instance"), "solver": cell.get("solver"),

@@ -118,7 +118,7 @@ def standard_cg(
     active = {x.tobytes(): [x, 1.0]}
     tracer = _Tracer(config.keep_iterates)
     ls_state: dict = {}
-    for k in range(config.max_iters):
+    for k in range(config.max_iters + 1):
         fx, grad = oracle(x)
         try:
             s = lmo(region, grad)
@@ -129,6 +129,8 @@ def standard_cg(
         tracer.add(k, fx, np.nan, f_gap=gap, iterate=x)
         if gap <= config.eps_f:
             return tracer.outcome(x, "criterion_met")
+        if k == config.max_iters:
+            return tracer.outcome(x, "budget_exhausted")
         if line_search is None:
             d = s - x
             gamma = step_size(config.schedule, k)
@@ -142,17 +144,12 @@ def standard_cg(
                     del active[away[0].tobytes()]
                 active.setdefault(s.tobytes(), [s, 0.0])[1] += gamma
         x = x + gamma * d
-    fx, grad = oracle(x)
-    s = lmo(region, grad)
-    tracer.add(config.max_iters, fx, np.nan, f_gap=float(grad @ (x - s)), iterate=x)
-    return tracer.outcome(x, "budget_exhausted")
 
 
 def initialize_lower(
     instance: BilevelInstance,
     eps_g: float,
     max_iters: int = 10_000,
-    start: Optional[np.ndarray] = None,
     line_search: Optional[str] = None,
 ) -> tuple[np.ndarray, float, bool]:
     """Run standard CG on the lower-level objective until its FW duality gap
@@ -163,7 +160,7 @@ def initialize_lower(
     convexity).
     """
     cfg = SolverConfig(eps_f=eps_g / 2.0, eps_g=eps_g, max_iters=max_iters)
-    out = standard_cg(instance.lower, instance.region, cfg, line_search=line_search, start=start)
+    out = standard_cg(instance.lower, instance.region, cfg, line_search=line_search)
     certificate = float(out.trace[-1].surrogate_f_gap)
     certified = out.stop_reason == "criterion_met"
     ref = instance.reference
@@ -189,16 +186,13 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     region = instance.region
     if not region.contains(x, tol=1e-8):
         raise ConfigurationError("x0 is not feasible")
-    ref = instance.reference
-    if ref is not None and ref.g_star is not None:
-        if instance.lower.value(x) - ref.g_star > config.eps_g / 2.0 + _X0_SLACK:
-            raise ConfigurationError(
-                "x0 is not certified: g(x0) - g* exceeds eps_g / 2"
-            )
     g0_val = instance.lower.value(x)
+    ref = instance.reference
+    if ref is not None and ref.g_star is not None and g0_val - ref.g_star > config.eps_g / 2.0 + _X0_SLACK:
+        raise ConfigurationError("x0 is not certified: g(x0) - g* exceeds eps_g / 2")
 
     tracer = _Tracer(config.keep_iterates)
-    for k in range(config.max_iters):
+    for k in range(config.max_iters + 1):
         f_val, f_grad = instance.upper(x)
         g_val, g_grad = instance.lower(x)
         cut = cutting_plane(g_grad, x, g0_val, g_val)
@@ -212,19 +206,10 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
         tracer.add(k, f_val, g_val, f_gap=f_gap, g_gap=g_gap, iterate=x)
         if f_gap <= config.eps_f and g_gap <= config.eps_g / 2.0:
             return tracer.outcome(x, "criterion_met")
+        if k == config.max_iters:
+            return tracer.outcome(x, "budget_exhausted")
         gamma = step_size(config.schedule, k)
         x = (1.0 - gamma) * x + gamma * s
-    f_val, f_grad = instance.upper(x)
-    g_val, g_grad = instance.lower(x)
-    cut = cutting_plane(g_grad, x, g0_val, g_val)
-    try:
-        s = halfspace_lmo(region, cut, f_grad)
-        f_gap = float(f_grad @ (x - s))
-        g_gap = float(g_grad @ (x - s))
-    except OracleError:
-        f_gap = g_gap = np.nan
-    tracer.add(config.max_iters, f_val, g_val, f_gap=f_gap, g_gap=g_gap, iterate=x)
-    return tracer.outcome(x, "budget_exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +290,16 @@ class MngConfig:
 def _baseline_loop(instance, max_iters, keep_iterates, update, start=None):
     x = np.array(instance.region.feasible_point() if start is None else start, dtype=float)
     tracer = _Tracer(keep_iterates)
-    for k in range(max_iters):
+    for k in range(max_iters + 1):
         f_val, f_grad = instance.upper(x)
         g_val, g_grad = instance.lower(x)
         tracer.add(k, f_val, g_val, iterate=x)
+        if k == max_iters:
+            return tracer.outcome(x, "budget_exhausted")
         try:
             x = update(k, x, f_grad, g_grad, g_val)
         except OracleError as exc:
             return tracer.outcome(x, f"oracle_failure: {exc}")
-    tracer.add(max_iters, instance.upper.value(x), instance.lower.value(x), iterate=x)
-    return tracer.outcome(x, "budget_exhausted")
 
 
 def big_sam(

@@ -84,6 +84,15 @@ class TestReferenceLower:
         with pytest.raises(RuntimeError, match="achieved gap"):
             reference_lower(inst, tol=1e-16, max_iters=5)
 
+    def test_certified_on_the_last_allowed_row(self):
+        # Criterion 3's instance certifies tol 1e-5 at row 13, the last one
+        # a budget of 13 steps allows.
+        from bilevelcg.problems import fair_classification_problem
+
+        inst, _ = fair_classification_problem(n=40, d=3, seed=7, l1_radius=2.0)
+        g_star = 0.5834508808330577
+        assert 0.0 <= reference_lower(inst, tol=1e-5, max_iters=13) - g_star <= 1e-5
+
     def test_fair_instance_certified_at_default_tol(self):
         # Criterion 3's instance; g* from 400k accelerated projected-gradient
         # steps.  Vanilla FW needs 178,639 steps for tol 1e-6 alone.
@@ -327,7 +336,7 @@ class TestRecoveryRate:
 
 class TestSampleRegion:
     @pytest.mark.parametrize("region", [
-        L1Ball(1.5, 3),
+        toy_problem().region,
     ])
     def test_samples_feasible_and_deterministic(self, region):
         a = region.sample(200, np.random.default_rng(1))
@@ -388,6 +397,13 @@ class TestRunExperiment:
         assert summaries[0]["iterations"] <= 40
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == ["000_toy_cg-bio_seed0.csv", "000_toy_cg-bio_seed0.json"]
+
+    def test_record_timing_persists_wall_nanos(self, tmp_path):
+        cells = [{"instance": "toy", "solver": "cg-bio",
+                  "config": {"eps_f": 1e-5, "eps_g": 1e-5}, "seed": 0}]
+        summaries = run_experiment(cells, str(tmp_path), record_timing=True)
+        rows = read_trace_csv(tmp_path / "000_toy_cg-bio_seed0.csv")
+        assert summaries[0]["wall_nanos_total"] == sum(r.wall_nanos for r in rows) > 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cells = [{"instance": "toy", "solver": "cg-bio",

@@ -242,6 +242,20 @@ class TestCutLmo:
         np.testing.assert_allclose(s, [0.25, 0.0, 1.0, 0.0], atol=1e-15)
         assert mu == 1.0 and gap <= 1e-12
 
+    @pytest.mark.parametrize("region, c", [
+        (L1Ball(1.0, 3), [1.0, -0.5, 0.25]),
+        (BallProduct(num_cols=1, col_dim=2, radii=1.0), [1.0, 0.0]),
+        (TOY_REGION, [1.0, -0.5]),
+        (ProductRegion((L1Ball(1.0, 2), BallProduct(num_cols=1, col_dim=2, radii=1.0))), [1.0, -0.5, 0.25, -2.0]),
+    ])
+    def test_cut_satisfied_by_the_plain_point_has_zero_multiplier(self, region, c):
+        c = np.asarray(c)
+        plain = lmo(region, c)
+        h = Halfspace(np.eye(region.dimension)[0], plain[0] + 0.5)
+        s, mu = region.cut_lmo(h, c, plain)
+        assert mu == 0.0
+        assert cut_certificate_gap(region, h, c, s, mu) <= 1e-9
+
     def test_polytope_multiplier_from_the_tableau(self):
         h = Halfspace(np.array([-1.0, -1.0]), -1.0)
         s, mu, gap = _cut(TOY_REGION, h, [1.0, 0.0])

@@ -11,6 +11,7 @@ from bilevelcg.core import (
     SmoothOracle,
     SolverConfig,
 )
+from bilevelcg import solvers
 from bilevelcg.problems import toy_problem
 from bilevelcg.solvers import (
     AIrgConfig,
@@ -71,6 +72,59 @@ class TestStandardCg:
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-14, max_iters=3))
         assert out.stop_reason == "budget_exhausted"
         assert out.trace[-1].k == 3
+
+
+def _failing_on_call(oracle, call):
+    """``oracle`` that raises OracleError on its ``call``-th call (1-based)."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == call:
+            raise OracleError("injected failure")
+        return oracle(*args)
+
+    return wrapped
+
+
+class TestLastAllowedRow:
+    """The row k = max_iters is evaluated by the same code as every other
+    row: its stop test and its oracle failures count."""
+
+    def test_standard_cg_oracle_failure_on_the_last_row(self, monkeypatch):
+        max_iters = 3
+        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.2]), L=1.0)
+        monkeypatch.setattr(solvers, "lmo", _failing_on_call(solvers.lmo, max_iters + 1))
+        out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-14, max_iters=max_iters))
+        assert out.stop_reason == "oracle_failure: injected failure"
+        assert len(out.trace) == max_iters + 1
+
+    def test_cg_bio_oracle_failure_on_the_last_row(self, monkeypatch):
+        max_iters = 3
+        inst = toy_problem()
+        x0, _, _ = initialize_lower(inst, 1e-5)
+        monkeypatch.setattr(solvers, "halfspace_lmo", _failing_on_call(solvers.halfspace_lmo, max_iters + 1))
+        out = cg_bio(inst, x0, SolverConfig(eps_f=1e-12, eps_g=1e-12, max_iters=max_iters))
+        assert out.stop_reason == "oracle_failure: injected failure"
+        assert len(out.trace) == max_iters + 1
+
+    def test_cg_bio_certified_on_the_last_row(self):
+        # The toy run passes both gap tests at row 4.
+        inst = toy_problem()
+        x0, _, _ = initialize_lower(inst, 1e-5)
+        out = cg_bio(inst, x0, SolverConfig(eps_f=1e-5, eps_g=1e-5, max_iters=4))
+        assert out.stop_reason == "criterion_met"
+        assert out.iterations == 4
+
+    def test_initialize_lower_certified_on_the_last_row(self):
+        # Criterion 3's instance: pairwise backtracking certifies a FW gap
+        # of 5.75e-6 at row 13.
+        from bilevelcg.problems import fair_classification_problem
+
+        inst, _ = fair_classification_problem(n=40, d=3, seed=7, l1_radius=2.0)
+        _, cert, certified = initialize_lower(inst, 2e-5, max_iters=13, line_search="backtracking")
+        assert certified
+        assert cert <= 1e-5
 
 
 def random_quadratic_oracle(dim=5, seed=0):
