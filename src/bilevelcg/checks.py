@@ -1,8 +1,7 @@
 """Executable invariant suites: per-step and convergence-rate inequalities
 of the cutting-plane conditional-gradient method, lower-bound guarantees,
-oracle checks by exact duality-gap certificates (vertex enumeration and an
-exact QP where no certificate applies), and finite-difference gradient
-checks.
+oracle checks by exact duality-gap certificates and vertex enumeration,
+and finite-difference gradient checks.
 
 Each ``check_*`` function returns a list of (label, passed, detail) tuples;
 ``verify`` aggregates the requested groups.
@@ -46,7 +45,7 @@ from .problems import (
     regression_problem,
     toy_problem,
 )
-from .solvers import cg_bio, initialize_lower, minimize_quadratic_over_halfspaces
+from .solvers import cg_bio, initialize_lower
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +328,6 @@ def l1_cut_lp_value(region: L1Ball, h: Halfspace, c: np.ndarray) -> float:
     return sol.value
 
 
-def _project_polytope_reference(region: Polytope, y: np.ndarray) -> np.ndarray:
-    """Exact projection: the active-set QP of min 0.5 |x - y|^2 over the
-    defining halfspaces, each written <-a, x> >= -beta."""
-    quad = QuadraticForm(np.eye(y.size), -y, 0.5 * float(y @ y))
-    return minimize_quadratic_over_halfspaces(quad, [(-a, -beta) for a, beta in region.halfspaces()])
-
-
 def check_oracles(count: int = 100, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     results = []
@@ -408,6 +400,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         "product region": lambda: ProductRegion(
             (L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 7))), _random_ball_product(rng))
         ),
+        "polytope": lambda: _random_polytope(rng),
     }
     for label, make in projections.items():
         worst = 0.0
@@ -417,17 +410,6 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
             p = project(reg, y)
             worst = max(worst, cut_certificate_gap(reg, None, p - y, p))
         results.append((f"{label} projection certificate", worst <= 1e-12, f"worst gap {worst:.2e}"))
-
-    # Dykstra's answers reach gaps near 1e-11, above 1e-12, so the polytope
-    # projection is checked against the exact QP instead.
-    worst = 0.0
-    for _ in range(count):
-        reg = _random_polytope(rng)
-        y = rng.standard_normal(reg.dimension) * 1.5
-        p = project(reg, y)
-        ref = _project_polytope_reference(reg, y)
-        worst = max(worst, float(np.linalg.norm(p - ref)))
-    results.append(("polytope projection vs active-set QP", worst <= 1e-6, f"worst {worst:.2e}"))
 
     # Cut LMO certificates: each answer (s, mu) closes the duality gap, and
     # the l1 walk matches the dense simplex on the split LP.

@@ -1,11 +1,12 @@
-"""Problem model shared by every solver: smooth oracles, feasible regions
-with their oracles, bilevel instances, stepsize schedules, cutting planes,
-and run traces."""
+"""Problem model shared by every solver: smooth oracles, the exact QP over
+halfspaces, feasible regions with their oracles, bilevel instances,
+stepsize schedules, cutting planes, and run traces."""
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -41,6 +42,49 @@ class QuadraticForm:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.Q @ x + self.q
+
+
+def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints) -> np.ndarray:
+    """Minimize the convex 0.5 x'Qx + q'x + c over an intersection of
+    halfspaces {<n_i, x> >= o_i}, given as a list ``constraints`` of
+    (normal, offset) pairs.
+
+    Active sets are visited in order of size, and each one's KKT system is
+    solved by least squares.  The first candidate that is feasible and has
+    nonnegative multipliers (up to rounding) is a KKT point, hence a global
+    minimizer, and is returned at once.  When no candidate qualifies (a
+    singular KKT system can give multipliers of the wrong sign), the
+    feasible candidate of least value is returned.  Raises OracleError when
+    no active set yields a feasible point.  The worst case visits all 2^m
+    active sets.
+    """
+    d = quad.q.shape[0]
+    best, best_val = None, np.inf
+    for size in range(len(constraints) + 1):
+        for active in combinations(range(len(constraints)), size):
+            K = np.zeros((d + size, d + size))
+            K[:d, :d] = quad.Q
+            rhs = np.concatenate([-quad.q, [constraints[i][1] for i in active]])
+            for j, i in enumerate(active):
+                K[:d, d + j] = constraints[i][0]
+                K[d + j, :d] = constraints[i][0]
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            scale = max(1.0, float(np.linalg.norm(rhs)))
+            if np.linalg.norm(K @ sol - rhs) > 1e-8 * scale:
+                continue  # singular and inconsistent: skip this case
+            x = sol[:d]
+            if not all(float(normal @ x) >= offset - 1e-9 for normal, offset in constraints):
+                continue
+            # The KKT rows read Qx + q = sum_j -sol[d + j] n_active[j]: the
+            # multipliers are -sol[d:].
+            if np.all(sol[d:] <= 1e-12 * scale):
+                return x
+            val = quad.value(x)
+            if val < best_val - 1e-12:
+                best, best_val = x, val
+    if best is None:
+        raise OracleError("all active-set cases of the quadratic subproblem failed")
+    return best
 
 
 @dataclass(frozen=True)
@@ -86,8 +130,6 @@ class SmoothOracle:
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
 ZERO_COLUMN_NORM = 1e-10
-DYKSTRA_MAX_SWEEPS = 100_000
-DYKSTRA_TOL = 1e-10
 
 
 class Region:
@@ -318,7 +360,9 @@ class BallProduct(Region):
 
 @dataclass(frozen=True)
 class Polytope(Region):
-    """{x : Ax <= b, x >= 0}.  Must be bounded (it backs an LMO)."""
+    """{x : Ax <= b, x >= 0}.  Must be bounded (it backs an LMO).  The
+    LMOs solve LPs with the dense simplex; the projection is the exact QP
+    :func:`minimize_quadratic_over_halfspaces`."""
 
     A: np.ndarray
     b: np.ndarray
@@ -352,8 +396,6 @@ class Polytope(Region):
     def vertices(self) -> np.ndarray:
         """Enumerate vertices by intersecting d-subsets of the defining
         halfspaces.  Intended for desk-scale instances (dimension <= ~4)."""
-        from itertools import combinations
-
         d = self.dimension
         planes = self.halfspaces()
         seen: list[np.ndarray] = []
@@ -403,26 +445,10 @@ class Polytope(Region):
         return point, float(duals[-1])
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Dykstra's alternating projections over the individual halfspaces."""
-        planes = self.halfspaces()
-        x = v.copy()
-        corrections = [np.zeros_like(x) for _ in planes]
-        for _ in range(DYKSTRA_MAX_SWEEPS):
-            # The iterate alone can be momentarily stationary mid-run, so the
-            # convergence test must include the correction terms.
-            change = 0.0
-            x_prev = x.copy()
-            for i, (a, beta) in enumerate(planes):
-                y = x + corrections[i]
-                viol = float(a @ y) - beta
-                x = y if viol <= 0.0 else y - (viol / float(a @ a)) * a
-                new_corr = y - x
-                change += float(np.linalg.norm(new_corr - corrections[i]))
-                corrections[i] = new_corr
-            change += float(np.linalg.norm(x - x_prev))
-            if change < DYKSTRA_TOL:
-                return x
-        raise OracleError("Dykstra projection did not converge within the sweep cap")
+        """The exact QP min 0.5 |x - v|^2 over the defining halfspaces, each
+        written <-a, x> >= -beta."""
+        quad = QuadraticForm(np.eye(v.size), -v, 0.5 * float(v @ v))
+        return minimize_quadratic_over_halfspaces(quad, [(-a, -beta) for a, beta in self.halfspaces()])
 
     def feasible_point(self) -> np.ndarray:
         origin = np.zeros(self.dimension)

@@ -27,6 +27,7 @@ from .core import (
     SolveOutcome,
     SolverConfig,
     TraceRow,
+    minimize_quadratic_over_halfspaces,
 )
 from .solvers import (
     AIrgConfig,
@@ -38,7 +39,6 @@ from .solvers import (
     cg_bio,
     dbgd,
     initialize_lower,
-    minimize_quadratic_over_halfspaces,
     mng,
     standard_cg,
 )
@@ -234,12 +234,11 @@ def value_transfer_check(
     eps_g: float,
     samples: int = 1000,
     seed: int = 0,
-    convex_upper: bool = True,
     slack: float = 1e-8,
 ) -> bool:
-    """Verify the guaranteed lower bound on the upper-level value (or on the
-    restricted FW gap, non-convex case) over sampled points that are
-    eps_g-optimal for the lower level."""
+    """Verify the guaranteed lower bound f(x) - f* >= -M (r eps_g / alpha)^(1/r)
+    on a convex upper level over sampled points that are eps_g-optimal for
+    the lower level."""
     ref = instance.reference
     g_star = ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
     f_star = ref.f_star if (ref is not None and ref.f_star is not None) else reference_bilevel(instance)
@@ -255,15 +254,7 @@ def value_transfer_check(
 
     r, alpha, M = params.order, params.alpha, params.M
     drift = (r * eps_g / alpha) ** (1.0 / r)
-    for x in kept[:samples]:
-        if convex_upper:
-            if instance.upper.value(x) - f_star < -M * drift - slack:
-                return False
-        else:
-            L_f = instance.upper.lipschitz_grad or 0.0
-            if true_fw_gap(instance, x) < -M * drift - L_f * drift**2 - slack:
-                return False
-    return True
+    return all(instance.upper.value(x) - f_star >= -M * drift - slack for x in kept[:samples])
 
 
 def fairness_metrics(beta: np.ndarray, dataset, subset: str = "test") -> dict:
@@ -521,7 +512,16 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
         if key in options and (isinstance(value, bool) or not isinstance(value, kind)):
             noun = "an int" if kind is numbers.Integral else "a real number"
             raise TypeError(f"options.{key} must be {noun}, got {value!r}")
-    return config_from_dict(cell.get("config", {})), seed
+    # config_from_dict skips unknown keys, and parse_schedule needs a string.
+    config = cell.get("config", {})
+    if not isinstance(config, dict):
+        raise TypeError("config must be a JSON object")
+    unknown = set(config) - {"eps_f", "eps_g", "max_iters", "schedule"}
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    if not isinstance(config.get("schedule", ""), str):
+        raise TypeError(f"config.schedule must be a string, got {config['schedule']!r}")
+    return config_from_dict(config), seed
 
 
 def _cell_stem(cell: dict, index: int) -> str:

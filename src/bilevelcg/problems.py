@@ -410,7 +410,6 @@ class DictionaryBundle:
     bilevel: BilevelInstance
     initial_point: np.ndarray
     pretrain_oracle: SmoothOracle
-    pretrain_region: ProductRegion
     dictionary_truth: np.ndarray
     d_hat: np.ndarray
     x_hat: np.ndarray
@@ -501,7 +500,6 @@ def dictionary_problem(
         bilevel=bilevel,
         initial_point=z_init,
         pretrain_oracle=pre_oracle,
-        pretrain_region=pre_region,
         dictionary_truth=D_true,
         d_hat=D_hat,
         x_hat=X_hat,

@@ -20,6 +20,7 @@ from .core import (
     SolverConfig,
     TraceRow,
     cutting_plane,
+    minimize_quadratic_over_halfspaces,
     step_size,
 )
 from .oracles import halfspace_lmo, lmo, project
@@ -362,43 +363,6 @@ def dbgd(
 # ---------------------------------------------------------------------------
 # MNG (quadratic upper level only)
 # ---------------------------------------------------------------------------
-
-def minimize_quadratic_over_halfspaces(quad, constraints):
-    """Minimize 0.5 x'Qx + q'x + c over an intersection of halfspaces
-    {<n_i, x> >= o_i} by enumerating the active-set cases of the KKT
-    systems and keeping the best feasible candidate.
-
-    ``constraints`` is a list of (normal, offset) pairs.  Raises OracleError
-    when no case yields a feasible point.
-    """
-    d = quad.q.shape[0]
-    best, best_val = None, np.inf
-    n_cons = len(constraints)
-    for mask in range(1 << n_cons):
-        active = [i for i in range(n_cons) if mask >> i & 1]
-        na = len(active)
-        K = np.zeros((d + na, d + na))
-        K[:d, :d] = quad.Q
-        rhs = np.concatenate([-quad.q, [constraints[i][1] for i in active]])
-        for j, i in enumerate(active):
-            K[:d, d + j] = constraints[i][0]
-            K[d + j, :d] = constraints[i][0]
-        sol, residual, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        if np.linalg.norm(K @ sol - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-            continue  # singular and inconsistent: skip this case
-        x = sol[:d]
-        ok = all(
-            float(constraints[i][0] @ x) >= constraints[i][1] - 1e-9
-            for i in range(n_cons)
-        )
-        if ok:
-            val = quad.value(x)
-            if val < best_val - 1e-12:
-                best, best_val = x, val
-    if best is None:
-        raise OracleError("all active-set cases of the quadratic subproblem failed")
-    return best
-
 
 def mng(
     instance: BilevelInstance,

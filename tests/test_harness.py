@@ -482,6 +482,9 @@ class TestRunExperiment:
         ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": False}}, "options.l1_radius must be a real"),
         ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": "2"}}, "options.l1_radius must be a real"),
         ({"instance": "toy", "solver": "cg-bio", "options": [10]}, "options must be a JSON object"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"max_iter": 5}}, "unknown config keys"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": 5}}, "config.schedule must be a string"),
+        ({"instance": "toy", "solver": "cg-bio", "config": "fast"}, "config must be a JSON object"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}

@@ -293,6 +293,8 @@ PROJECTIONS = [
     (L1Ball(1.0, 3), np.array([2.0, -0.5, 0.2])),
     (BallProduct(num_cols=2, col_dim=2, radii=np.array([1.0, 2.0])), np.array([3.0, 4.0, 0.5, -0.5])),
     (ProductRegion((L1Ball(1.0, 2), BallProduct(1, 2, 1.0))), np.array([2.0, 0.5, 3.0, 4.0])),
+    # Projects to (0.8, 0.2), inside the face x1 + x2 = 1.
+    (TOY_REGION, np.array([1.2, 0.6])),
 ]
 
 
@@ -300,9 +302,12 @@ def _along_boundary(region, p, step):
     """A boundary point of the region that each block moves ``step`` away
     from the boundary point p: mass moved between the first two
     coordinates of an l1 block, the first column of a ball product
-    rotated."""
+    rotated, a point of a planar polytope moved along its face."""
     if isinstance(region, ProductRegion):
         return np.concatenate([_along_boundary(b, part, step) for b, part in zip(region.blocks, region.split(p))])
+    if isinstance(region, Polytope):
+        a = next(a for a, beta in region.halfspaces() if abs(float(a @ p) - beta) <= 1e-12)
+        return p + step * np.array([-a[1], a[0]]) / np.linalg.norm(a)
     moved = p.copy()
     if isinstance(region, L1Ball):
         moved[:2] += np.sign(p[0]) * step / np.sqrt(2.0) * np.array([-1.0, 1.0])
@@ -312,6 +317,14 @@ def _along_boundary(region, p, step):
     rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     cols[:2, 0] = rotation @ cols[:2, 0]
     return region.flatten(cols)
+
+
+def _polytope_project_one_sweep(self, v):
+    """One sweep of alternating projections onto the defining halfspaces."""
+    x = v.copy()
+    for a, beta in self.halfspaces():
+        x = x - max(float(a @ x) - beta, 0.0) / float(a @ a) * a
+    return x
 
 
 def _ball_project_to_sphere(self, v):
@@ -391,6 +404,7 @@ class TestCutCertificate:
         (BallProduct, "project", _ball_project_to_sphere, "ball projection certificate"),
         (BallProduct, "lmo", _ball_lmo_first_column_flipped, "ball-product LMO support certificate"),
         (L1Ball, "project", _l1_project_theta_from_rho, "l1 projection certificate"),
+        (Polytope, "project", _polytope_project_one_sweep, "polytope projection certificate"),
     ])
     def test_check_oracles_fails_a_mutant(self, monkeypatch, cls, name, mutant, label):
         monkeypatch.setattr(cls, name, mutant)

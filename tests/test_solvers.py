@@ -372,6 +372,23 @@ class TestQuadraticSubproblem:
         assert x[0] >= 2.0 - 1e-9
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_feasible_candidate_with_a_negative_multiplier_is_passed_over(self):
+        # 0.5 (x - 5)^2 over 0 <= x <= 3: the active set {x >= 0} gives the
+        # first feasible candidate x = 0, with multiplier -5.
+        quad = QuadraticForm(np.eye(1), np.array([-5.0]), 12.5)
+        x = minimize_quadratic_over_halfspaces(quad, [(np.array([1.0]), 0.0), (np.array([-1.0]), -3.0)])
+        np.testing.assert_allclose(x, [3.0], atol=1e-10)
+
+    def test_stops_at_the_first_kkt_point(self, monkeypatch):
+        # Projecting (1.2, 0.6) onto the toy polytope: the empty active set
+        # gives an infeasible point, the first one-constraint set the answer.
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+        p = toy_problem().region.project(np.array([1.2, 0.6]))
+        np.testing.assert_allclose(p, [0.8, 0.2], atol=1e-12)
+        assert len(calls) == 2
+
 
 class TestStartParameter:
     def test_baselines_accept_explicit_start(self):
