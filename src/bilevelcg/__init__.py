@@ -11,6 +11,7 @@ from .core import (
     Harmonic,
     InvSqrt,
     L1Ball,
+    L1ColumnProduct,
     OracleError,
     Polytope,
     ProductRegion,

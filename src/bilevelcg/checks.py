@@ -19,6 +19,7 @@ from .core import (
     ConstantStep,
     Halfspace,
     L1Ball,
+    L1ColumnProduct,
     Polytope,
     ProductRegion,
     BallProduct,
@@ -428,13 +429,58 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         for _ in range(count):
             reg = make()
             c = rng.standard_normal(reg.dimension)
-            h, plain = _active_cut(reg, c, rng)
+            h, plain = _active_cut(reg, c, rng, reg.offsets() if isinstance(reg, ProductRegion) else None)
             s, mu = reg.cut_lmo(h, c, plain)
             worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
             if isinstance(reg, L1Ball):
                 lp_worst = max(lp_worst, abs(float(c @ s) - l1_cut_lp_value(reg, h, c)))
         results.append((f"{label} cut LMO certificate", worst <= 1e-9, f"worst gap {worst:.2e}"))
     results.append(("l1 cut LMO vs split-LP simplex", lp_worst <= 1e-9, f"worst {lp_worst:.2e}"))
+    return results + _check_l1_column_product(count, seed)
+
+
+def _check_l1_column_product(count: int, seed: int) -> list:
+    """The per-column l1 product against the l1 ball's LMO on each column,
+    and its projection and single-column cut by their certificates.  The
+    draws come from their own stream, so the other labels of
+    :func:`check_oracles` keep theirs."""
+    rng = np.random.default_rng([seed, 1])
+
+    def make():
+        return L1ColumnProduct(int(rng.integers(1, 6)), int(rng.integers(2, 7)), float(rng.uniform(0.5, 2.0)))
+
+    # Integer objectives tie often; one column is zero.
+    differ = 0
+    for _ in range(count):
+        reg = make()
+        c = rng.integers(-2, 3, size=(reg.num_cols, reg.col_dim)).astype(float)
+        c[int(rng.integers(reg.num_cols))] = 0.0
+        ball = L1Ball(reg.radius, reg.col_dim)
+        loop = np.concatenate([ball.lmo(col) for col in c])
+        differ += not np.array_equal(lmo(reg, c.ravel()), loop)
+    results = [("l1 column product LMO vs per-column l1 LMO", differ == 0, f"{differ} of {count} differ")]
+    # The certificates below minimize with this LMO.
+    if differ:
+        return results
+
+    # Columns of mixed scale, so that some lie inside the ball.
+    worst = 0.0
+    for _ in range(count):
+        reg = make()
+        y = (rng.standard_normal((reg.num_cols, reg.col_dim)) * rng.uniform(0.1, 2.0, size=(reg.num_cols, 1))).ravel()
+        p = project(reg, y)
+        worst = max(worst, cut_certificate_gap(reg, None, p - y, p))
+    results.append(("l1 column product projection certificate", worst <= 1e-12, f"worst gap {worst:.2e}"))
+
+    worst = 0.0
+    for _ in range(count):
+        reg = make()
+        c = rng.standard_normal(reg.dimension)
+        columns = [(j * reg.col_dim, (j + 1) * reg.col_dim) for j in range(reg.num_cols)]
+        h, plain = _active_cut(reg, c, rng, columns)
+        s, mu = reg.cut_lmo(h, c, plain)
+        worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
+    results.append(("l1 column product cut LMO certificate", worst <= 1e-9, f"worst gap {worst:.2e}"))
     return results
 
 
@@ -443,16 +489,16 @@ def _random_ball_product(rng) -> BallProduct:
     return BallProduct(num_cols, int(rng.integers(2, 5)), rng.uniform(0.5, 2.0, size=num_cols))
 
 
-def _active_cut(region, c: np.ndarray, rng) -> tuple[Halfspace, np.ndarray]:
+def _active_cut(region, c: np.ndarray, rng, blocks=None) -> tuple[Halfspace, np.ndarray]:
     """A random halfspace that cuts off the plain LMO point of ``c`` yet
-    meets the region, and that point.  On a product region the normal lives
-    in one random block."""
+    meets the region, and that point.  Given ``blocks``, a list of (lo, hi)
+    bounds, the normal lives in one random block of it."""
     plain = lmo(region, c)
     while True:
         normal = rng.standard_normal(region.dimension)
-        if isinstance(region, ProductRegion):
+        if blocks is not None:
             keep = np.zeros(region.dimension)
-            lo, hi = region.offsets()[int(rng.integers(len(region.blocks)))]
+            lo, hi = blocks[int(rng.integers(len(blocks)))]
             keep[lo:hi] = 1.0
             normal *= keep
         low, high = float(normal @ lmo(region, normal)), float(normal @ plain)

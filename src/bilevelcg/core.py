@@ -359,6 +359,86 @@ class BallProduct(Region):
 
 
 @dataclass(frozen=True)
+class L1ColumnProduct(Region):
+    """Product of per-column l1 balls of one radius for a matrix variable
+    stored column-major as a flat vector of length col_dim * num_cols: the
+    l1 mirror of :class:`BallProduct`.  Each operation is the
+    :class:`L1Ball` one, done on all columns at once."""
+
+    num_cols: int
+    col_dim: int
+    radius: float
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("l1 ball radius must be positive")
+
+    @property
+    def dimension(self) -> int:
+        return self.num_cols * self.col_dim
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.radius * float(np.sqrt(self.num_cols))
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The matrix columns as the rows of a (num_cols, col_dim) view.  A
+        row is contiguous, so its sum, sort, cumsum and argmax run in the
+        order of the :class:`L1Ball` operation on that column, and give its
+        bits."""
+        return np.asarray(x, dtype=float).reshape(self.num_cols, self.col_dim)
+
+    def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
+        tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
+        return bool(np.all(np.abs(self.rows(x)).sum(axis=1) <= self.radius + tol))
+
+    def lmo(self, c: np.ndarray) -> np.ndarray:
+        rows, cols = self.rows(c), np.arange(self.num_cols)
+        first = np.argmax(np.abs(rows), axis=1)  # lowest index on ties
+        s = np.zeros_like(rows)
+        s[cols, first] = np.where(rows[cols, first] >= 0, -self.radius, self.radius)
+        return s.reshape(-1)
+
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
+        """The :class:`L1Ball` envelope walk on the one column the cut's
+        normal lives in; the other columns keep their plain LMO columns.
+        A normal on several columns raises OracleError: no caller builds
+        one, as the dictionary's lower-level gradient is zero on the whole
+        coefficient block."""
+        active = np.flatnonzero(np.any(self.rows(h.normal) != 0.0, axis=1))
+        if active.size > 1:
+            raise OracleError("halfspace couples several columns")
+        # A zero normal goes to column 0, whose walk reports the empty cut.
+        lo = int(active[0]) * self.col_dim if active.size else 0
+        hi = lo + self.col_dim
+        cut = Halfspace(h.normal[lo:hi], h.offset)
+        part, mu = L1Ball(self.radius, self.col_dim).cut_lmo(cut, c[lo:hi], plain[lo:hi])
+        s = plain.copy()
+        s[lo:hi] = part
+        return s, mu
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Sort-based soft-thresholding (Duchi et al. 2008; Condat 2016) of
+        every column outside the ball; the others are returned unchanged."""
+        rows = self.rows(v)
+        out = rows.copy()
+        over = np.abs(rows).sum(axis=1) > self.radius
+        if over.any():
+            mags = np.abs(rows[over])
+            u = np.sort(mags, axis=1)[:, ::-1]
+            cumsum = np.cumsum(u, axis=1)
+            ks = np.arange(1, self.col_dim + 1)
+            positive = u - (cumsum - self.radius) / ks > 0
+            rho = self.col_dim - 1 - np.argmax(positive[:, ::-1], axis=1)  # last positive index
+            theta = (cumsum[np.arange(rho.size), rho] - self.radius) / (rho + 1.0)
+            out[over] = np.sign(rows[over]) * np.maximum(mags - theta[:, None], 0.0)
+        return out.reshape(-1)
+
+    def feasible_point(self) -> np.ndarray:
+        return np.zeros(self.dimension)
+
+
+@dataclass(frozen=True)
 class Polytope(Region):
     """{x : Ax <= b, x >= 0}.  Must be bounded (it backs an LMO).  The
     LMOs solve LPs with the dense simplex; the projection is the exact QP
@@ -488,6 +568,11 @@ class ProductRegion(Region):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("product region needs at least one block")
+        bounds, start = [], 0
+        for b in self.blocks:
+            bounds.append((start, start + b.dimension))
+            start += b.dimension
+        object.__setattr__(self, "_offsets", tuple(bounds))
 
     @property
     def dimension(self) -> int:
@@ -498,15 +583,12 @@ class ProductRegion(Region):
         return float(np.sqrt(sum(b.diameter**2 for b in self.blocks)))
 
     def offsets(self) -> list[tuple[int, int]]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append((start, start + b.dimension))
-            start += b.dimension
-        return out
+        """The (lo, hi) bounds of each block, computed once per region."""
+        return list(self._offsets)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         x = np.asarray(x, dtype=float)
-        return [x[lo:hi] for lo, hi in self.offsets()]
+        return [x[lo:hi] for lo, hi in self._offsets]
 
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
         return all(b.contains(part, tol) for b, part in zip(self.blocks, self.split(x)))
@@ -520,7 +602,7 @@ class ProductRegion(Region):
         if len(active) != 1:
             raise OracleError("halfspace couples several product blocks")
         i = active[0]
-        lo, hi = self.offsets()[i]
+        lo, hi = self._offsets[i]
         # The halfspace offset is absorbed into the active block: the other
         # blocks contribute zero to it, and keep their slices of ``plain``.
         cut, part, mu = Halfspace(normals[i], h.offset), plain[lo:hi], 0.0

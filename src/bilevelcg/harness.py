@@ -507,6 +507,10 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     options = cell.get("options") or {}
     if not isinstance(options, dict):
         raise TypeError("options must be a JSON object")
+    # run_solver would read a list of pairs as a dict and fail on a string
+    # only when the cell runs.
+    if not isinstance(cell.get("solver_options", {}), dict):
+        raise TypeError("solver_options must be a JSON object")
     for key, kind in (("n", numbers.Integral), ("d", numbers.Integral), ("l1_radius", numbers.Real)):
         value = options.get(key)
         if key in options and (isinstance(value, bool) or not isinstance(value, kind)):

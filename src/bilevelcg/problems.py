@@ -14,6 +14,7 @@ from .core import (
     BallProduct,
     BilevelInstance,
     L1Ball,
+    L1ColumnProduct,
     Polytope,
     ProductRegion,
     QuadraticForm,
@@ -385,9 +386,9 @@ def dict_unpack(z: np.ndarray, m: int, p: int, n: int) -> tuple[np.ndarray, np.n
 
 
 def _dict_region(m: int, p: int, n: int, delta: float) -> ProductRegion:
-    blocks = [BallProduct(num_cols=p, col_dim=m, radii=1.0)]
-    blocks += [L1Ball(radius=delta, dimension=p) for _ in range(n)]
-    return ProductRegion(tuple(blocks))
+    """Unit-ball dictionary columns times coefficient columns in l1 balls
+    of radius ``delta``, in the layout of :func:`dict_pack`."""
+    return ProductRegion((BallProduct(num_cols=p, col_dim=m, radii=1.0), L1ColumnProduct(n, p, delta)))
 
 
 def _reconstruction_oracle(A: np.ndarray, m: int, p: int) -> SmoothOracle:

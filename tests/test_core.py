@@ -10,6 +10,7 @@ from bilevelcg.core import (
     Harmonic,
     InvSqrt,
     L1Ball,
+    L1ColumnProduct,
     OracleError,
     Polytope,
     ProductRegion,
@@ -94,6 +95,65 @@ class TestBallProduct:
     def test_diameter(self):
         region = BallProduct(num_cols=2, col_dim=3, radii=np.array([3.0, 4.0]))
         assert region.diameter == pytest.approx(10.0)
+
+
+class TestL1ColumnProduct:
+    REGION = L1ColumnProduct(num_cols=4, col_dim=3, radius=1.5)
+    # The same region as a product of one l1 ball per column.
+    BLOCKS = ProductRegion(tuple(L1Ball(1.5, 3) for _ in range(4)))
+
+    def test_lmo_equals_the_block_loop_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        # Ties within a column, a tie across signs, a zero column, signed zeros.
+        fixed = np.array([1.0, -1.0, 0.5, 0.0, 0.0, 0.0, -2.0, 2.0, 1.0, -0.0, 0.0, -0.0])
+        for c in [fixed] + [rng.integers(-2, 3, size=12).astype(float) for _ in range(50)] + [
+            rng.standard_normal(12) for _ in range(50)
+        ]:
+            np.testing.assert_array_equal(self.REGION.lmo(c), self.BLOCKS.lmo(c))
+
+    def test_project_matches_the_block_loop(self):
+        rng = np.random.default_rng(1)
+        for scale in (0.1, 0.4, 1.0, 3.0):
+            for _ in range(20):
+                v = scale * rng.standard_normal(12)
+                np.testing.assert_allclose(self.REGION.project(v), self.BLOCKS.project(v), rtol=0.0, atol=1e-12)
+
+    def test_project_returns_a_point_inside_unchanged(self):
+        v = np.array([0.5, -0.5, 0.5, 0.0, 1.5, 0.0, -0.1, 0.2, 0.3, 1.0, 0.0, 0.0])
+        assert self.REGION.contains(v, tol=0.0)
+        np.testing.assert_array_equal(self.REGION.project(v), v)
+
+    def test_contains_diameter_and_feasible_point_agree_with_the_blocks(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            x = 0.8 * rng.standard_normal(12)
+            assert self.REGION.contains(x) == self.BLOCKS.contains(x)
+        assert self.REGION.dimension == self.BLOCKS.dimension
+        assert self.REGION.diameter == pytest.approx(self.BLOCKS.diameter, rel=1e-15)
+        np.testing.assert_array_equal(self.REGION.feasible_point(), self.BLOCKS.feasible_point())
+
+    def test_rejects_nonpositive_radius(self):
+        with pytest.raises(ValueError):
+            L1ColumnProduct(2, 3, 0.0)
+
+    def test_coupled_cut_raises(self):
+        c = np.arange(12.0)
+        normal = np.zeros(12)
+        normal[[0, 3]] = 1.0  # columns 0 and 1
+        with pytest.raises(OracleError, match="couples several columns"):
+            self.REGION.cut_lmo(Halfspace(normal, -1.0), c, self.REGION.lmo(c))
+
+    def test_single_column_cut_gives_the_l1_ball_answer(self):
+        rng = np.random.default_rng(3)
+        c, normal = rng.standard_normal(12), np.zeros(12)
+        normal[6:9] = rng.standard_normal(3)  # column 2
+        plain = self.REGION.lmo(c)
+        h = Halfspace(normal, float(normal @ plain) - 0.5)
+        s, mu = self.REGION.cut_lmo(h, c, plain)
+        col, col_mu = L1Ball(1.5, 3).cut_lmo(Halfspace(normal[6:9], h.offset), c[6:9], plain[6:9])
+        np.testing.assert_array_equal(s[6:9], col)
+        np.testing.assert_array_equal(np.delete(s, [6, 7, 8]), np.delete(plain, [6, 7, 8]))
+        assert mu == col_mu > 0.0
 
 
 class TestPolytope:

@@ -485,6 +485,8 @@ class TestRunExperiment:
         ({"instance": "toy", "solver": "cg-bio", "config": {"max_iter": 5}}, "unknown config keys"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": 5}}, "config.schedule must be a string"),
         ({"instance": "toy", "solver": "cg-bio", "config": "fast"}, "config must be a JSON object"),
+        ({"instance": "toy", "solver": "mng", "solver_options": "fast"}, "solver_options must be a JSON object"),
+        ({"instance": "toy", "solver": "mng", "solver_options": [["M", 1.0]]}, "solver_options must be a JSON object"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}

@@ -8,6 +8,7 @@ from bilevelcg.core import (
     BallProduct,
     Halfspace,
     L1Ball,
+    L1ColumnProduct,
     OracleError,
     Polytope,
     ProductRegion,
@@ -349,6 +350,21 @@ def _l1_project_theta_from_rho(self, v):
     return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 
 
+def _l1_columns_lmo_last_on_ties(self, c):
+    """Optimal, but takes the highest index of a tie."""
+    rows, cols = self.rows(c), np.arange(self.num_cols)
+    last = self.col_dim - 1 - np.argmax(np.abs(rows)[:, ::-1], axis=1)
+    s = np.zeros_like(rows)
+    s[cols, last] = np.where(rows[cols, last] >= 0, -self.radius, self.radius)
+    return s.reshape(-1)
+
+
+def _l1_columns_project_onto_one_ball(self, v):
+    """Projects onto the l1 ball of radius num_cols * radius around the
+    whole matrix, which contains the product."""
+    return L1Ball(self.num_cols * self.radius, self.dimension).project(v)
+
+
 class TestCutCertificate:
     REGION = L1Ball(1.0, 3)
     CUT = Halfspace(np.array([0.0, 1.0, 0.0]), 0.25)
@@ -405,6 +421,8 @@ class TestCutCertificate:
         (BallProduct, "lmo", _ball_lmo_first_column_flipped, "ball-product LMO support certificate"),
         (L1Ball, "project", _l1_project_theta_from_rho, "l1 projection certificate"),
         (Polytope, "project", _polytope_project_one_sweep, "polytope projection certificate"),
+        (L1ColumnProduct, "lmo", _l1_columns_lmo_last_on_ties, "l1 column product LMO vs per-column l1 LMO"),
+        (L1ColumnProduct, "project", _l1_columns_project_onto_one_ball, "l1 column product projection certificate"),
     ])
     def test_check_oracles_fails_a_mutant(self, monkeypatch, cls, name, mutant, label):
         monkeypatch.setattr(cls, name, mutant)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilevelcg.core import BallProduct, L1Ball, Polytope, ProductRegion
+from bilevelcg.core import BallProduct, L1Ball, L1ColumnProduct, Polytope, ProductRegion
 from bilevelcg.problems import (
     DataError,
     DatasetSplit,
@@ -140,9 +140,12 @@ class TestDictionaryProblem:
         assert isinstance(region, ProductRegion)
         assert isinstance(region.blocks[0], BallProduct)
         assert region.blocks[0].num_cols == SMALL_DICT.true_dict_size
-        assert all(isinstance(b, L1Ball) for b in region.blocks[1:])
-        assert len(region.blocks) == 1 + SMALL_DICT.n_new
-        assert region.blocks[1].radius == SMALL_DICT.l1_radius
+        assert len(region.blocks) == 2
+        coeffs = region.blocks[1]
+        assert isinstance(coeffs, L1ColumnProduct)
+        assert coeffs.num_cols == SMALL_DICT.n_new
+        assert coeffs.col_dim == SMALL_DICT.true_dict_size
+        assert coeffs.radius == SMALL_DICT.l1_radius
 
     def test_lower_gradient_zero_on_coefficient_block(self):
         bundle = dictionary_problem(SMALL_DICT, pretrain_iters=20, pretrain_polish_iters=20)
