@@ -145,17 +145,11 @@ class Region:
       :func:`bilevelcg.checks.cut_certificate_gap` verifies; it raises
       :class:`OracleError` when the cut excludes the whole region;
     - ``project(v)``: Euclidean projection;
-    - ``feasible_point()``: a deterministic feasible point;
-    - ``sample(count, rng)`` and ``grid_box()``, on a polytope only:
-      feasible samples (rows) covering it, and a bounding box (lo, hi) for
-      grid estimates.
+    - ``feasible_point()``: a deterministic feasible point.
 
     All tie-breaking is lowest-index deterministic so that traces are
     reproducible across platforms.
     """
-
-    def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
-        raise ValueError("grid estimation supports small polytopes only")
 
 
 @dataclass(frozen=True)
@@ -536,24 +530,6 @@ class Polytope(Region):
             return origin
         # Phase-1 style: any vertex of the feasible set.
         return self._lp_point(origin)[0]
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        lo, hi = self.grid_box()
-        out = np.empty((count, self.dimension))
-        have = 0
-        for _ in range(200):
-            cand = rng.uniform(lo, hi, size=(4 * count, self.dimension))
-            ok = np.array([self.contains(c) for c in cand])
-            take = cand[ok][: count - have]
-            out[have : have + take.shape[0]] = take
-            have += take.shape[0]
-            if have == count:
-                return out
-        raise RuntimeError("rejection sampling failed to fill the polytope sample")
-
-    def grid_box(self) -> tuple[np.ndarray, np.ndarray]:
-        verts = self.vertices()
-        return verts.min(axis=0), verts.max(axis=0)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .solvers import (
     BigSamConfig,
     DbgdConfig,
     MngConfig,
+    _line_search,
     a_irg,
     big_sam,
     cg_bio,
@@ -43,8 +44,6 @@ from .solvers import (
     standard_cg,
 )
 
-FACE_EXCLUSION_DIST = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # Reference solutions
@@ -53,11 +52,6 @@ FACE_EXCLUSION_DIST = 1e-6
 def _is_linear(oracle: SmoothOracle) -> bool:
     q = oracle.quadratic
     return q is not None and not np.any(q.Q)
-
-
-def _line_search(oracle: SmoothOracle) -> str:
-    """Exact line search for a tagged quadratic, backtracking otherwise."""
-    return "exact" if oracle.quadratic is not None else "backtracking"
 
 
 def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
@@ -74,6 +68,10 @@ def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int
     return out.trace[-1].f_val
 
 
+# Lower-level gap under which a vertex of a polytope counts as optimal.
+_FACE_TOL = 1e-9
+
+
 def _solution_face(instance: BilevelInstance) -> np.ndarray:
     ref = instance.reference
     if ref is not None and ref.lower_solution_set is not None:
@@ -83,7 +81,7 @@ def _solution_face(instance: BilevelInstance) -> np.ndarray:
     if _is_linear(instance.lower) and isinstance(region, Polytope) and region.dimension <= 4:
         verts = region.vertices()
         vals = np.array([instance.lower.value(v) for v in verts])
-        return verts[vals <= vals.min() + 1e-9]
+        return verts[vals <= vals.min() + _FACE_TOL]
     raise ValueError("instance carries no lower-level solution-set description")
 
 
@@ -140,7 +138,7 @@ def true_fw_gap(instance: BilevelInstance, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hoelder error-bound estimation
+# Hoelder error-bound constants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,16 +158,10 @@ class HoelderParams:
         if self.M < 0:
             raise ValueError("M must be nonnegative")
 
-
-def _face_points(verts: np.ndarray, count: int, seed: int = 0) -> np.ndarray:
-    if verts.shape[0] == 1:
-        return verts
-    if verts.shape[0] == 2:
-        t = np.linspace(0.0, 1.0, count)[:, None]
-        return (1.0 - t) * verts[0] + t * verts[1]
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(verts.shape[0]), size=count)
-    return np.vstack([verts, w @ verts])
+    def value_drop(self, eps_g: float) -> float:
+        """The bound M (r eps_g / alpha)^(1/r) on f* - f over the points
+        whose lower-level gap is at most eps_g."""
+        return self.M * (self.order * eps_g / self.alpha) ** (1.0 / self.order)
 
 
 def dist_to_hull(x: np.ndarray, verts: np.ndarray, iters: int = 500) -> float:
@@ -185,76 +177,79 @@ def dist_to_hull(x: np.ndarray, verts: np.ndarray, iters: int = 500) -> float:
     return float(np.linalg.norm(point - x))
 
 
-def hoelder_estimate(
-    instance: BilevelInstance,
-    order: float = 1.0,
-    grid_per_axis: int = 60,
-) -> HoelderParams:
-    """Grid estimates of the error-bound modulus alpha and of M, the largest
-    upper-level gradient norm over the lower-level solution face."""
-    if instance.dimension > 3:
-        raise ValueError("grid estimation is limited to dimension <= 3")
-    verts = _solution_face(instance)
+def _closed_form_case(instance: BilevelInstance) -> Polytope:
+    """The region of a linear lower level over a polytope with a quadratic
+    upper level, the case with closed-form Hoelder constants."""
+    if not isinstance(instance.region, Polytope):
+        raise ValueError("closed-form Hoelder constants need a polytope region")
+    if not _is_linear(instance.lower):
+        raise ValueError("closed-form Hoelder constants need a linear lower level")
+    if instance.upper.quadratic is None:
+        raise ValueError("closed-form Hoelder constants need a quadratic upper level")
+    return instance.region
+
+
+def _g_star(instance: BilevelInstance) -> float:
     ref = instance.reference
-    g_star = ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
+    return ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
 
-    M = max(
-        float(np.linalg.norm(instance.upper.gradient(p)))
-        for p in _face_points(verts, 2000)
-    )
 
-    lo, hi = instance.region.grid_box()
-    axes = [np.linspace(lo[i], hi[i], grid_per_axis) for i in range(instance.dimension)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, instance.dimension)
-    alpha = np.inf
-    found = False
-    for x in mesh:
-        if not instance.region.contains(x, tol=1e-12):
-            continue
-        dist = dist_to_hull(x, verts)
-        if dist <= FACE_EXCLUSION_DIST:
-            continue
-        found = True
-        ratio = order * (instance.lower.value(x) - g_star) / dist**order
-        alpha = min(alpha, ratio)
-    if not found:
-        raise ValueError("no feasible grid points outside the solution face")
-    if alpha <= 0:
-        raise ValueError("estimated error-bound modulus is not positive")
-    return HoelderParams(alpha=float(alpha), order=order, M=M)
+def hoelder_estimate(instance: BilevelInstance) -> HoelderParams:
+    """The exact error-bound constants of a linear lower level g over a
+    polytope P with a quadratic upper level f; the order is 1.  Raises
+    ValueError for any other instance.
+
+    The solution set S is the face of P where g = g*.  Every x in P outside
+    S is x = (1 - lam) s + lam v with s in S, lam in (0, 1] and v in the
+    hull V of the vertices of P outside S.  Then g(x) - g* = lam (g(v) - g*)
+    and dist(x, S) <= lam dist(v, S), so the ratio (g - g*) / dist(., S) at
+    x is at least its value at v.  On V, g - g* is linear and positive and
+    dist(., S) is convex, so the ratio is quasi-concave and its minimum is
+    at a vertex: alpha = min over vertices v of P outside S of
+    (g(v) - g*) / dist(v, S), a sharp bound of Hoffman type (Hoffman 1952).
+    M, the largest |grad f| over S, is attained at a vertex of S because
+    |grad f| is convex when grad f is affine."""
+    region = _closed_form_case(instance)
+    face = _solution_face(instance)
+    g_star = _g_star(instance)
+    verts = region.vertices()
+    excess = np.array([instance.lower.value(v) for v in verts]) - g_star
+    outside = excess > _FACE_TOL
+    if not np.any(outside):
+        raise ValueError("no vertex of the region lies outside the solution face")
+    alpha = min(e / dist_to_hull(v, face) for v, e in zip(verts[outside], excess[outside]))
+    M = max(float(np.linalg.norm(instance.upper.gradient(v))) for v in face)
+    return HoelderParams(alpha=float(alpha), order=1.0, M=M)
 
 
 # ---------------------------------------------------------------------------
 # Bound checks and metrics
 # ---------------------------------------------------------------------------
 
+def _least_upper_excess(instance: BilevelInstance, eps_g: float) -> float:
+    """min f - f* over the eps_g-optimal points of the lower level, exact:
+    one QP of f over P and the halfspace g <= g* + eps_g, for the instances
+    :func:`hoelder_estimate` accepts."""
+    region = _closed_form_case(instance)
+    g = instance.lower.quadratic
+    ref = instance.reference
+    f_star = ref.f_star if (ref is not None and ref.f_star is not None) else reference_bilevel(instance)
+    # Each halfspace <a, x> <= beta is written <-a, x> >= -beta.
+    halfspaces = region.halfspaces() + [(g.q, _g_star(instance) + eps_g - g.c)]
+    x = minimize_quadratic_over_halfspaces(instance.upper.quadratic, [(-a, -beta) for a, beta in halfspaces])
+    return instance.upper.value(x) - f_star
+
+
 def value_transfer_check(
     instance: BilevelInstance,
     params: HoelderParams,
     eps_g: float,
-    samples: int = 1000,
-    seed: int = 0,
     slack: float = 1e-8,
 ) -> bool:
-    """Verify the guaranteed lower bound f(x) - f* >= -M (r eps_g / alpha)^(1/r)
-    on a convex upper level over sampled points that are eps_g-optimal for
-    the lower level."""
-    ref = instance.reference
-    g_star = ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
-    f_star = ref.f_star if (ref is not None and ref.f_star is not None) else reference_bilevel(instance)
-
-    verts = _solution_face(instance)
-    rng = np.random.default_rng(seed)
-    face = _face_points(verts, samples, seed=seed)
-    jittered = face + 0.01 * rng.standard_normal(face.shape)
-    pool = np.vstack([instance.region.sample(samples, rng), face, jittered])
-    kept = [x for x in pool if instance.region.contains(x) and instance.lower.value(x) - g_star <= eps_g]
-    if not kept:
-        raise RuntimeError("no sampled points were eps_g-optimal for the lower level")
-
-    r, alpha, M = params.order, params.alpha, params.M
-    drift = (r * eps_g / alpha) ** (1.0 / r)
-    return all(instance.upper.value(x) - f_star >= -M * drift - slack for x in kept[:samples])
+    """Check the guaranteed lower bound f(x) - f* >= -M (r eps_g / alpha)^(1/r)
+    at the worst eps_g-optimal point of the lower level, found exactly by
+    :func:`_least_upper_excess`."""
+    return _least_upper_excess(instance, eps_g) >= -params.value_drop(eps_g) - slack
 
 
 def fairness_metrics(beta: np.ndarray, dataset, subset: str = "test") -> dict:

@@ -147,6 +147,11 @@ def standard_cg(
         x = x + gamma * d
 
 
+def _line_search(oracle: SmoothOracle) -> str:
+    """Exact line search for a tagged quadratic, backtracking otherwise."""
+    return "exact" if oracle.quadratic is not None else "backtracking"
+
+
 def initialize_lower(
     instance: BilevelInstance,
     eps_g: float,
@@ -154,13 +159,16 @@ def initialize_lower(
     line_search: Optional[str] = None,
 ) -> tuple[np.ndarray, float, bool]:
     """Run standard CG on the lower-level objective until its FW duality gap
-    certifies g(x0) - g* <= eps_g / 2.
+    certifies g(x0) - g* <= eps_g / 2.  ``line_search`` None picks the
+    exact line search for a tagged quadratic and backtracking otherwise.
 
     Returns (x0, certificate, certified) where ``certificate`` is the
     achieved FW gap (an upper bound on the lower-level suboptimality by
     convexity).
     """
     cfg = SolverConfig(eps_f=eps_g / 2.0, eps_g=eps_g, max_iters=max_iters)
+    if line_search is None:
+        line_search = _line_search(instance.lower)
     out = standard_cg(instance.lower, instance.region, cfg, line_search=line_search)
     certificate = float(out.trace[-1].surrogate_f_gap)
     certified = out.stop_reason == "criterion_met"

@@ -130,7 +130,7 @@ def test_criterion_04_per_step_descent_inequalities(capsys):
 
 
 def test_criterion_05_cutting_planes_retain_optimal_faces(capsys):
-    ok, detail = summarize(check_cut_retention(samples=10_000, slack=1e-10))
+    ok, detail = summarize(check_cut_retention(slack=1e-10))
     report(capsys, 5, "cutting planes retain optimal faces", ok, detail)
 
 
@@ -145,7 +145,7 @@ def test_criterion_07_gradient_checks(capsys):
 
 
 def test_criterion_08_near_optimality_transfer(capsys):
-    ok, detail = summarize(check_value_transfer(samples=1000))
+    ok, detail = summarize(check_value_transfer())
     report(capsys, 8, "lower-level accuracy transfers to the upper level", ok, detail)
 
 

@@ -55,6 +55,15 @@ class TestRegressionCommand:
         assert code == 0
         assert len(list(tmp_path.glob("*.csv"))) == 1
 
+    def test_readme_command(self, tmp_path, capsys):
+        code = main([
+            "regression", "--n", "100", "--d", "150", "--solvers", "cg-bio,big-sam,dbgd",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "000_regression_cg-bio_seed0.json").read_text())
+        assert not summary["stop_reason"].startswith("error")
+
     def test_csv_ingestion(self, tmp_path, capsys):
         rows = "\n".join(f"{i},{i * 2 + 1},{3 * i}" for i in range(40))
         data = tmp_path / "data.csv"

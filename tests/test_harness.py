@@ -237,9 +237,17 @@ class TestDistToHull:
 
 class TestHoelder:
     def test_toy_gradient_bound(self):
-        params = hoelder_estimate(toy_problem(), order=1.0)
+        params = hoelder_estimate(toy_problem())
         assert params.M == pytest.approx(np.hypot(0.5, 0.1), abs=1e-6)
         assert params.alpha > 0.0
+
+    def test_toy_constants_in_closed_form(self):
+        # alpha at the vertex (0, 5/6), 1/6 above g* and sqrt(13)/6 from the
+        # face point (0.5, 0.5); M at the face vertex (1, 0).
+        params = hoelder_estimate(toy_problem())
+        assert params.order == 1.0
+        assert abs(params.alpha - 1.0 / np.sqrt(13.0)) <= 1e-15
+        assert abs(params.M - np.sqrt(0.26)) <= 1e-15
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -248,24 +256,42 @@ class TestHoelder:
             HoelderParams(alpha=1.0, order=0.5, M=1.0)
 
     def test_degenerate_face_covering_region_rejected(self):
-        # lower level constant on the whole region: every grid point is on
-        # the face, leaving no exterior points to estimate the modulus from
-        from bilevelcg.core import Polytope
-
+        # lower level constant on the whole region: every vertex is on the
+        # face, leaving no exterior vertex to compute the modulus from
         reg = Polytope(A=np.eye(2), b=np.ones(2))
-        lower = SmoothOracle(2, lambda x: (0.0, np.zeros(2)), lipschitz_grad=0.0)
-        upper = SmoothOracle(2, lambda x: (float(x @ x), 2 * x))
+        lower = SmoothOracle(
+            2, lambda x: (0.0, np.zeros(2)), lipschitz_grad=0.0,
+            quadratic=QuadraticForm(np.zeros((2, 2)), np.zeros(2)),
+        )
+        upper = SmoothOracle(
+            2, lambda x: (float(x @ x), 2 * x), quadratic=QuadraticForm(2 * np.eye(2), np.zeros(2)),
+        )
         inst = BilevelInstance(
             upper, lower, reg,
             ReferenceData(g_star=0.0, lower_solution_set=reg.vertices()),
         )
-        with pytest.raises(ValueError):
-            hoelder_estimate(inst, order=1.0, grid_per_axis=15)
+        with pytest.raises(ValueError, match="no vertex"):
+            hoelder_estimate(inst)
 
     def test_value_transfer_bound_holds_on_toy(self):
         inst = toy_problem()
-        params = hoelder_estimate(inst, order=1.0)
-        assert value_transfer_check(inst, params, eps_g=1e-3, samples=300)
+        params = hoelder_estimate(inst)
+        assert value_transfer_check(inst, params, eps_g=1e-3)
+
+    def test_value_transfer_check_can_fail(self):
+        # min f - f* over the 1e-3-optimal points is -1e-4; M = 0.01 bounds
+        # the drop by 0.01 * 1e-3 / alpha = 3.6e-5.
+        inst = toy_problem()
+        alpha = hoelder_estimate(inst).alpha
+        assert not value_transfer_check(inst, HoelderParams(alpha, 1.0, M=0.01), eps_g=1e-3)
+
+    def test_other_instances_rejected(self):
+        from bilevelcg.problems import fair_classification_problem
+
+        inst, _ = fair_classification_problem(n=40, d=3, seed=7, l1_radius=2.0)
+        assert isinstance(inst.region, L1Ball)
+        with pytest.raises(ValueError):
+            hoelder_estimate(inst)
 
 
 class TestFairnessMetrics:
@@ -332,18 +358,6 @@ class TestRecoveryRate:
         truth = np.eye(4)
         learned = np.eye(4)[:, :2]
         assert recovery_rate(learned, truth) == 0.5
-
-
-class TestSampleRegion:
-    @pytest.mark.parametrize("region", [
-        toy_problem().region,
-    ])
-    def test_samples_feasible_and_deterministic(self, region):
-        a = region.sample(200, np.random.default_rng(1))
-        b = region.sample(200, np.random.default_rng(1))
-        np.testing.assert_array_equal(a, b)
-        for x in a:
-            assert region.contains(x, tol=1e-9)
 
 
 class TestPersistence:
