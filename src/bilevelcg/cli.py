@@ -137,10 +137,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         reason = summary.get("stop_reason", "")
         if reason.startswith("error"):
             failed = True
+        start = ""
+        if "certified" in summary:
+            verdict = "certified" if summary["certified"] else "NOT certified"
+            start = f"; start {verdict}, certificate {summary['init_certificate']}"
         print(
             f"{summary.get('instance')}/{summary.get('solver')}: {reason} "
             f"after {summary.get('iterations')} iterations "
-            f"(f-gap {summary.get('final_f_gap')}, g-gap {summary.get('final_g_gap')})"
+            f"(f-gap {summary.get('final_f_gap')}, g-gap {summary.get('final_g_gap')}{start})"
         )
     return 1 if failed else 0
 

@@ -31,17 +31,37 @@ class ConfigurationError(ValueError):
 @dataclass(frozen=True)
 class QuadraticForm:
     """Explicit representation f(x) = 0.5 x'Qx + q'x + c for solvers that
-    need to minimize f over small polyhedra in closed form."""
+    need to minimize f over small polyhedra in closed form.
 
-    Q: np.ndarray
+    The Hessian is given either densely as ``Q`` or as a factor ``F`` with
+    Q = F'F (then ``Q`` is None).  A least-squares objective
+    0.5 |Ax - b|^2 is tagged with F = A: an n x d matrix instead of a d x d
+    Gram, so that value and gradient cost O(nd).  :meth:`hessian` forms the
+    dense matrix for the callers that need one."""
+
+    Q: Optional[np.ndarray]
     q: np.ndarray
     c: float = 0.0
+    F: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if (self.Q is None) == (self.F is None):
+            raise ValueError("give exactly one of the Hessian Q and its factor F")
 
     def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.c
+        if self.F is None:
+            return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.c
+        Fx = self.F @ x
+        return 0.5 * float(Fx @ Fx) + float(self.q @ x) + self.c
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.Q @ x + self.q
+        if self.F is None:
+            return self.Q @ x + self.q
+        return self.F.T @ (self.F @ x) + self.q
+
+    def hessian(self) -> np.ndarray:
+        """The dense d x d Hessian: ``Q``, or F'F formed on every call."""
+        return self.Q if self.F is None else self.F.T @ self.F
 
 
 def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints) -> np.ndarray:
@@ -56,14 +76,15 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints) -> np.n
     singular KKT system can give multipliers of the wrong sign), the
     feasible candidate of least value is returned.  Raises OracleError when
     no active set yields a feasible point.  The worst case visits all 2^m
-    active sets.
+    active sets.  The dense Hessian is formed once per call.
     """
     d = quad.q.shape[0]
+    hessian = quad.hessian()
     best, best_val = None, np.inf
     for size in range(len(constraints) + 1):
         for active in combinations(range(len(constraints)), size):
             K = np.zeros((d + size, d + size))
-            K[:d, :d] = quad.Q
+            K[:d, :d] = hessian
             rhs = np.concatenate([-quad.q, [constraints[i][1] for i in active]])
             for j, i in enumerate(active):
                 K[:d, d + j] = constraints[i][0]
@@ -94,7 +115,9 @@ class SmoothOracle:
     ``lipschitz_grad`` is a Lipschitz constant of the gradient in the l2
     norm, or None when unknown.  ``quadratic`` is set when the function is an
     explicit convex quadratic (enables closed-form subproblems and exact
-    line search).
+    line search); a factored tag (``QuadraticForm`` with ``F``) keeps an
+    O(nd) least-squares oracle free of d x d arrays on every path but the
+    exact QPs, which form the Hessian.
     """
 
     dimension: int
@@ -752,11 +775,19 @@ class SolveOutcome:
     k = 0, ..., at most max_iters, and ``stop_reason`` is decided at its last
     row: "criterion_met" when that row passed the solver's stop test (at
     k = max_iters too), "budget_exhausted" when row max_iters did not, and
-    "oracle_failure: ..." when an oracle raised while evaluating it."""
+    "oracle_failure: ..." when an oracle raised while evaluating it.
+
+    A cg-bio run through :func:`bilevelcg.harness.run_solver` also records
+    its start: ``init_certificate`` bounds g(x0) - g*, and ``certified``
+    says whether that bound is at most eps_g / 2.  From an uncertified
+    start a row that passes the stop test reports "uncertified_start", not
+    "criterion_met": the test's guarantee needs a certified start."""
 
     final_point: np.ndarray
     stop_reason: str
     trace: tuple[TraceRow, ...]
+    init_certificate: Optional[float] = None
+    certified: Optional[bool] = None
 
     def __post_init__(self):
         if not self.trace:

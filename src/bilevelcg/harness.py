@@ -37,6 +37,7 @@ from .solvers import (
     _line_search,
     a_irg,
     big_sam,
+    certify_start,
     cg_bio,
     dbgd,
     initialize_lower,
@@ -51,7 +52,8 @@ from .solvers import (
 
 def _is_linear(oracle: SmoothOracle) -> bool:
     q = oracle.quadratic
-    return q is not None and not np.any(q.Q)
+    # A factored tag is tested by its factor: F = 0 iff F'F = 0.
+    return q is not None and not np.any(q.Q if q.F is None else q.F)
 
 
 def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
@@ -111,7 +113,7 @@ def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max
         # v_n + B'u for B = P'V, and w >= 0 reads u >= 0, -1'u >= -1.
         last, B = verts[-1], verts[:-1] - verts[-1]
         m = B.shape[0]
-        sub = QuadraticForm(B @ quad.Q @ B.T, B @ (quad.Q @ last + quad.q))
+        sub = QuadraticForm(B @ quad.hessian() @ B.T, B @ quad.gradient(last))
         halfspaces = [(e, 0.0) for e in np.eye(m)] + [(-np.ones(m), -1.0)]
         return last + B.T @ minimize_quadratic_over_halfspaces(sub, halfspaces), True
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
@@ -309,7 +311,7 @@ class RunRecord:
     @property
     def summary(self) -> dict:
         tail = self.outcome.trace[-1]
-        return {
+        summary = {
             "instance": self.instance,
             "solver": self.solver,
             "config": self.config,
@@ -320,6 +322,10 @@ class RunRecord:
             "wall_nanos_total": self.outcome.wall_nanos_total,
             "seed": self.seed,
         }
+        if self.outcome.certified is not None:  # a cg-bio run's start
+            summary["certified"] = self.outcome.certified
+            summary["init_certificate"] = _none_if_nan(self.outcome.init_certificate)
+        return summary
 
 
 def _none_if_nan(x: float):
@@ -368,8 +374,7 @@ def config_from_dict(data: dict) -> SolverConfig:
 
 
 def _strip_timing(outcome: SolveOutcome) -> SolveOutcome:
-    rows = tuple(replace(r, wall_nanos=0) for r in outcome.trace)
-    return SolveOutcome(final_point=outcome.final_point, stop_reason=outcome.stop_reason, trace=rows)
+    return replace(outcome, trace=tuple(replace(r, wall_nanos=0) for r in outcome.trace))
 
 
 def write_trace_csv(path, trace) -> None:
@@ -450,7 +455,12 @@ def run_solver(
     """Dispatch a named solver on an instance.  ``options`` holds
     ``init_iters`` for cg-bio, ``line_search`` for cg, and the fields of
     the config dataclass for a baseline; an unknown option raises
-    ValueError (TypeError for a baseline)."""
+    ValueError (TypeError for a baseline).
+
+    cg-bio starts from :func:`initialize_lower`'s point, or from ``start``
+    with :func:`certify_start`'s certificate, and its outcome records both
+    values.  From an uncertified start, a row that passes the stop test
+    reports "uncertified_start" instead of "criterion_met"."""
     opts = dict(options or {})
     allowed = {"cg-bio": {"init_iters"}, "cg": {"line_search"}}.get(solver)
     if allowed is not None and not set(opts) <= allowed:
@@ -458,8 +468,16 @@ def run_solver(
     if solver == "cg-bio":
         x0 = start
         if x0 is None:
-            x0, _, _ = initialize_lower(instance, config.eps_g, max_iters=int(opts.get("init_iters", 10_000)))
-        return cg_bio(instance, x0, config)
+            x0, certificate, certified = initialize_lower(
+                instance, config.eps_g, max_iters=int(opts.get("init_iters", 10_000))
+            )
+        else:
+            certificate, certified = certify_start(instance, x0, config.eps_g)
+        outcome = cg_bio(instance, x0, config)
+        reason = outcome.stop_reason
+        if not certified and reason == "criterion_met":
+            reason = "uncertified_start"
+        return replace(outcome, stop_reason=reason, init_certificate=certificate, certified=certified)
     if solver == "cg":
         return standard_cg(
             instance.upper, instance.region, config,

@@ -170,14 +170,30 @@ def initialize_lower(
     if line_search is None:
         line_search = _line_search(instance.lower)
     out = standard_cg(instance.lower, instance.region, cfg, line_search=line_search)
-    certificate = float(out.trace[-1].surrogate_f_gap)
-    certified = out.stop_reason == "criterion_met"
+    tail = out.trace[-1]
+    certificate, certified = _start_certificate(instance, tail.f_val, tail.surrogate_f_gap, eps_g)
+    return out.final_point, certificate, certified
+
+
+def certify_start(instance: BilevelInstance, x0: np.ndarray, eps_g: float) -> tuple[float, bool]:
+    """(certificate, certified) of a given start, as :func:`initialize_lower`
+    reports them for its own: the lower-level FW gap at ``x0``, from one
+    lower-level call and one LMO."""
+    x0 = np.asarray(x0, dtype=float)
+    g_val, grad = instance.lower(x0)
+    s = lmo(instance.region, grad)
+    return _start_certificate(instance, g_val, float(grad @ (x0 - s)), eps_g)
+
+
+def _start_certificate(instance, g_val, fw_gap, eps_g) -> tuple[float, bool]:
+    """The FW gap bounds g(x0) - g* by convexity.  When it does not certify
+    x0, a known optimal value gives the exact excess instead."""
+    certificate, certified = float(fw_gap), fw_gap <= eps_g / 2.0
     ref = instance.reference
     if not certified and ref is not None and ref.g_star is not None:
-        # A known optimal value gives a tighter certificate than the FW gap.
-        certificate = out.trace[-1].f_val - ref.g_star
+        certificate = g_val - ref.g_star
         certified = certificate <= eps_g / 2.0
-    return out.final_point, certificate, certified
+    return certificate, certified
 
 
 def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> SolveOutcome:

@@ -75,6 +75,16 @@ class TestRegressionCommand:
         assert code == 0
 
 
+class TestFairCommand:
+    def test_summary_and_output_report_the_certified_start(self, tmp_path, capsys):
+        assert main(["fair", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "000_fair_cg-bio_seed0.json").read_text())
+        assert summary["certified"] is True
+        assert 0.0 <= summary["init_certificate"] <= 5e-6  # eps_g / 2
+        assert summary["stop_reason"] in ("criterion_met", "budget_exhausted")
+        assert "start certified, certificate" in capsys.readouterr().out
+
+
 class TestVerifyCommand:
     def test_single_group_passes(self, capsys):
         assert main(["verify", "--group", "transfer"]) == 0

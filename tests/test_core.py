@@ -31,6 +31,24 @@ def quad_oracle(Q, q, c=0.0):
 
 
 class TestQuadraticForm:
+    def test_factored_form_agrees_with_its_gram(self):
+        rng = np.random.default_rng(4)
+        F = rng.standard_normal((7, 30))
+        q = rng.standard_normal(30)
+        factored = QuadraticForm(None, q, 0.25, F=F)
+        dense = QuadraticForm(F.T @ F, q, 0.25)
+        for _ in range(20):
+            x = rng.standard_normal(30)
+            assert factored.value(x) == pytest.approx(dense.value(x), rel=1e-12)
+            np.testing.assert_allclose(factored.gradient(x), dense.gradient(x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(factored.hessian(), F.T @ F)
+        assert dense.hessian() is dense.Q
+
+    @pytest.mark.parametrize("Q, F", [(None, None), (np.eye(2), np.eye(2))])
+    def test_exactly_one_of_hessian_and_factor(self, Q, F):
+        with pytest.raises(ValueError, match="exactly one"):
+            QuadraticForm(Q, np.zeros(2), F=F)
+
     def test_value_and_gradient(self):
         form = QuadraticForm(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, -1.0]), 0.5)
         x = np.array([1.0, 2.0])

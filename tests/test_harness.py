@@ -510,11 +510,59 @@ class TestRunExperiment:
 
     def test_summary_json_well_formed(self, tmp_path):
         cells = [{"instance": "toy", "solver": "cg-bio",
-                  "config": {"eps_f": 1e-5, "eps_g": 1e-5}, "seed": 3}]
+                  "config": {"eps_f": 1e-5, "eps_g": 1e-5}, "seed": 3},
+                 {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}, "seed": 3}]
         run_experiment(cells, str(tmp_path))
-        data = json.loads((tmp_path / "000_toy_cg-bio_seed3.json").read_text())
-        assert set(data) == {
+        common = {
             "instance", "solver", "config", "stop_reason", "iterations",
             "final_f_gap", "final_g_gap", "wall_nanos_total", "seed", "cell_sha256",
         }
+        data = json.loads((tmp_path / "000_toy_cg-bio_seed3.json").read_text())
+        assert set(data) == common | {"certified", "init_certificate"}
         assert data["seed"] == 3
+        assert data["certified"] is True and 0.0 <= data["init_certificate"] <= 5e-6
+        # A baseline's summary has no start to certify.
+        assert set(json.loads((tmp_path / "001_toy_dbgd_seed3.json").read_text())) == common
+
+
+class TestStartCertificate:
+    """run_solver records the cg-bio start's certificate and never reports
+    criterion_met from an uncertified start."""
+
+    # Fair instance whose start after one FW step is far from optimal
+    # (certificate about 7) yet passes cg-bio's test at k = 0 with eps 0.1.
+    FAIR = {"n": 40, "d": 3}
+    LOOSE = SolverConfig(eps_f=0.1, eps_g=0.1, max_iters=50)
+
+    def test_uncertified_start_gets_its_own_stop_reason(self):
+        inst, _ = harness.build_instance("fair", 0, self.FAIR)
+        out = harness.run_solver(inst, "cg-bio", self.LOOSE, options={"init_iters": 1})
+        assert out.certified is False and out.init_certificate > 1.0
+        assert out.stop_reason == "uncertified_start"
+        assert out.iterations == 0
+        # The same run from initialize_lower's own start, bypassing the check,
+        # would have claimed the criterion.
+        x0, cert, certified = solvers.initialize_lower(inst, self.LOOSE.eps_g, max_iters=1)
+        assert (cert, certified) == (out.init_certificate, False)
+        assert solvers.cg_bio(inst, x0, self.LOOSE).stop_reason == "criterion_met"
+
+    def test_certified_start_meets_the_criterion(self):
+        out = harness.run_solver(toy_problem(), "cg-bio", SolverConfig(eps_f=1e-5, eps_g=1e-5))
+        assert out.certified is True and 0.0 <= out.init_certificate <= 5e-6
+        assert out.stop_reason == "criterion_met"
+
+    def test_mandated_start_is_certified_by_its_fw_gap(self):
+        inst = toy_problem()
+        x = np.array([0.5, 0.5])  # on the lower-level solution face
+        cert, certified = solvers.certify_start(inst, x, 1e-5)
+        assert certified and cert == pytest.approx(0.0, abs=1e-15)
+        out = harness.run_solver(inst, "cg-bio", SolverConfig(eps_f=1e-5, eps_g=1e-5), start=x)
+        assert (out.init_certificate, out.certified) == (cert, True)
+
+    def test_uncertified_summary_in_a_suite(self, tmp_path):
+        cells = [{"instance": "fair", "solver": "cg-bio", "options": self.FAIR, "seed": 0,
+                  "config": {"eps_f": 0.1, "eps_g": 0.1, "max_iters": 50},
+                  "solver_options": {"init_iters": 1}}]
+        summary = run_experiment(cells, str(tmp_path))[0]
+        assert summary["stop_reason"] == "uncertified_start"
+        assert summary["certified"] is False and summary["init_certificate"] > 1.0

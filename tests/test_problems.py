@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bilevelcg.core import BallProduct, L1Ball, L1ColumnProduct, Polytope, ProductRegion
+from bilevelcg.core import BallProduct, L1Ball, L1ColumnProduct, Polytope, ProductRegion, SolverConfig
+from bilevelcg.harness import _is_linear, run_solver
 from bilevelcg.problems import (
     DataError,
     DatasetSplit,
@@ -15,6 +18,7 @@ from bilevelcg.problems import (
     synthetic_regression_data,
     toy_problem,
 )
+from bilevelcg.solvers import cg_bio, initialize_lower
 
 SMALL_DICT = DictLearnSpec(
     signal_dim=4, true_dict_size=6, old_dict_size=5, new_dict_size=3, shared=2,
@@ -46,12 +50,78 @@ class TestToyProblem:
 class TestLambdaMax:
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(0)
-        A = rng.standard_normal((20, 8))
-        exact = float(np.linalg.eigvalsh(A.T @ A).max())
-        assert lambda_max_gram(A) == pytest.approx(exact, rel=1e-6)
+        for shape in ((20, 8), (20, 300), (300, 20)):  # tall, wide (n < d), tall
+            A = rng.standard_normal(shape)
+            assert lambda_max_gram(A) == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
+
+    def test_not_below_the_spectral_norm_on_the_regression_block(self):
+        # A power iteration's Rayleigh quotient came out 2.9e-7 too small here.
+        _, data = regression_problem(n=100, d=5000, seed=0)
+        A = data.train[0]
+        assert lambda_max_gram(A) == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
 
     def test_zero_matrix(self):
         assert lambda_max_gram(np.zeros((4, 3))) == 0.0
+        assert lambda_max_gram(np.zeros((3, 40))) == 0.0
+
+
+def traced(run):
+    """``run()``'s result and the peak bytes numpy and Python allocated in it."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFactoredLeastSquaresTag:
+    """The regression oracles are tagged by their n x d design matrix, and
+    no d x d Gram is formed on the cg_bio or projection-baseline paths."""
+
+    N, D = 100, 5000
+    GRAM_BYTES = D * D * 8
+
+    def quads(self, inst):
+        return [inst.upper.quadratic, inst.lower.quadratic]
+
+    def assert_no_large_array(self, inst):
+        for quad in self.quads(inst):
+            assert quad.Q is None
+            for value in vars(quad).values():
+                if isinstance(value, np.ndarray):
+                    assert value.size <= self.N * self.D
+
+    def test_tags_hold_no_gram_before_and_after_cg_bio(self):
+        inst, _ = regression_problem(n=self.N, d=self.D, seed=0)
+        self.assert_no_large_array(inst)
+
+        def solve():
+            x0, _, certified = initialize_lower(inst, 1e-5)
+            cg_bio(inst, x0, SolverConfig(eps_f=1e-5, eps_g=1e-5, max_iters=3))
+            return certified
+
+        certified, peak = traced(solve)
+        assert certified
+        assert peak < self.GRAM_BYTES / 4
+        self.assert_no_large_array(inst)
+
+    def test_is_linear_reads_the_factor(self):
+        inst, _ = regression_problem(n=self.N, d=self.D, seed=0)
+        linear, peak = traced(lambda: _is_linear(inst.lower))
+        assert not linear
+        assert peak < self.GRAM_BYTES / 100
+
+    @pytest.mark.parametrize("solver", ["big-sam", "a-irg", "dbgd"])
+    def test_projection_baselines_form_no_gram(self, solver):
+        inst, _ = regression_problem(n=self.N, d=self.D, seed=0)
+        _, peak = traced(lambda: run_solver(inst, solver, SolverConfig(max_iters=3)))
+        assert peak < self.GRAM_BYTES / 4
+
+    def test_lipschitz_constants_are_exact(self):
+        inst, data = regression_problem(n=self.N, d=self.D, seed=0)
+        for oracle, (A, _) in ((inst.lower, data.train), (inst.upper, data.validation)):
+            assert oracle.lipschitz_grad == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
 
 
 class TestRegressionProblem:

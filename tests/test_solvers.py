@@ -12,7 +12,7 @@ from bilevelcg.core import (
     SolverConfig,
 )
 from bilevelcg import solvers
-from bilevelcg.problems import toy_problem
+from bilevelcg.problems import regression_problem, toy_problem
 from bilevelcg.solvers import (
     AIrgConfig,
     BigSamConfig,
@@ -334,6 +334,22 @@ class TestMng:
         out = mng(inst, MngConfig(M=1.0), max_iters=200)
         assert out.stop_reason == "budget_exhausted"
         assert inst.lower.value(out.final_point) <= -0.9
+
+    def test_factored_tag_gives_the_bits_of_the_explicit_gram(self):
+        from dataclasses import replace
+
+        inst, data = regression_problem(n=100, d=150, seed=0)
+        A = data.validation[0]
+        factored = inst.upper.quadratic
+        np.testing.assert_array_equal(factored.F, A)
+        explicit = QuadraticForm(A.T @ A, factored.q, factored.c)
+        dense = replace(inst, upper=replace(inst.upper, quadratic=explicit))
+        config = MngConfig(M=inst.lower.lipschitz_grad)
+        a, b = mng(inst, config, max_iters=30), mng(dense, config, max_iters=30)
+        assert a.stop_reason == b.stop_reason
+        np.testing.assert_array_equal(a.final_point, b.final_point)
+        for ra, rb in zip(a.trace, b.trace, strict=True):
+            assert (ra.f_val, ra.g_val) == (rb.f_val, rb.g_val)
 
 
 class TestQuadraticSubproblem:
