@@ -11,7 +11,6 @@ from .core import (
     Harmonic,
     InvSqrt,
     L1Ball,
-    L1ColumnProduct,
     OracleError,
     Polytope,
     ProductRegion,

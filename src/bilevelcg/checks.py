@@ -19,7 +19,6 @@ from .core import (
     ConstantStep,
     Halfspace,
     L1Ball,
-    L1ColumnProduct,
     Polytope,
     ProductRegion,
     BallProduct,
@@ -289,11 +288,12 @@ def check_value_transfer(slack: float = 1e-8) -> list:
 # ---------------------------------------------------------------------------
 
 def brute_lmo_l1(radius: float, c: np.ndarray) -> np.ndarray:
-    """l1-ball LMO by enumerating the 2d signed vertices, lowest index wins."""
+    """l1-ball LMO by enumerating the 2d signed vertices: lowest index wins,
+    and -r before +r, so a zero objective gives -r * e_0 as the LMO does."""
     d = c.shape[0]
     best, best_val = None, np.inf
     for i in range(d):
-        for sign in (1.0, -1.0):
+        for sign in (-1.0, 1.0):
             v = np.zeros(d)
             v[i] = sign * radius
             val = float(c @ v)
@@ -327,26 +327,40 @@ def cut_certificate_gap(
 
 
 def l1_cut_lp_value(region: L1Ball, h: Halfspace, c: np.ndarray) -> float:
-    """min <c, s> over the l1 ball cut by ``h`` from the dense simplex on the
-    split LP s = s+ - s-: sum(s+ + s-) <= r, <a, s+ - s-> <= beta."""
-    ones = np.ones(region.dimension)
-    A = np.vstack([np.concatenate([ones, ones]), np.concatenate([h.normal, -h.normal])])
-    sol = simplex_solve(LpProblem(np.concatenate([c, -c]), A, np.array([region.radius, h.offset])))
-    return sol.value
+    """min <c, s> over the l1 region cut by ``h`` from the dense simplex on
+    the split LP s = s+ - s-: one row sum(s+ + s-) <= r per column, and
+    <a, s+ - s-> <= beta."""
+    ones = np.kron(np.eye(region.num_cols), np.ones(region.dimension // region.num_cols))
+    A = np.vstack([np.hstack([ones, ones]), np.concatenate([h.normal, -h.normal])])
+    b = np.append(np.full(region.num_cols, region.radius), h.offset)
+    return simplex_solve(LpProblem(np.concatenate([c, -c]), A, b)).value
 
 
 def check_oracles(count: int = 100, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
+    # The multi-column l1 regions draw from their own stream, so the other
+    # inputs keep theirs.
+    cols_rng = np.random.default_rng([seed, 1])
     results = []
 
-    # l1-ball LMO against signed-vertex enumeration.
-    worst = 0.0
+    def l1_columns() -> L1Ball:
+        num_cols, col_dim = int(cols_rng.integers(1, 6)), int(cols_rng.integers(2, 7))
+        return L1Ball(float(cols_rng.uniform(0.5, 2.0)), num_cols * col_dim, num_cols)
+
+    # l1 LMO against signed-vertex enumeration, column by column.  The
+    # multi-column regions get integer objectives, which tie often, with one
+    # zero column.
+    differ = 0
     for _ in range(count):
         d = int(rng.integers(2, 7))
-        radius = float(rng.uniform(0.5, 3.0))
-        c = rng.standard_normal(d)
-        worst = max(worst, float(np.linalg.norm(lmo(L1Ball(radius, d), c) - brute_lmo_l1(radius, c))))
-    results.append(("l1 LMO vs vertex enumeration", worst <= 1e-8, f"worst {worst:.2e}"))
+        ball = L1Ball(float(rng.uniform(0.5, 3.0)), d)
+        reg = l1_columns()
+        tied = cols_rng.integers(-2, 3, size=reg.dimension).astype(float)
+        reg.rows(tied)[int(cols_rng.integers(reg.num_cols))] = 0.0
+        for region, c in ((ball, rng.standard_normal(d)), (reg, tied)):
+            exact = np.concatenate([brute_lmo_l1(region.radius, col) for col in region.rows(c)])
+            differ += not np.array_equal(lmo(region, c), exact)
+    results.append(("l1 LMO vs vertex enumeration", differ == 0, f"{differ} of {2 * count} differ"))
 
     # Ball-product LMO against the support function: s lies in the region
     # and <c, s> reaches min_region <c, .> = -sum_j r_j |c_j|.
@@ -400,93 +414,69 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     results.append(("simplex vs vertex enumeration", worst <= 1e-8, f"worst {worst:.2e}"))
 
     # Projections by their Frank-Wolfe gap at c = p - y: gap <= 1e-12 bounds
-    # |p - proj(y)| by 1e-6.
+    # |p - proj(y)| by 1e-6.  Each draw gives one or more (region, y) pairs;
+    # the multi-column l1 points have columns of mixed scale, so that some
+    # lie inside the ball.
+    def gaussian(reg):
+        return reg, rng.standard_normal(reg.dimension) * 2.0
+
+    def mixed_columns():
+        reg = l1_columns()
+        y = cols_rng.standard_normal(reg.dimension)
+        reg.rows(y)[:] *= cols_rng.uniform(0.1, 2.0, size=(reg.num_cols, 1))
+        return reg, y
+
     projections = {
-        "l1": lambda: L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 7))),
-        "ball": lambda: BallProduct(2, 2, float(rng.uniform(0.5, 2.0))),
-        "product region": lambda: ProductRegion(
+        "l1": lambda: [gaussian(L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 7)))), mixed_columns()],
+        "ball": lambda: [gaussian(BallProduct(2, 2, float(rng.uniform(0.5, 2.0))))],
+        "product region": lambda: [gaussian(ProductRegion(
             (L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 7))), _random_ball_product(rng))
-        ),
-        "polytope": lambda: _random_polytope(rng),
+        ))],
+        "polytope": lambda: [gaussian(_random_polytope(rng))],
     }
-    for label, make in projections.items():
+    for label, draw in projections.items():
         worst = 0.0
         for _ in range(count):
-            reg = make()
-            y = rng.standard_normal(reg.dimension) * 2.0
-            p = project(reg, y)
-            worst = max(worst, cut_certificate_gap(reg, None, p - y, p))
+            for reg, y in draw():
+                p = project(reg, y)
+                worst = max(worst, cut_certificate_gap(reg, None, p - y, p))
         results.append((f"{label} projection certificate", worst <= 1e-12, f"worst gap {worst:.2e}"))
 
     # Cut LMO certificates: each answer (s, mu) closes the duality gap, and
-    # the l1 walk matches the dense simplex on the split LP.
+    # the l1 walk matches the dense simplex on the split LP.  Each draw gives
+    # regions with the stream their objective and cut come from and the
+    # blocks one of which holds the cut's normal: the columns of an l1
+    # region, the blocks of a product region.
+    def l1_cut(reg, stream):
+        width = reg.dimension // reg.num_cols
+        return reg, stream, [(lo, lo + width) for lo in range(0, reg.dimension, width)]
+
+    def product_cut(reg):
+        return reg, rng, reg.offsets()
+
     makers = {
-        "l1 ball": lambda: L1Ball(float(rng.uniform(0.5, 3.0)), int(rng.integers(2, 51))),
-        "ball product": lambda: _random_ball_product(rng),
-        "polytope": lambda: _random_polytope(rng),
-        "product region": lambda: ProductRegion(
+        "l1 ball": lambda: [l1_cut(L1Ball(float(rng.uniform(0.5, 3.0)), int(rng.integers(2, 51))), rng),
+                            l1_cut(l1_columns(), cols_rng)],
+        "ball product": lambda: [(_random_ball_product(rng), rng, None)],
+        "polytope": lambda: [(_random_polytope(rng), rng, None)],
+        "product region": lambda: [product_cut(ProductRegion(
             (L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 6))), _random_ball_product(rng),
              _random_polytope(rng))
-        ),
+        ))],
     }
     lp_worst = 0.0
-    for label, make in makers.items():
+    for label, draw in makers.items():
         worst = 0.0
         for _ in range(count):
-            reg = make()
-            c = rng.standard_normal(reg.dimension)
-            h, plain = _active_cut(reg, c, rng, reg.offsets() if isinstance(reg, ProductRegion) else None)
-            s, mu = reg.cut_lmo(h, c, plain)
-            worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
-            if isinstance(reg, L1Ball):
-                lp_worst = max(lp_worst, abs(float(c @ s) - l1_cut_lp_value(reg, h, c)))
+            for reg, stream, blocks in draw():
+                c = stream.standard_normal(reg.dimension)
+                h, plain = _active_cut(reg, c, stream, blocks)
+                s, mu = reg.cut_lmo(h, c, plain)
+                worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
+                if isinstance(reg, L1Ball):
+                    lp_worst = max(lp_worst, abs(float(c @ s) - l1_cut_lp_value(reg, h, c)))
         results.append((f"{label} cut LMO certificate", worst <= 1e-9, f"worst gap {worst:.2e}"))
     results.append(("l1 cut LMO vs split-LP simplex", lp_worst <= 1e-9, f"worst {lp_worst:.2e}"))
-    return results + _check_l1_column_product(count, seed)
-
-
-def _check_l1_column_product(count: int, seed: int) -> list:
-    """The per-column l1 product against the l1 ball's LMO on each column,
-    and its projection and single-column cut by their certificates.  The
-    draws come from their own stream, so the other labels of
-    :func:`check_oracles` keep theirs."""
-    rng = np.random.default_rng([seed, 1])
-
-    def make():
-        return L1ColumnProduct(int(rng.integers(1, 6)), int(rng.integers(2, 7)), float(rng.uniform(0.5, 2.0)))
-
-    # Integer objectives tie often; one column is zero.
-    differ = 0
-    for _ in range(count):
-        reg = make()
-        c = rng.integers(-2, 3, size=(reg.num_cols, reg.col_dim)).astype(float)
-        c[int(rng.integers(reg.num_cols))] = 0.0
-        ball = L1Ball(reg.radius, reg.col_dim)
-        loop = np.concatenate([ball.lmo(col) for col in c])
-        differ += not np.array_equal(lmo(reg, c.ravel()), loop)
-    results = [("l1 column product LMO vs per-column l1 LMO", differ == 0, f"{differ} of {count} differ")]
-    # The certificates below minimize with this LMO.
-    if differ:
-        return results
-
-    # Columns of mixed scale, so that some lie inside the ball.
-    worst = 0.0
-    for _ in range(count):
-        reg = make()
-        y = (rng.standard_normal((reg.num_cols, reg.col_dim)) * rng.uniform(0.1, 2.0, size=(reg.num_cols, 1))).ravel()
-        p = project(reg, y)
-        worst = max(worst, cut_certificate_gap(reg, None, p - y, p))
-    results.append(("l1 column product projection certificate", worst <= 1e-12, f"worst gap {worst:.2e}"))
-
-    worst = 0.0
-    for _ in range(count):
-        reg = make()
-        c = rng.standard_normal(reg.dimension)
-        columns = [(j * reg.col_dim, (j + 1) * reg.col_dim) for j in range(reg.num_cols)]
-        h, plain = _active_cut(reg, c, rng, columns)
-        s, mu = reg.cut_lmo(h, c, plain)
-        worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
-    results.append(("l1 column product cut LMO certificate", worst <= 1e-9, f"worst gap {worst:.2e}"))
     return results
 
 

@@ -177,76 +177,116 @@ class Region:
 
 @dataclass(frozen=True)
 class L1Ball(Region):
-    """{x : ||x||_1 <= radius} in ``dimension`` variables."""
+    """{x : ||x_j||_1 <= radius for every column x_j}, where the
+    ``dimension`` variables split into ``num_cols`` equal, consecutive
+    columns (a matrix stored column-major, as the dictionary family's
+    coefficients).  One column, the default, is the plain l1 ball."""
 
     radius: float
     dimension: int
+    num_cols: int = 1
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("l1 ball radius must be positive")
+        if self.num_cols < 1 or self.dimension % self.num_cols:
+            raise ValueError("dimension must split into num_cols >= 1 equal columns")
 
     @property
     def diameter(self) -> float:
-        return 2.0 * self.radius
+        return 2.0 * self.radius * float(np.sqrt(self.num_cols))
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The columns as the rows of a (num_cols, dimension / num_cols)
+        view.  A row is contiguous, so its sum, sort, cumsum and argmax run
+        in the order of a one-vector operation on that column, and give its
+        bits."""
+        return np.asarray(x, dtype=float).reshape(self.num_cols, -1)
 
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
         tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
-        return float(np.abs(x).sum()) <= self.radius + tol
+        return bool(np.all(np.abs(self.rows(x)).sum(axis=1) <= self.radius + tol))
 
     def lmo(self, c: np.ndarray) -> np.ndarray:
-        i = int(np.argmax(np.abs(c)))
-        s = np.zeros_like(c)
-        s[i] = -self.radius if c[i] >= 0 else self.radius
+        rows = self.rows(c)
+        # The flat index of each column's first largest |c_i|.
+        at = np.argmax(np.abs(rows), axis=1) + np.arange(0, self.dimension, rows.shape[1])
+        s = np.zeros(self.dimension)
+        s[at] = np.where(rows.reshape(-1)[at] >= 0, -self.radius, self.radius)
         return s
 
     def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
-        """Maximize the dual -r * max_k line_k(mu) - mu * beta over mu >= 0
-        by walking the upper envelope of the 2d lines sigma * (c_i + mu a_i)
-        from mu = 0.  The signed vertex of line (i, sigma) is
-        -sigma * r * e_i, with <a, vertex> = -r * slope; the walk stops at the
-        first line whose vertex satisfies the cut and mixes that vertex with
-        the one before it onto the cut."""
-        r, beta = self.radius, h.offset
-        # Line 2i + (sigma < 0), so the lowest line index is the lowest
-        # coordinate, + before -, as in lmo().
-        icpt = np.stack([c, -c], axis=1).ravel()
-        slope = np.stack([h.normal, -h.normal], axis=1).ravel()
-        i = int(np.argmax(np.abs(c)))
-        k = 2 * i + int(c[i] < 0)  # the line of the plain LMO vertex
-        prev, mu = k, 0.0
-        while -r * slope[k] > beta:
-            steeper = slope > slope[k]
-            if not steeper.any():
-                raise OracleError("the cut excludes the whole l1 ball")
-            cross = np.divide(icpt[k] - icpt, slope - slope[k], out=np.full(icpt.shape, np.inf), where=steeper)
-            # Rounding can put a crossing a hair before mu; the envelope only
-            # moves right.  Of the lines crossing first, the steepest
-            # continues the envelope (argmax keeps the lowest index on ties).
-            cross = np.maximum(cross, mu)
-            mu = float(cross.min())
-            first = np.flatnonzero(cross == mu)
-            prev, k = k, int(first[np.argmax(slope[first])])
-        s = np.zeros_like(c)
-        a_left, a_right = -r * slope[prev], -r * slope[k]
-        theta = (beta - a_right) / (a_left - a_right) if prev != k else 0.0
-        s[prev // 2] += theta * (r if prev % 2 else -r)
-        s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
+        """The envelope walk of :func:`_l1_cut_walk` on the one column the
+        cut's normal lives in; the other columns keep their plain LMO
+        columns.  A normal on several columns raises OracleError: no caller
+        builds one, as the dictionary's lower-level gradient is zero on the
+        whole coefficient block."""
+        active = np.flatnonzero(self.rows(h.normal).any(axis=1))
+        if active.size > 1:
+            raise OracleError("halfspace couples several columns")
+        # A zero normal goes to column 0, whose walk reports the empty cut.
+        width = self.dimension // self.num_cols
+        lo = int(active[0]) * width if active.size else 0
+        hi = lo + width
+        s = plain.copy()
+        s[lo:hi], mu = _l1_cut_walk(self.radius, h.normal[lo:hi], h.offset, c[lo:hi])
         return s, mu
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Sort-based soft-thresholding (Duchi et al. style)."""
-        if np.abs(v).sum() <= self.radius:
-            return v.copy()
-        u = np.sort(np.abs(v))[::-1]
-        cumsum = np.cumsum(u)
-        ks = np.arange(1, v.size + 1)
-        rho = int(np.nonzero(u - (cumsum - self.radius) / ks > 0)[0].max())
-        theta = (cumsum[rho] - self.radius) / (rho + 1.0)
-        return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+        """Sort-based soft-thresholding (Duchi et al. 2008; Condat 2016) of
+        every column outside the ball; the others are returned unchanged
+        (threshold 0)."""
+        rows = self.rows(v)
+        mags = np.abs(rows)
+        over = mags.sum(axis=1) > self.radius
+        if not over.any():
+            return rows.reshape(-1).copy()
+        u = np.sort(mags, axis=1)[:, ::-1]
+        cumsum = np.cumsum(u, axis=1)
+        ks = np.arange(1, rows.shape[1] + 1)
+        positive = u - (cumsum - self.radius) / ks > 0
+        rho = rows.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)  # last positive index
+        theta = np.where(over, (cumsum[np.arange(self.num_cols), rho] - self.radius) / (rho + 1.0), 0.0)
+        return (np.sign(rows) * np.maximum(mags - theta[:, None], 0.0)).reshape(-1)
 
     def feasible_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
+
+
+def _l1_cut_walk(r: float, a: np.ndarray, beta: float, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize <c, s> over the l1 ball of radius r cut by <a, s> <= beta,
+    whose plain LMO point violates the cut: maximize the dual
+    -r * max_k line_k(mu) - mu * beta over mu >= 0 by walking the upper
+    envelope of the 2d lines sigma * (c_i + mu a_i) from mu = 0.  The signed
+    vertex of line (i, sigma) is -sigma * r * e_i, with <a, vertex> =
+    -r * slope; the walk stops at the first line whose vertex satisfies the
+    cut and mixes that vertex with the one before it onto the cut.  Returns
+    the minimizer and the multiplier mu."""
+    # Line 2i + (sigma < 0), so the lowest line index is the lowest
+    # coordinate, + before -, as in L1Ball.lmo().
+    icpt = np.stack([c, -c], axis=1).ravel()
+    slope = np.stack([a, -a], axis=1).ravel()
+    i = int(np.argmax(np.abs(c)))
+    k = 2 * i + int(c[i] < 0)  # the line of the plain LMO vertex
+    prev, mu = k, 0.0
+    while -r * slope[k] > beta:
+        steeper = slope > slope[k]
+        if not steeper.any():
+            raise OracleError("the cut excludes the whole l1 ball")
+        cross = np.divide(icpt[k] - icpt, slope - slope[k], out=np.full(icpt.shape, np.inf), where=steeper)
+        # Rounding can put a crossing a hair before mu; the envelope only
+        # moves right.  Of the lines crossing first, the steepest continues
+        # the envelope (argmax keeps the lowest index on ties).
+        cross = np.maximum(cross, mu)
+        mu = float(cross.min())
+        first = np.flatnonzero(cross == mu)
+        prev, k = k, int(first[np.argmax(slope[first])])
+    s = np.zeros_like(c)
+    a_left, a_right = -r * slope[prev], -r * slope[k]
+    theta = (beta - a_right) / (a_left - a_right) if prev != k else 0.0
+    s[prev // 2] += theta * (r if prev % 2 else -r)
+    s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
+    return s, mu
 
 
 @dataclass(frozen=True)
@@ -370,86 +410,6 @@ class BallProduct(Region):
         over = norms > self.radii
         cols[:, over] *= self.radii[over] / norms[over]
         return self.flatten(cols)
-
-    def feasible_point(self) -> np.ndarray:
-        return np.zeros(self.dimension)
-
-
-@dataclass(frozen=True)
-class L1ColumnProduct(Region):
-    """Product of per-column l1 balls of one radius for a matrix variable
-    stored column-major as a flat vector of length col_dim * num_cols: the
-    l1 mirror of :class:`BallProduct`.  Each operation is the
-    :class:`L1Ball` one, done on all columns at once."""
-
-    num_cols: int
-    col_dim: int
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("l1 ball radius must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.num_cols * self.col_dim
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius * float(np.sqrt(self.num_cols))
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """The matrix columns as the rows of a (num_cols, col_dim) view.  A
-        row is contiguous, so its sum, sort, cumsum and argmax run in the
-        order of the :class:`L1Ball` operation on that column, and give its
-        bits."""
-        return np.asarray(x, dtype=float).reshape(self.num_cols, self.col_dim)
-
-    def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
-        tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
-        return bool(np.all(np.abs(self.rows(x)).sum(axis=1) <= self.radius + tol))
-
-    def lmo(self, c: np.ndarray) -> np.ndarray:
-        rows, cols = self.rows(c), np.arange(self.num_cols)
-        first = np.argmax(np.abs(rows), axis=1)  # lowest index on ties
-        s = np.zeros_like(rows)
-        s[cols, first] = np.where(rows[cols, first] >= 0, -self.radius, self.radius)
-        return s.reshape(-1)
-
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
-        """The :class:`L1Ball` envelope walk on the one column the cut's
-        normal lives in; the other columns keep their plain LMO columns.
-        A normal on several columns raises OracleError: no caller builds
-        one, as the dictionary's lower-level gradient is zero on the whole
-        coefficient block."""
-        active = np.flatnonzero(np.any(self.rows(h.normal) != 0.0, axis=1))
-        if active.size > 1:
-            raise OracleError("halfspace couples several columns")
-        # A zero normal goes to column 0, whose walk reports the empty cut.
-        lo = int(active[0]) * self.col_dim if active.size else 0
-        hi = lo + self.col_dim
-        cut = Halfspace(h.normal[lo:hi], h.offset)
-        part, mu = L1Ball(self.radius, self.col_dim).cut_lmo(cut, c[lo:hi], plain[lo:hi])
-        s = plain.copy()
-        s[lo:hi] = part
-        return s, mu
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Sort-based soft-thresholding (Duchi et al. 2008; Condat 2016) of
-        every column outside the ball; the others are returned unchanged."""
-        rows = self.rows(v)
-        out = rows.copy()
-        over = np.abs(rows).sum(axis=1) > self.radius
-        if over.any():
-            mags = np.abs(rows[over])
-            u = np.sort(mags, axis=1)[:, ::-1]
-            cumsum = np.cumsum(u, axis=1)
-            ks = np.arange(1, self.col_dim + 1)
-            positive = u - (cumsum - self.radius) / ks > 0
-            rho = self.col_dim - 1 - np.argmax(positive[:, ::-1], axis=1)  # last positive index
-            theta = (cumsum[np.arange(rho.size), rho] - self.radius) / (rho + 1.0)
-            out[over] = np.sign(rows[over]) * np.maximum(mags - theta[:, None], 0.0)
-        return out.reshape(-1)
 
     def feasible_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -598,7 +558,10 @@ class ProductRegion(Region):
     def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
         normals = self.split(h.normal)
         active = [i for i, n in enumerate(normals) if np.any(n != 0.0)]
-        if len(active) != 1:
+        # ``plain`` violates the cut, so a zero normal excludes every point.
+        if not active:
+            raise OracleError("the cut excludes the whole product region")
+        if len(active) > 1:
             raise OracleError("halfspace couples several product blocks")
         i = active[0]
         lo, hi = self._offsets[i]
@@ -696,6 +659,12 @@ class Harmonic:
         if self.shift < 2:
             raise ValueError("harmonic shift must be >= 2")
 
+    def step(self, k: int) -> float:
+        return 2.0 / (k + self.shift)
+
+    def __str__(self) -> str:
+        return f"harmonic:{self.shift}"
+
 
 @dataclass(frozen=True)
 class ConstantStep:
@@ -705,16 +674,28 @@ class ConstantStep:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("constant stepsize must lie in (0, 1]")
 
+    def step(self, k: int) -> float:
+        return self.gamma
+
+    def __str__(self) -> str:
+        return f"constant:{self.gamma!r}"
+
 
 @dataclass(frozen=True)
 class InvSqrt:
     """gamma_k = min(1, scale / sqrt(k + 1))."""
 
-    scale: float
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("inv-sqrt scale must be positive")
+
+    def step(self, k: int) -> float:
+        return min(1.0, self.scale / np.sqrt(k + 1.0))
+
+    def __str__(self) -> str:
+        return f"inv-sqrt:{self.scale!r}"
 
 
 Schedule = Union[Harmonic, ConstantStep, InvSqrt]
@@ -723,13 +704,7 @@ Schedule = Union[Harmonic, ConstantStep, InvSqrt]
 def step_size(schedule: Schedule, k: int) -> float:
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
-    if isinstance(schedule, Harmonic):
-        return 2.0 / (k + schedule.shift)
-    if isinstance(schedule, ConstantStep):
-        return schedule.gamma
-    if isinstance(schedule, InvSqrt):
-        return min(1.0, schedule.scale / np.sqrt(k + 1.0))
-    raise TypeError(f"unknown schedule {schedule!r}")
+    return schedule.step(k)
 
 
 # ---------------------------------------------------------------------------

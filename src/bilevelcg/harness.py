@@ -332,25 +332,18 @@ def _none_if_nan(x: float):
     return None if (x != x) else x
 
 
-def schedule_to_string(schedule: Schedule) -> str:
-    if isinstance(schedule, Harmonic):
-        return f"harmonic:{schedule.shift}"
-    if isinstance(schedule, ConstantStep):
-        return f"constant:{schedule.gamma!r}"
-    if isinstance(schedule, InvSqrt):
-        return f"inv-sqrt:{schedule.scale!r}"
-    raise TypeError(f"unknown schedule {schedule!r}")
+# The text name of each schedule and the type of its one argument; a
+# missing argument takes the class default.
+_SCHEDULES = {"harmonic": (Harmonic, int), "constant": (ConstantStep, float), "inv-sqrt": (InvSqrt, float)}
 
 
 def parse_schedule(text: str) -> Schedule:
+    """The schedule of a text form ``name:argument``, as ``str`` writes it."""
     kind, _, arg = text.partition(":")
-    if kind == "harmonic":
-        return Harmonic(int(arg) if arg else 2)
-    if kind == "constant":
-        return ConstantStep(float(arg))
-    if kind == "inv-sqrt":
-        return InvSqrt(float(arg) if arg else 1.0)
-    raise ValueError(f"unknown schedule {text!r}")
+    if kind not in _SCHEDULES:
+        raise ValueError(f"unknown schedule {text!r}")
+    cls, convert = _SCHEDULES[kind]
+    return cls(convert(arg)) if arg else cls()
 
 
 def config_to_dict(config: SolverConfig) -> dict:
@@ -358,7 +351,7 @@ def config_to_dict(config: SolverConfig) -> dict:
         "eps_f": config.eps_f,
         "eps_g": config.eps_g,
         "max_iters": config.max_iters,
-        "schedule": schedule_to_string(config.schedule),
+        "schedule": str(config.schedule),
     }
 
 

@@ -14,7 +14,6 @@ from .core import (
     BallProduct,
     BilevelInstance,
     L1Ball,
-    L1ColumnProduct,
     Polytope,
     ProductRegion,
     QuadraticForm,
@@ -382,7 +381,7 @@ def dict_unpack(z: np.ndarray, m: int, p: int, n: int) -> tuple[np.ndarray, np.n
 def _dict_region(m: int, p: int, n: int, delta: float) -> ProductRegion:
     """Unit-ball dictionary columns times coefficient columns in l1 balls
     of radius ``delta``, in the layout of :func:`dict_pack`."""
-    return ProductRegion((BallProduct(num_cols=p, col_dim=m, radii=1.0), L1ColumnProduct(n, p, delta)))
+    return ProductRegion((BallProduct(num_cols=p, col_dim=m, radii=1.0), L1Ball(delta, p * n, num_cols=n)))
 
 
 def _reconstruction_oracle(A: np.ndarray, m: int, p: int) -> SmoothOracle:

@@ -85,6 +85,14 @@ class TestFairCommand:
         assert "start certified, certificate" in capsys.readouterr().out
 
 
+class TestDictCommand:
+    def test_readme_command(self, tmp_path, capsys):
+        assert main(["dict", "--eps-g", "1e-3", "--max-iters", "1000", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "000_dict_cg-bio_seed0.json").read_text())
+        assert summary["certified"] is True
+        assert summary["stop_reason"] in ("criterion_met", "budget_exhausted")
+
+
 class TestVerifyCommand:
     def test_single_group_passes(self, capsys):
         assert main(["verify", "--group", "transfer"]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bilevelcg.checks import brute_lmo_l1
 from bilevelcg.core import (
     BallProduct,
     BilevelInstance,
@@ -10,7 +11,6 @@ from bilevelcg.core import (
     Harmonic,
     InvSqrt,
     L1Ball,
-    L1ColumnProduct,
     OracleError,
     Polytope,
     ProductRegion,
@@ -115,8 +115,8 @@ class TestBallProduct:
         assert region.diameter == pytest.approx(10.0)
 
 
-class TestL1ColumnProduct:
-    REGION = L1ColumnProduct(num_cols=4, col_dim=3, radius=1.5)
+class TestL1BallColumns:
+    REGION = L1Ball(radius=1.5, dimension=12, num_cols=4)
     # The same region as a product of one l1 ball per column.
     BLOCKS = ProductRegion(tuple(L1Ball(1.5, 3) for _ in range(4)))
 
@@ -127,6 +127,8 @@ class TestL1ColumnProduct:
         for c in [fixed] + [rng.integers(-2, 3, size=12).astype(float) for _ in range(50)] + [
             rng.standard_normal(12) for _ in range(50)
         ]:
+            exact = np.concatenate([brute_lmo_l1(1.5, col) for col in c.reshape(4, 3)])
+            np.testing.assert_array_equal(self.REGION.lmo(c), exact)
             np.testing.assert_array_equal(self.REGION.lmo(c), self.BLOCKS.lmo(c))
 
     def test_project_matches_the_block_loop(self):
@@ -152,7 +154,12 @@ class TestL1ColumnProduct:
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            L1ColumnProduct(2, 3, 0.0)
+            L1Ball(0.0, 6, num_cols=2)
+
+    @pytest.mark.parametrize("dimension, num_cols", [(6, 0), (6, -2), (7, 2)])
+    def test_rejects_columns_that_do_not_split_the_dimension(self, dimension, num_cols):
+        with pytest.raises(ValueError, match="equal columns"):
+            L1Ball(1.0, dimension, num_cols=num_cols)
 
     def test_coupled_cut_raises(self):
         c = np.arange(12.0)

@@ -6,6 +6,8 @@ import pytest
 from bilevelcg import harness, solvers
 from bilevelcg.core import (
     BilevelInstance,
+    Harmonic,
+    InvSqrt,
     L1Ball,
     Polytope,
     QuadraticForm,
@@ -31,7 +33,6 @@ from bilevelcg.harness import (
     reference_bilevel,
     reference_lower,
     run_experiment,
-    schedule_to_string,
     true_fw_gap,
     write_trace_csv,
 )
@@ -392,7 +393,13 @@ class TestPersistence:
 
     def test_schedule_string_round_trip(self):
         for text in ("harmonic:2", "harmonic:12", "constant:0.25", "inv-sqrt:0.3"):
-            assert schedule_to_string(parse_schedule(text)) == text
+            assert str(parse_schedule(text)) == text
+
+    def test_schedule_defaults(self):
+        assert parse_schedule("harmonic") == Harmonic(2)
+        assert parse_schedule("inv-sqrt") == InvSqrt(1.0)
+        with pytest.raises(TypeError, match="gamma"):
+            parse_schedule("constant")
 
     def test_config_dict_round_trip(self):
         cfg = SolverConfig(eps_f=1e-3, eps_g=1e-4, max_iters=77)

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilevelcg import oracles
-from bilevelcg.checks import check_oracles, cut_certificate_gap, l1_cut_lp_value
+from bilevelcg.checks import brute_lmo_l1, check_oracles, cut_certificate_gap, l1_cut_lp_value
 from bilevelcg.core import (
     BallProduct,
     Halfspace,
     L1Ball,
-    L1ColumnProduct,
     OracleError,
     Polytope,
     ProductRegion,
@@ -75,6 +74,17 @@ class TestLmo:
     def test_l1_tie_break_is_lowest_index(self):
         s = lmo(L1Ball(1.0, 2), np.array([1.0, -1.0]))
         np.testing.assert_allclose(s, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("c, expected", [
+        ([0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]),
+        ([-0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]),
+        ([1.0, -1.0, 0.5], [-2.0, 0.0, 0.0]),
+        ([0.5, -1.0, 1.0], [0.0, 2.0, 0.0]),
+    ])
+    def test_vertex_enumeration_breaks_ties_as_the_lmo(self, c, expected):
+        c = np.array(c)
+        np.testing.assert_array_equal(brute_lmo_l1(2.0, c), expected)
+        np.testing.assert_array_equal(lmo(L1Ball(2.0, 3), c), expected)
 
     def test_ball_product_per_column(self):
         region = BallProduct(num_cols=2, col_dim=2, radii=np.array([1.0, 2.0]))
@@ -212,11 +222,15 @@ class TestCutLmo:
         np.testing.assert_allclose(region.columns(s), [[-0.6, 0.0], [-0.8, -1.0]])
         assert mu == np.inf
 
-    @pytest.mark.parametrize("region", [L1Ball(1.0, 3), BallProduct(num_cols=2, col_dim=2, radii=1.0)])
-    def test_cut_excluding_the_region_raises(self, region):
-        normal = np.array([1.0, -2.0, 0.5, 0.0])[: region.dimension]
+    @pytest.mark.parametrize("region, normal", [
+        pytest.param(L1Ball(1.0, 3), [1.0, -2.0, 0.5], id="region0"),
+        pytest.param(BallProduct(num_cols=2, col_dim=2, radii=1.0), [1.0, -2.0, 0.5, 0.0], id="region1"),
+        # A zero normal is active in no block, yet the plain point violates it.
+        pytest.param(ProductRegion((L1Ball(1.0, 2), BallProduct(1, 2, 1.0))), [0.0] * 4, id="region2"),
+    ])
+    def test_cut_excluding_the_region_raises(self, region, normal):
         with pytest.raises(OracleError, match="excludes"):
-            halfspace_lmo(region, Halfspace(normal, -10.0), np.ones(region.dimension))
+            halfspace_lmo(region, Halfspace(np.array(normal), -10.0), np.ones(region.dimension))
 
     def test_ball_product_zero_column_at_the_multiplier(self):
         # c + mu a = 0 at mu = 1, where the residual jumps from 0.5 to -1.5
@@ -340,29 +354,36 @@ def _ball_lmo_first_column_flipped(self, c):
 
 
 def _l1_project_theta_from_rho(self, v):
-    if np.abs(v).sum() <= self.radius:
-        return v.copy()
-    u = np.sort(np.abs(v))[::-1]
-    cumsum = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u - (cumsum - self.radius) / ks > 0)[0].max())
-    theta = (cumsum[rho] - self.radius) / max(rho, 1)  # mutant: rho, not rho + 1
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+    out = []
+    for col in self.rows(v):
+        if np.abs(col).sum() <= self.radius:
+            out.append(col.copy())
+            continue
+        u = np.sort(np.abs(col))[::-1]
+        cumsum = np.cumsum(u)
+        ks = np.arange(1, col.size + 1)
+        rho = int(np.nonzero(u - (cumsum - self.radius) / ks > 0)[0].max())
+        theta = (cumsum[rho] - self.radius) / max(rho, 1)  # mutant: rho, not rho + 1
+        out.append(np.sign(col) * np.maximum(np.abs(col) - theta, 0.0))
+    return np.concatenate(out)
 
 
-def _l1_columns_lmo_last_on_ties(self, c):
+def _l1_lmo_last_on_ties(self, c):
     """Optimal, but takes the highest index of a tie."""
     rows, cols = self.rows(c), np.arange(self.num_cols)
-    last = self.col_dim - 1 - np.argmax(np.abs(rows)[:, ::-1], axis=1)
+    last = rows.shape[1] - 1 - np.argmax(np.abs(rows)[:, ::-1], axis=1)
     s = np.zeros_like(rows)
     s[cols, last] = np.where(rows[cols, last] >= 0, -self.radius, self.radius)
     return s.reshape(-1)
 
 
-def _l1_columns_project_onto_one_ball(self, v):
+_L1_PROJECT = L1Ball.project
+
+
+def _l1_one_ball_project(self, v):
     """Projects onto the l1 ball of radius num_cols * radius around the
-    whole matrix, which contains the product."""
-    return L1Ball(self.num_cols * self.radius, self.dimension).project(v)
+    whole matrix, which contains the region: exact for one column."""
+    return _L1_PROJECT(L1Ball(self.num_cols * self.radius, self.dimension), v)
 
 
 class TestCutCertificate:
@@ -421,8 +442,8 @@ class TestCutCertificate:
         (BallProduct, "lmo", _ball_lmo_first_column_flipped, "ball-product LMO support certificate"),
         (L1Ball, "project", _l1_project_theta_from_rho, "l1 projection certificate"),
         (Polytope, "project", _polytope_project_one_sweep, "polytope projection certificate"),
-        (L1ColumnProduct, "lmo", _l1_columns_lmo_last_on_ties, "l1 column product LMO vs per-column l1 LMO"),
-        (L1ColumnProduct, "project", _l1_columns_project_onto_one_ball, "l1 column product projection certificate"),
+        (L1Ball, "lmo", _l1_lmo_last_on_ties, "l1 LMO vs vertex enumeration"),
+        (L1Ball, "project", _l1_one_ball_project, "l1 projection certificate"),
     ])
     def test_check_oracles_fails_a_mutant(self, monkeypatch, cls, name, mutant, label):
         monkeypatch.setattr(cls, name, mutant)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bilevelcg.core import BallProduct, L1Ball, L1ColumnProduct, Polytope, ProductRegion, SolverConfig
+from bilevelcg.core import BallProduct, L1Ball, Polytope, ProductRegion, SolverConfig
 from bilevelcg.harness import _is_linear, run_solver
 from bilevelcg.problems import (
     DataError,
@@ -212,9 +212,9 @@ class TestDictionaryProblem:
         assert region.blocks[0].num_cols == SMALL_DICT.true_dict_size
         assert len(region.blocks) == 2
         coeffs = region.blocks[1]
-        assert isinstance(coeffs, L1ColumnProduct)
+        assert isinstance(coeffs, L1Ball)
         assert coeffs.num_cols == SMALL_DICT.n_new
-        assert coeffs.col_dim == SMALL_DICT.true_dict_size
+        assert coeffs.dimension == SMALL_DICT.n_new * SMALL_DICT.true_dict_size
         assert coeffs.radius == SMALL_DICT.l1_radius
 
     def test_lower_gradient_zero_on_coefficient_block(self):
