@@ -101,10 +101,9 @@ def _random_convex_candidate(seed: int, dim: int) -> BilevelInstance:
 
 
 def _cg_bio_trajectory(instance, eps_f, eps_g, max_iters):
-    x0, _, certified = initialize_lower(instance, eps_g)
+    x0, _, _ = initialize_lower(instance, eps_g)
     cfg = SolverConfig(eps_f=eps_f, eps_g=eps_g, max_iters=max_iters, keep_iterates=True)
-    out = cg_bio(instance, x0, cfg)
-    return x0, cfg, out, certified
+    return x0, cfg, cg_bio(instance, x0, cfg)
 
 
 def _cuts_from_trace(instance, x0, trace) -> list[Halfspace]:
@@ -128,7 +127,7 @@ def check_cut_retention(slack: float = 1e-10) -> list:
     results = []
     instances = [toy_problem()] + [random_convex_instance(100 + i, 2 + i % 2) for i in range(4)]
     for inst in instances:
-        x0, _, out, _ = _cg_bio_trajectory(inst, 1e-7, 1e-7, 200)
+        x0, _, out = _cg_bio_trajectory(inst, 1e-7, 1e-7, 200)
         cuts = _cuts_from_trace(inst, x0, out.trace)
         face = _solution_face(inst)
         worst = max(
@@ -148,7 +147,7 @@ def check_descent_steps(slack: float = 1e-8) -> list:
     results = []
     instances = [toy_problem()] + [random_convex_instance(200 + i, 2 + i % 2) for i in range(4)]
     for inst in instances:
-        x0, cfg, out, _ = _cg_bio_trajectory(inst, 1e-13, 1e-13, 300)
+        x0, cfg, out = _cg_bio_trajectory(inst, 1e-13, 1e-13, 300)
         L_f = inst.upper.lipschitz_grad
         L_g = inst.lower.lipschitz_grad
         D = inst.region.diameter
@@ -186,8 +185,8 @@ def check_convex_rates(max_k: int = 500, slack: float = 1e-8) -> list:
     ]
     eps_g = 1e-9
     for inst in instances:
-        x0, cfg, out, certified = _cg_bio_trajectory(inst, 1e-13, eps_g, max_k)
-        if not certified:
+        x0, cfg, out = _cg_bio_trajectory(inst, 1e-13, eps_g, max_k)
+        if not out.certified:
             results.append((f"rate bounds {inst.name}", False, "initialization not certified"))
             continue
         L_f = inst.upper.lipschitz_grad
@@ -229,19 +228,18 @@ def check_nonconvex_rates(eps_values=(1e-1, 1e-2), seed: int = 7, k_cap: int = 2
     f_floor = 0.0  # min f: a squared centred covariance is >= 0, and f(0) = 0
     for eps in eps_values:
         gamma = min(eps / (L_f * D**2), eps / (L_g * D**2), 1.0)
-        x0, _, certified = initialize_lower(inst, eps)
+        x0, _, _ = initialize_lower(inst, eps)
         f0 = inst.upper.value(x0)
         K = int(np.ceil(2.0 * (f0 - f_floor) * max(L_f * D**2 / eps**2, L_g * D**2 / (eps * eps))))
         K = min(max(K, 1), k_cap)
         cfg = SolverConfig(eps_f=eps, eps_g=eps, max_iters=K, schedule=ConstantStep(gamma))
-        inst_certified = replace(inst, reference=ReferenceData(g_star=g_star))
-        out = cg_bio(inst_certified, x0, cfg)
+        out = cg_bio(inst, x0, cfg)
 
         def passes(row):
             return row.surrogate_f_gap <= eps + 1e-12 and row.g_val - g_star <= eps + 2.0 * ref_tol
 
         best = out.trace[out.best_index]
-        ok = certified and passes(best)
+        ok = out.certified and passes(best)
         first = next((row.k for row in out.trace if passes(row)), None)
         results.append(
             (
@@ -274,11 +272,11 @@ def check_value_transfer(slack: float = 1e-8) -> list:
     # Matched tolerances: eps_g = (alpha/r) (eps_f / M)^r gives |f - f*| <= eps_f.
     eps_f = 1e-3
     eps_g = params.alpha / params.order * (eps_f / params.M) ** params.order
-    x0, _, certified = initialize_lower(inst, eps_g)
+    x0, _, _ = initialize_lower(inst, eps_g)
     cfg = SolverConfig(eps_f=eps_f, eps_g=eps_g, max_iters=10_000)
     out = cg_bio(inst, x0, cfg)
     dev = abs(inst.upper.value(out.final_point) - inst.reference.f_star)
-    ok_c = certified and out.stop_reason == "criterion_met" and dev <= eps_f + slack
+    ok_c = out.stop_reason == "criterion_met" and dev <= eps_f + slack
     results.append(("matched-tolerance schedule", ok_c, f"|f - f*| = {dev:.3e}"))
     return results
 

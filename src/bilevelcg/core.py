@@ -752,11 +752,12 @@ class SolveOutcome:
     k = max_iters too), "budget_exhausted" when row max_iters did not, and
     "oracle_failure: ..." when an oracle raised while evaluating it.
 
-    A cg-bio run through :func:`bilevelcg.harness.run_solver` also records
-    its start: ``init_certificate`` bounds g(x0) - g*, and ``certified``
-    says whether that bound is at most eps_g / 2.  From an uncertified
-    start a row that passes the stop test reports "uncertified_start", not
-    "criterion_met": the test's guarantee needs a certified start."""
+    Every :func:`bilevelcg.solvers.cg_bio` run also records its start:
+    ``init_certificate`` bounds g(x0) - g*, and ``certified`` says whether
+    that bound is at most eps_g / 2; other solvers leave both None.  From an
+    uncertified start a row that passes the stop test reports
+    "uncertified_start", not "criterion_met": the test's guarantee needs a
+    certified start."""
 
     final_point: np.ndarray
     stop_reason: str

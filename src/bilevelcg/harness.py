@@ -37,7 +37,6 @@ from .solvers import (
     _line_search,
     a_irg,
     big_sam,
-    certify_start,
     cg_bio,
     dbgd,
     initialize_lower,
@@ -407,17 +406,16 @@ def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
     from . import problems
 
     opts = dict(options or {})
+    # Only the sizes the cell gives: each constructor holds its own defaults.
+    sizes = {key: kind(opts[key]) for key, kind in (("n", int), ("d", int), ("l1_radius", float))
+             if key in opts}
     if name == "toy":
         return problems.toy_problem(), None
     if name == "regression":
         data = None
         if opts.get("csv"):
             data = problems.load_csv(opts["csv"], opts["target"], seed=seed)
-        inst, _ = problems.regression_problem(
-            data=data,
-            n=int(opts.get("n", 60)), d=int(opts.get("d", 100)), seed=seed,
-            l1_radius=float(opts.get("l1_radius", 1.0)),
-        )
+        inst, _ = problems.regression_problem(data=data, seed=seed, **sizes)
         return inst, None
     if name == "fair":
         data = None
@@ -425,11 +423,7 @@ def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
             data = problems.load_csv(
                 opts["csv"], opts["target"], sensitive_column=opts.get("sensitive"), seed=seed
             )
-        inst, _ = problems.fair_classification_problem(
-            data=data,
-            n=int(opts.get("n", 200)), d=int(opts.get("d", 5)), seed=seed,
-            l1_radius=float(opts.get("l1_radius", 100.0)),
-        )
+        inst, _ = problems.fair_classification_problem(data=data, seed=seed, **sizes)
         return inst, None
     if name == "dict":
         spec_kwargs = {k: opts[k] for k in opts if k in problems.DictLearnSpec.__dataclass_fields__}
@@ -450,27 +444,17 @@ def run_solver(
     the config dataclass for a baseline; an unknown option raises
     ValueError (TypeError for a baseline).
 
-    cg-bio starts from :func:`initialize_lower`'s point, or from ``start``
-    with :func:`certify_start`'s certificate, and its outcome records both
-    values.  From an uncertified start, a row that passes the stop test
-    reports "uncertified_start" instead of "criterion_met"."""
+    cg-bio starts from ``start`` or else from :func:`initialize_lower`'s
+    point, and :func:`cg_bio` records that start's certificate."""
     opts = dict(options or {})
     allowed = {"cg-bio": {"init_iters"}, "cg": {"line_search"}}.get(solver)
     if allowed is not None and not set(opts) <= allowed:
         raise ValueError(f"unknown {solver} options {sorted(set(opts) - allowed)}")
     if solver == "cg-bio":
-        x0 = start
-        if x0 is None:
-            x0, certificate, certified = initialize_lower(
-                instance, config.eps_g, max_iters=int(opts.get("init_iters", 10_000))
-            )
-        else:
-            certificate, certified = certify_start(instance, x0, config.eps_g)
-        outcome = cg_bio(instance, x0, config)
-        reason = outcome.stop_reason
-        if not certified and reason == "criterion_met":
-            reason = "uncertified_start"
-        return replace(outcome, stop_reason=reason, init_certificate=certificate, certified=certified)
+        if start is None:
+            init_iters = int(opts.get("init_iters", 10_000))
+            start, _, _ = initialize_lower(instance, config.eps_g, max_iters=init_iters)
+        return cg_bio(instance, start, config)
     if solver == "cg":
         return standard_cg(
             instance.upper, instance.region, config,
@@ -562,6 +546,8 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
         summary = record.summary
         write_trace_csv(trace_path, outcome.trace)
     except Exception as exc:  # record the failure, keep the suite going
+        if os.path.exists(trace_path):  # an earlier config's trace is stale
+            os.remove(trace_path)
         summary = {
             "instance": cell.get("instance"), "solver": cell.get("solver"),
             "config": config_to_dict(config), "stop_reason": f"error: {exc}",

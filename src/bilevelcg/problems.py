@@ -123,6 +123,8 @@ def load_csv(
             raise DataError(f"missing column {target_column!r}")
         if sensitive_column is not None and sensitive_column not in header:
             raise DataError(f"missing column {sensitive_column!r}")
+        if sensitive_column == target_column:
+            raise DataError(f"column {target_column!r} is both the target and the sensitive attribute")
         rows = []
         for lineno, raw in enumerate(reader, start=2):
             if len(raw) != len(header):

@@ -25,8 +25,6 @@ from .core import (
 )
 from .oracles import halfspace_lmo, lmo, project
 
-_X0_SLACK = 1e-9
-
 
 class _Tracer:
     """Accumulates trace rows with per-iteration wall time."""
@@ -51,8 +49,8 @@ class _Tracer:
         )
         self._t = now
 
-    def outcome(self, x: np.ndarray, reason: str) -> SolveOutcome:
-        return SolveOutcome(final_point=np.array(x), stop_reason=reason, trace=tuple(self.rows))
+    def outcome(self, x: np.ndarray, reason: str, **start) -> SolveOutcome:
+        return SolveOutcome(final_point=np.array(x), stop_reason=reason, trace=tuple(self.rows), **start)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +173,6 @@ def initialize_lower(
     return out.final_point, certificate, certified
 
 
-def certify_start(instance: BilevelInstance, x0: np.ndarray, eps_g: float) -> tuple[float, bool]:
-    """(certificate, certified) of a given start, as :func:`initialize_lower`
-    reports them for its own: the lower-level FW gap at ``x0``, from one
-    lower-level call and one LMO."""
-    x0 = np.asarray(x0, dtype=float)
-    g_val, grad = instance.lower(x0)
-    s = lmo(instance.region, grad)
-    return _start_certificate(instance, g_val, float(grad @ (x0 - s)), eps_g)
-
-
 def _start_certificate(instance, g_val, fw_gap, eps_g) -> tuple[float, bool]:
     """The FW gap bounds g(x0) - g* by convexity.  When it does not certify
     x0, a known optimal value gives the exact excess instead."""
@@ -204,17 +192,24 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     minimization step for the upper-level gradient over that intersection,
     and stops once both surrogate gaps pass the (eps_f, eps_g/2) test.
 
-    ``x0`` must be feasible and near-optimal for the lower level
-    (g(x0) - g* <= eps_g / 2), e.g. produced by :func:`initialize_lower`.
+    The test's guarantee needs g(x0) - g* <= eps_g / 2, e.g. a start from
+    :func:`initialize_lower`.  The outcome records the start's
+    ``init_certificate`` and ``certified``, computed as
+    :func:`initialize_lower` computes them for its own point, and a row
+    that passes the test from an uncertified start reports
+    "uncertified_start" instead of "criterion_met".  An infeasible ``x0``
+    raises ConfigurationError.
     """
     x = np.asarray(x0, dtype=float).copy()
     region = instance.region
     if not region.contains(x, tol=1e-8):
         raise ConfigurationError("x0 is not feasible")
-    g0_val = instance.lower.value(x)
-    ref = instance.reference
-    if ref is not None and ref.g_star is not None and g0_val - ref.g_star > config.eps_g / 2.0 + _X0_SLACK:
-        raise ConfigurationError("x0 is not certified: g(x0) - g* exceeds eps_g / 2")
+    g0_val, g0_grad = instance.lower(x)
+    certificate, certified = _start_certificate(
+        instance, g0_val, float(g0_grad @ (x - lmo(region, g0_grad))), config.eps_g
+    )
+    start = {"init_certificate": certificate, "certified": certified}
+    passed = "criterion_met" if certified else "uncertified_start"
 
     tracer = _Tracer(config.keep_iterates)
     for k in range(config.max_iters + 1):
@@ -225,14 +220,14 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
             s = halfspace_lmo(region, cut, f_grad)
         except OracleError as exc:
             tracer.add(k, f_val, g_val, iterate=x)
-            return tracer.outcome(x, f"oracle_failure: {exc}")
+            return tracer.outcome(x, f"oracle_failure: {exc}", **start)
         f_gap = float(f_grad @ (x - s))
         g_gap = float(g_grad @ (x - s))
         tracer.add(k, f_val, g_val, f_gap=f_gap, g_gap=g_gap, iterate=x)
         if f_gap <= config.eps_f and g_gap <= config.eps_g / 2.0:
-            return tracer.outcome(x, "criterion_met")
+            return tracer.outcome(x, passed, **start)
         if k == config.max_iters:
-            return tracer.outcome(x, "budget_exhausted")
+            return tracer.outcome(x, "budget_exhausted", **start)
         gamma = step_size(config.schedule, k)
         x = (1.0 - gamma) * x + gamma * s
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bilevelcg.cli import main
@@ -73,6 +74,42 @@ class TestRegressionCommand:
             "--target", "y", "--solvers", "big-sam", "--max-iters", "20",
         ])
         assert code == 0
+
+
+def _write_csv(path, header, columns):
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    path.write_text(",".join(header) + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    return path
+
+
+def _assert_certified_start(summary):
+    assert not summary["stop_reason"].startswith("error")
+    # The FW gap at the start may round a little below zero.
+    assert summary["certified"] is True and abs(summary["init_certificate"]) <= 5e-6  # eps_g / 2
+
+
+class TestReadmeCsvCommands:
+    """The README's own-data commands with the default cg-bio solver."""
+
+    def test_regression_csv(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        a, b, c = rng.standard_normal((3, 40))
+        y = 0.5 * a - 0.2 * b + 0.1 * rng.standard_normal(40)
+        data = _write_csv(tmp_path / "data.csv", ["a", "b", "c", "y"], [a, b, c, y])
+        out = tmp_path / "runs"
+        assert main(["regression", "--csv", str(data), "--target", "y", "--out", str(out)]) == 0
+        _assert_certified_start(json.loads((out / "000_regression_cg-bio_seed0.json").read_text()))
+
+    def test_fair_csv(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((2, 60))
+        s = (rng.random(60) < 0.5).astype(float)
+        y = (a + 0.5 * s + 0.5 * rng.standard_normal(60) > 0).astype(float)
+        data = _write_csv(tmp_path / "data.csv", ["a", "b", "s", "y"], [a, b, s, y])
+        out = tmp_path / "runs"
+        code = main(["fair", "--csv", str(data), "--target", "y", "--sensitive", "s", "--out", str(out)])
+        assert code == 0
+        _assert_certified_start(json.loads((out / "000_fair_cg-bio_seed0.json").read_text()))
 
 
 class TestFairCommand:

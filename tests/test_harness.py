@@ -6,6 +6,7 @@ import pytest
 from bilevelcg import harness, solvers
 from bilevelcg.core import (
     BilevelInstance,
+    ConstantStep,
     Harmonic,
     InvSqrt,
     L1Ball,
@@ -456,6 +457,17 @@ class TestRunExperiment:
         stored = json.loads((tmp_path / "000_toy_cg-bio_seed0.json").read_text())
         assert stored == second
 
+    def test_failed_rerun_leaves_no_stale_trace(self, tmp_path):
+        cell = {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 4}, "seed": 0}
+        run_experiment([cell], str(tmp_path))
+        trace = tmp_path / "000_toy_dbgd_seed0.csv"
+        assert len(read_trace_csv(trace)) == 5
+        cell["solver_options"] = {"bogus": 1}
+        summary = run_experiment([cell], str(tmp_path))[0]
+        assert summary["stop_reason"].startswith("error:") and "bogus" in summary["stop_reason"]
+        # The earlier config's trace must not sit beside the new summary.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["000_toy_dbgd_seed0.json"]
+
     def test_cell_failure_recorded_suite_continues(self, tmp_path):
         cells = [
             {"instance": "nonsense", "solver": "cg-bio", "config": {}, "seed": 0},
@@ -533,8 +545,8 @@ class TestRunExperiment:
 
 
 class TestStartCertificate:
-    """run_solver records the cg-bio start's certificate and never reports
-    criterion_met from an uncertified start."""
+    """cg_bio records its start's certificate and never reports
+    criterion_met from an uncertified start, whoever calls it."""
 
     # Fair instance whose start after one FW step is far from optimal
     # (certificate about 7) yet passes cg-bio's test at k = 0 with eps 0.1.
@@ -547,11 +559,12 @@ class TestStartCertificate:
         assert out.certified is False and out.init_certificate > 1.0
         assert out.stop_reason == "uncertified_start"
         assert out.iterations == 0
-        # The same run from initialize_lower's own start, bypassing the check,
-        # would have claimed the criterion.
+        # A direct cg_bio call from initialize_lower's start, without
+        # run_solver, certifies the start the same way and reports the same.
         x0, cert, certified = solvers.initialize_lower(inst, self.LOOSE.eps_g, max_iters=1)
         assert (cert, certified) == (out.init_certificate, False)
-        assert solvers.cg_bio(inst, x0, self.LOOSE).stop_reason == "criterion_met"
+        direct = solvers.cg_bio(inst, x0, self.LOOSE)
+        assert (direct.stop_reason, direct.certified) == ("uncertified_start", False)
 
     def test_certified_start_meets_the_criterion(self):
         out = harness.run_solver(toy_problem(), "cg-bio", SolverConfig(eps_f=1e-5, eps_g=1e-5))
@@ -561,10 +574,11 @@ class TestStartCertificate:
     def test_mandated_start_is_certified_by_its_fw_gap(self):
         inst = toy_problem()
         x = np.array([0.5, 0.5])  # on the lower-level solution face
-        cert, certified = solvers.certify_start(inst, x, 1e-5)
-        assert certified and cert == pytest.approx(0.0, abs=1e-15)
-        out = harness.run_solver(inst, "cg-bio", SolverConfig(eps_f=1e-5, eps_g=1e-5), start=x)
-        assert (out.init_certificate, out.certified) == (cert, True)
+        config = SolverConfig(eps_f=1e-5, eps_g=1e-5)
+        direct = solvers.cg_bio(inst, x, config)
+        assert direct.certified is True and direct.init_certificate == pytest.approx(0.0, abs=1e-15)
+        out = harness.run_solver(inst, "cg-bio", config, start=x)
+        assert (out.init_certificate, out.certified) == (direct.init_certificate, True)
 
     def test_uncertified_summary_in_a_suite(self, tmp_path):
         cells = [{"instance": "fair", "solver": "cg-bio", "options": self.FAIR, "seed": 0,
@@ -573,3 +587,23 @@ class TestStartCertificate:
         summary = run_experiment(cells, str(tmp_path))[0]
         assert summary["stop_reason"] == "uncertified_start"
         assert summary["certified"] is False and summary["init_certificate"] > 1.0
+
+    def test_direct_criterion_met_implies_the_certified_start(self):
+        """Over init_iters, eps and two schedules, a direct cg_bio run that
+        reports criterion_met has a certified start, and every run's
+        certificate is initialize_lower's to the bit."""
+        inst, _ = harness.build_instance("fair", 0, self.FAIR)
+        reasons = set()
+        for init_iters in (1, 2, 5, 10_000):
+            for eps in (0.1, 0.01):
+                x0, cert, certified = solvers.initialize_lower(inst, eps, max_iters=init_iters)
+                for schedule in (Harmonic(2), ConstantStep(1e-3)):
+                    config = SolverConfig(eps_f=eps, eps_g=eps, max_iters=50, schedule=schedule)
+                    out = solvers.cg_bio(inst, x0, config)
+                    assert out.init_certificate.hex() == cert.hex()
+                    assert out.certified is certified
+                    if out.stop_reason == "criterion_met":
+                        assert out.certified is True
+                    reasons.add(out.stop_reason)
+        # Both sides of the rule occur, so the assertions above are not vacuous.
+        assert {"criterion_met", "uncertified_start"} <= reasons

@@ -297,6 +297,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing column 'y'"):
             load_csv(path, target_column="y")
 
+    def test_sensitive_column_equal_to_the_target_rejected(self, tmp_path):
+        rows = "\n".join(f"{i},{i % 2}" for i in range(10))
+        path = self.write(tmp_path, "a,y\n" + rows + "\n")
+        with pytest.raises(DataError, match="'y'.*target.*sensitive"):
+            load_csv(path, target_column="y", sensitive_column="y")
+
     def test_sensitive_column_carried_through(self, tmp_path):
         rows = "\n".join(f"{i},{i % 2},{i % 2}" for i in range(10))
         path = self.write(tmp_path, "a,s,y\n" + rows + "\n")

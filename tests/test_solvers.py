@@ -249,11 +249,14 @@ class TestCgBio:
         with pytest.raises(ConfigurationError):
             cg_bio(inst, np.array([2.0, 2.0]), SolverConfig())
 
-    def test_uncertified_start_rejected(self):
+    def test_uncertified_start_never_meets_the_criterion(self):
         inst = toy_problem()
-        # (0, 0) is feasible but far from lower-level optimal.
-        with pytest.raises(ConfigurationError):
-            cg_bio(inst, np.zeros(2), SolverConfig(eps_g=1e-5))
+        # (0, 0) is feasible but far from lower-level optimal: g(0) - g* = 1.
+        # A row passes the stop test, yet the start voids its guarantee.
+        out = cg_bio(inst, np.zeros(2), SolverConfig(eps_f=0.01, eps_g=0.01, max_iters=200))
+        assert out.certified is False and out.init_certificate == pytest.approx(1.0)
+        assert out.stop_reason == "uncertified_start"
+        assert out.iterations < 200
 
     def test_stop_requires_both_gaps(self):
         inst = toy_problem()
