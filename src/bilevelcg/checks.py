@@ -442,21 +442,29 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
 
     # Cut LMO certificates: each answer (s, mu) closes the duality gap, and
     # the l1 walk matches the dense simplex on the split LP.  Each draw gives
-    # regions with the stream their objective and cut come from and the
-    # blocks one of which holds the cut's normal: the columns of an l1
-    # region, the blocks of a product region.
+    # cut problems (region, c, h, plain), each drawn from one stream: for
+    # an l1 region and a product region the cut's normal lives in one
+    # block, a column of the former or a block of the latter.  The
+    # zero-column ball products draw from their own stream, so the other
+    # inputs keep theirs.
+    jump_rng = np.random.default_rng([seed, 2])
+
+    def cut(reg, stream, blocks=None):
+        c = stream.standard_normal(reg.dimension)
+        return (reg, c, *_active_cut(reg, c, stream, blocks))
+
     def l1_cut(reg, stream):
         width = reg.dimension // reg.num_cols
-        return reg, stream, [(lo, lo + width) for lo in range(0, reg.dimension, width)]
+        return cut(reg, stream, [(lo, lo + width) for lo in range(0, reg.dimension, width)])
 
     def product_cut(reg):
-        return reg, rng, reg.offsets()
+        return cut(reg, rng, reg.offsets())
 
     makers = {
         "l1 ball": lambda: [l1_cut(L1Ball(float(rng.uniform(0.5, 3.0)), int(rng.integers(2, 51))), rng),
                             l1_cut(l1_columns(), cols_rng)],
-        "ball product": lambda: [(_random_ball_product(rng), rng, None)],
-        "polytope": lambda: [(_random_polytope(rng), rng, None)],
+        "ball product": lambda: [cut(_random_ball_product(rng), rng), _zero_column_cut(jump_rng)],
+        "polytope": lambda: [cut(_random_polytope(rng), rng)],
         "product region": lambda: [product_cut(ProductRegion(
             (L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 6))), _random_ball_product(rng),
              _random_polytope(rng))
@@ -466,9 +474,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     for label, draw in makers.items():
         worst = 0.0
         for _ in range(count):
-            for reg, stream, blocks in draw():
-                c = stream.standard_normal(reg.dimension)
-                h, plain = _active_cut(reg, c, stream, blocks)
+            for reg, c, h, plain in draw():
                 s, mu = reg.cut_lmo(h, c, plain)
                 worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
                 if isinstance(reg, L1Ball):
@@ -481,6 +487,26 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
 def _random_ball_product(rng) -> BallProduct:
     num_cols = int(rng.integers(1, 5))
     return BallProduct(num_cols, int(rng.integers(2, 5)), rng.uniform(0.5, 2.0, size=num_cols))
+
+
+def _zero_column_cut(rng) -> tuple:
+    """A ball-product cut problem (region, c, h, plain) whose multiplier
+    sits where a column of c + mu a passes through zero: c_j = -tau a_j for
+    one random column j, where tau is the multiplier of a Gaussian draw.
+    At tau column j's term of the residual jumps from r_j |a_j|, its
+    largest value, to -r_j |a_j|, its least, and the other terms are the
+    Gaussian draw's, whose residual is 0 there.  So the new residual
+    changes sign at tau, the new multiplier, and the cut oracle's bracket
+    closes on that jump."""
+    reg = _random_ball_product(rng)
+    c = rng.standard_normal(reg.dimension)
+    h, plain = _active_cut(reg, c, rng)
+    _, tau = reg.cut_lmo(h, c, plain)
+    cols = reg.columns(c).copy()
+    j = int(rng.integers(reg.num_cols))
+    cols[:, j] = -tau * reg.columns(h.normal)[:, j]
+    c = reg.flatten(cols)
+    return reg, c, h, lmo(reg, c)
 
 
 def _active_cut(region, c: np.ndarray, rng, blocks=None) -> tuple[Halfspace, np.ndarray]:

@@ -187,8 +187,8 @@ class L1Ball(Region):
     num_cols: int = 1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("l1 ball radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("l1 ball radius must be positive and finite")
         if self.num_cols < 1 or self.dimension % self.num_cols:
             raise ValueError("dimension must split into num_cols >= 1 equal columns")
 
@@ -301,8 +301,8 @@ class BallProduct(Region):
     def __post_init__(self):
         radii = np.broadcast_to(np.asarray(self.radii, dtype=float), (self.num_cols,))
         object.__setattr__(self, "radii", radii.copy())
-        if np.any(self.radii <= 0):
-            raise ValueError("ball radii must be positive")
+        if not np.all((0.0 < self.radii) & (self.radii < np.inf)):
+            raise ValueError("ball radii must be positive and finite")
 
     @property
     def dimension(self) -> int:
@@ -326,12 +326,13 @@ class BallProduct(Region):
     def _column_lmo(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """LMO point of the objective columns ``cols`` (as columns) and the
         column norms."""
-        # One BLAS dot per column, summed as np.linalg.norm sums a vector: a
-        # reduction over axis 0 sums in another order, and that last bit,
-        # carried through the default dictionary set-up's 5,000 pretraining
-        # steps, moved its start by 3e-7 and cg_bio's final f and g by 2e-6
-        # and 9e-6 relative.
-        norms = np.sqrt([col @ col for col in cols.T])
+        # Each 1 x m @ m x 1 product of the stacked matmul runs the dot
+        # kernel that ``col @ col`` runs on one column, so every norm keeps
+        # that one-vector sum's order and bits.  A reduction over axis 0 sums
+        # in another order, and that last bit, carried through the default
+        # dictionary set-up's 5,000 pretraining steps, moved its start by
+        # 3e-7 and cg_bio's final f and g by 2e-6 and 9e-6 relative.
+        norms = np.sqrt((cols.T[:, None, :] @ cols.T[:, :, None]).ravel())
         zero = norms <= ZERO_COLUMN_NORM
         out = -self.radii * cols / np.where(zero, 1.0, norms)
         # Zero objective column: any feasible point is optimal; fix the first
@@ -348,7 +349,15 @@ class BallProduct(Region):
         cut residual res(mu) = <a, lmo(c + mu a)> - beta and falls from
         res(0) > 0: Newton steps inside a bracket [lo, hi] with
         res(lo) > 0 >= res(hi), and a bisection step whenever a Newton step
-        leaves it."""
+        leaves it.
+
+        The steps run on per-column scalars computed once per call: the
+        component t_j = <a_j, c_j> / |a_j| of c_j along a_j and the norm p_j
+        of the rest.  Column j of u = c + mu a has the component
+        x_j = |a_j| mu + t_j along a_j, so |u_j| = hypot(x_j, p_j) and
+        <a_j, u_j> = |a_j| x_j: a step costs O(num_cols), and the LMO runs on
+        the full columns only at the answer, or at both ends of a bracket
+        that closes without one."""
         if h.contains(plain, tol=0.0):
             return plain, 0.0
         a_cols, c_cols = self.columns(h.normal), self.columns(c)
@@ -366,41 +375,54 @@ class BallProduct(Region):
             cols[:, pinned] = -self.radii[pinned] * a_cols[:, pinned] / a_norms[pinned]
             return self.flatten(cols), np.inf
 
-        def evaluate(mu):
-            u = c_cols + mu * a_cols
-            s_cols, norms = self._column_lmo(u)
-            return u, norms, s_cols, h.violation(self.flatten(s_cols))
-
+        inv = np.divide(1.0, a_norms, out=np.zeros(self.num_cols), where=pinned)
+        t = np.sum(a_cols * c_cols, axis=0) * inv
+        p = np.linalg.norm(c_cols - (t * inv) * a_cols, axis=0)
         # For mu >= |c_j| / |a_j| + 2 ZERO_COLUMN_NORM / |a_j| no column with
         # a_j != 0 is a zero column, and res(mu) <= 2 sum_j r_j |c_j| / mu - slack.
-        c_norms = np.linalg.norm(c_cols, axis=0)
+        c_norms = np.hypot(t, p)
         lo, hi = 0.0, max(
             2.0 * float(self.radii @ c_norms) / slack,
-            float(np.max((c_norms[pinned] + 2.0 * ZERO_COLUMN_NORM) / a_norms[pinned])),
+            float(np.max((c_norms + 2.0 * ZERO_COLUMN_NORM) * inv)),
         )
-        mu, right = 0.0, None
+        # r_j |a_j|^2 p_j^2, for the slope, and <a_j, s_j> of a zero column's
+        # LMO point -r_j e_1.
+        bend, zero_dot = self.radii * (a_norms * p) ** 2, -self.radii * a_cols[0]
+        mu = 0.0
         for _ in range(NEWTON_MAX_STEPS):
-            u, norms, s_cols, res = evaluate(mu)
-            if abs(res) <= NEWTON_TOL:
-                return self.flatten(s_cols), mu
-            if res > 0.0:
-                lo, left = mu, (s_cols, res)
-            else:
-                hi, right = mu, (s_cols, res)
-            # res'(mu) = -sum_j r_j (|a_j|^2 - <a_j, u_j>^2 / |u_j|^2) / |u_j|.
+            # Not |c_j|^2 + 2 mu <a_j, c_j> + mu^2 |a_j|^2, which cancels to
+            # about 1e-8, not 0, where a column crosses zero.
+            x = a_norms * mu + t
+            norms = np.hypot(x, p)
             live = norms > ZERO_COLUMN_NORM
-            along = np.sum(a_cols[:, live] * u[:, live], axis=0) / norms[live]
-            slope = -float(np.sum(self.radii[live] * (a_norms[live] ** 2 - along**2) / norms[live]))
+            # Near the threshold the zero test runs on the norm _column_lmo
+            # computes (the two differ by rounding), so that the LMO points at
+            # a closed bracket's ends lie on the two sides of its jump.
+            for j in (pinned & (norms <= 2.0 * ZERO_COLUMN_NORM)).nonzero()[0]:
+                u = c_cols[:, j] + mu * a_cols[:, j]
+                live[j] = np.sqrt(u @ u) > ZERO_COLUMN_NORM
+            norms = np.where(live, norms, np.inf)  # a zero column adds nothing to the slope
+            along = a_norms * x / norms  # <a_j, u_j> / |u_j|
+            res = float(np.where(live, -self.radii * along, zero_dot).sum()) - h.offset
+            if abs(res) <= NEWTON_TOL:
+                return self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), mu
+            if res > 0.0:
+                lo = mu
+            else:
+                hi = mu
+            # res'(mu) = -sum_j r_j (|a_j|^2 - <a_j, u_j>^2 / |u_j|^2) / |u_j|,
+            # which is -sum_j r_j |a_j|^2 p_j^2 / |u_j|^3 over the live columns.
+            slope = -float((bend / norms**3).sum())
             newton = mu - res / slope if slope < 0.0 else hi
             mu = newton if lo < newton < hi else 0.5 * (lo + hi)
             if not lo < mu < hi:
                 break
-        if right is None:
-            right = evaluate(hi)[2:]
         # The bracket closed on a jump of res, where a column of c + mu a
-        # passes through zero, or at rounding level: the two ends solve the
-        # dual at mu = hi, and their mix on the cut solves the primal.
-        (lo_cols, lo_res), (hi_cols, hi_res) = left, right
+        # passes through zero, or at rounding level: the LMO points at its
+        # two ends solve the dual at mu = hi, and their mix onto the cut, by
+        # their own violations, solves the primal.
+        lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols)[0] for end in (lo, hi))
+        lo_res, hi_res = (h.violation(self.flatten(cols)) for cols in (lo_cols, hi_cols))
         theta = lo_res / (lo_res - hi_res)
         return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), hi
 

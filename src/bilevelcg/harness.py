@@ -301,11 +301,16 @@ TRACE_HEADER = "k,f_val,g_val,surrogate_f_gap,surrogate_g_gap,wall_nanos"
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One run of a suite cell.  ``g_star`` is the instance's recorded
+    lower-level optimal value, if any; the summary reports the last row's
+    g - g_star against it."""
+
     instance: str
     solver: str
     config: dict
     seed: int
     outcome: SolveOutcome
+    g_star: Optional[float] = None
 
     @property
     def summary(self) -> dict:
@@ -316,6 +321,9 @@ class RunRecord:
             "config": self.config,
             "stop_reason": self.outcome.stop_reason,
             "iterations": self.outcome.iterations,
+            "final_f": _none_if_nan(tail.f_val),
+            "final_g": _none_if_nan(tail.g_val),
+            "final_g_excess": None if self.g_star is None else _none_if_nan(tail.g_val - self.g_star),
             "final_f_gap": _none_if_nan(tail.surrogate_f_gap),
             "final_g_gap": _none_if_nan(tail.surrogate_g_gap),
             "wall_nanos_total": self.outcome.wall_nanos_total,
@@ -506,6 +514,10 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
         if key in options and (isinstance(value, bool) or not isinstance(value, kind)):
             noun = "an int" if kind is numbers.Integral else "a real number"
             raise TypeError(f"options.{key} must be {noun}, got {value!r}")
+    # A NaN or infinite radius would build a region and fail only when its
+    # cell runs.
+    if "l1_radius" in options and not 0.0 < options["l1_radius"] < np.inf:
+        raise ValueError(f"options.l1_radius must be positive and finite, got {options['l1_radius']!r}")
     # config_from_dict skips unknown keys, and parse_schedule needs a string.
     config = cell.get("config", {})
     if not isinstance(config, dict):
@@ -542,6 +554,7 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
         record = RunRecord(
             instance=cell["instance"], solver=cell["solver"],
             config=config_to_dict(config), seed=seed, outcome=outcome,
+            g_star=instance.reference.g_star if instance.reference is not None else None,
         )
         summary = record.summary
         write_trace_csv(trace_path, outcome.trace)
@@ -551,7 +564,8 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
         summary = {
             "instance": cell.get("instance"), "solver": cell.get("solver"),
             "config": config_to_dict(config), "stop_reason": f"error: {exc}",
-            "iterations": 0, "final_f_gap": None, "final_g_gap": None,
+            "iterations": 0, "final_f": None, "final_g": None, "final_g_excess": None,
+            "final_f_gap": None, "final_g_gap": None,
             "wall_nanos_total": 0, "seed": seed,
         }
     summary["cell_sha256"] = cell_hash

@@ -56,6 +56,13 @@ class TestRegressionCommand:
         assert code == 0
         assert len(list(tmp_path.glob("*.csv"))) == 1
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+    def test_bad_l1_radius_exits_2_before_any_cell_runs(self, tmp_path, capsys, radius):
+        out = tmp_path / "runs"
+        assert main(["regression", "--n", "30", "--d", "40", "--l1-radius", radius, "--out", str(out)]) == 2
+        assert "options.l1_radius must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_command(self, tmp_path, capsys):
         code = main([
             "regression", "--n", "100", "--d", "150", "--solvers", "cg-bio,big-sam,dbgd",

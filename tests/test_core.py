@@ -88,6 +88,11 @@ class TestL1Ball:
         with pytest.raises(ValueError):
             L1Ball(radius=0.0, dimension=2)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_rejects_a_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="positive and finite"):
+            L1Ball(radius=radius, dimension=4)
+
     @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
     def test_boundary_tolerance(self, vals):
         ball = L1Ball(radius=1.0, dimension=3)
@@ -113,6 +118,27 @@ class TestBallProduct:
     def test_diameter(self):
         region = BallProduct(num_cols=2, col_dim=3, radii=np.array([3.0, 4.0]))
         assert region.diameter == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("radii", [0.0, np.nan, np.inf, [1.0, np.nan], [np.inf, 1.0], [1.0, -2.0]])
+    def test_rejects_radii_that_are_not_positive_and_finite(self, radii):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BallProduct(num_cols=2, col_dim=2, radii=radii)
+
+    @pytest.mark.parametrize("shape", [(25, 50), (1, 7), (7, 1), (1, 1), (3, 400)])
+    def test_column_norms_keep_the_per_column_dot_bits(self, shape):
+        # The batched norms must sum as one `col @ col` per column does: the
+        # dictionary set-up's bits rest on it.  C-ordered, F-ordered and
+        # strided matrices, with columns of mixed scale.
+        rng = np.random.default_rng(5)
+        rows, cols = shape
+        region = BallProduct(num_cols=cols, col_dim=rows, radii=1.0)
+        for _ in range(20):
+            m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=cols)
+            wide = rng.standard_normal((2 * rows, 3 * cols))
+            for layout in (m, np.asfortranarray(m), wide[::2, ::3]):
+                assert layout.shape == shape
+                norms = region._column_lmo(layout)[1]
+                np.testing.assert_array_equal(norms, np.sqrt(np.array([col @ col for col in layout.T])))
 
 
 class TestL1BallColumns:

@@ -391,6 +391,10 @@ class TestPersistence:
         assert s["final_f_gap"] == out.trace[-1].surrogate_f_gap
         assert s["final_g_gap"] is None  # NaN serialized as null
         assert s["stop_reason"] == out.stop_reason
+        assert (s["final_f"], s["final_g"]) == (out.trace[-1].f_val, out.trace[-1].g_val)
+        assert s["final_g_excess"] is None  # no g* given
+        with_star = RunRecord("toy", "cg-bio", {"eps_f": 1e-5}, 0, out, g_star=-1.0).summary
+        assert with_star["final_g_excess"] == out.trace[-1].g_val + 1.0
 
     def test_schedule_string_round_trip(self):
         for text in ("harmonic:2", "harmonic:12", "constant:0.25", "inv-sqrt:0.3"):
@@ -520,6 +524,9 @@ class TestRunExperiment:
         ({"instance": "toy", "solver": "cg-bio", "config": "fast"}, "config must be a JSON object"),
         ({"instance": "toy", "solver": "mng", "solver_options": "fast"}, "solver_options must be a JSON object"),
         ({"instance": "toy", "solver": "mng", "solver_options": [["M", 1.0]]}, "solver_options must be a JSON object"),
+        ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": float("nan")}}, "options.l1_radius must be positive and finite"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"l1_radius": float("inf")}}, "options.l1_radius must be positive and finite"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"l1_radius": 0}}, "options.l1_radius must be positive and finite"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}
@@ -533,8 +540,8 @@ class TestRunExperiment:
                  {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}, "seed": 3}]
         run_experiment(cells, str(tmp_path))
         common = {
-            "instance", "solver", "config", "stop_reason", "iterations",
-            "final_f_gap", "final_g_gap", "wall_nanos_total", "seed", "cell_sha256",
+            "instance", "solver", "config", "stop_reason", "iterations", "final_f", "final_g",
+            "final_g_excess", "final_f_gap", "final_g_gap", "wall_nanos_total", "seed", "cell_sha256",
         }
         data = json.loads((tmp_path / "000_toy_cg-bio_seed3.json").read_text())
         assert set(data) == common | {"certified", "init_certificate"}
@@ -542,6 +549,21 @@ class TestRunExperiment:
         assert data["certified"] is True and 0.0 <= data["init_certificate"] <= 5e-6
         # A baseline's summary has no start to certify.
         assert set(json.loads((tmp_path / "001_toy_dbgd_seed3.json").read_text())) == common
+
+    def test_summary_reports_the_last_rows_objective_values(self, tmp_path):
+        cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}},
+                 {"instance": "fair", "solver": "dbgd", "config": {"max_iters": 5}, "options": {"n": 40, "d": 3}},
+                 {"instance": "nonsense", "solver": "dbgd"}]
+        summaries = run_experiment(cells, str(tmp_path))
+        trace = (tmp_path / "000_toy_dbgd_seed0.csv").read_text().splitlines()
+        f_val, g_val = (float(v) for v in trace[-1].split(",")[1:3])
+        toy = summaries[0]
+        assert (toy["final_f"], toy["final_g"]) == (f_val, g_val)
+        # The toy records g* = -1; the fair instance records none.
+        assert toy["final_g_excess"] == g_val + 1.0
+        assert summaries[1]["final_g"] is not None and summaries[1]["final_g_excess"] is None
+        assert summaries[2]["stop_reason"].startswith("error:")
+        assert [summaries[2][key] for key in ("final_f", "final_g", "final_g_excess")] == [None] * 3
 
 
 class TestStartCertificate:

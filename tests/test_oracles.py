@@ -242,6 +242,51 @@ class TestCutLmo:
         np.testing.assert_allclose(s, [0.5, 0.0], atol=1e-12)
         assert mu == pytest.approx(1.0, abs=1e-9) and gap <= 1e-9
 
+    def test_ball_product_one_of_several_columns_crosses_zero_at_the_multiplier(self):
+        # Column 0 of c + mu a is (mu - 1, 0), zero at mu = 1, where its term
+        # of the residual jumps from +1 to -1 and the residual from 0.5 to
+        # -1.5.  The answer mixes column 0's two LMO columns (1, 0) and
+        # (-1, 0) onto the cut, 3:1; the other columns stay live, at their
+        # LMO columns of c + a.
+        region = BallProduct(num_cols=3, col_dim=2, radii=1.0)
+        normal = region.flatten(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        c = region.flatten(np.array([[-1.0, 0.5, -0.3], [0.0, -1.0, 0.8]]))
+        at_one = lmo(region, c + normal)  # column 0 is exactly zero: -e_1
+        h = Halfspace(normal, float(normal @ at_one) + 1.5)
+        s, mu, gap = _cut(region, h, c)
+        assert mu == pytest.approx(1.0, abs=1e-9) and gap <= 1e-9
+        assert abs(h.violation(s)) <= 1e-12
+        np.testing.assert_allclose(region.columns(s)[:, 0], [0.5, 0.0], atol=1e-9)
+        np.testing.assert_allclose(region.columns(s)[:, 1:], region.columns(at_one)[:, 1:], atol=1e-9)
+
+    def test_ball_product_cut_runs_the_column_lmo_at_most_three_times(self, monkeypatch):
+        # Newton steps run on per-column scalars; only the answer, or the
+        # two ends of a bracket closed on a jump, take the full columns.
+        calls = []
+        column_lmo = BallProduct._column_lmo
+
+        def counted(self, cols):
+            calls.append(1)
+            return column_lmo(self, cols)
+
+        monkeypatch.setattr(BallProduct, "_column_lmo", counted)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            region = BallProduct(num_cols=8, col_dim=5, radii=rng.uniform(0.5, 2.0, size=8))
+            c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
+            plain = lmo(region, c)
+            h = Halfspace(normal, float(normal @ plain) - rng.uniform(0.1, 2.0))
+            # The same cut with column 0 of c + mu a zero at the multiplier.
+            _, tau = region.cut_lmo(h, c, plain)
+            jump = region.columns(c.copy())
+            jump[:, 0] = -tau * region.columns(normal)[:, 0]
+            for obj in (c, region.flatten(jump)):
+                plain = lmo(region, obj)
+                calls.clear()
+                s, mu = region.cut_lmo(h, obj, plain)
+                assert len(calls) <= 3
+                assert cut_certificate_gap(region, h, obj, s, mu) <= 1e-9
+
     def test_ball_product_newton_lands_on_the_cut(self):
         rng = np.random.default_rng(11)
         region = BallProduct(num_cols=6, col_dim=4, radii=rng.uniform(0.5, 2.0, size=6))
