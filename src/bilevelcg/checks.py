@@ -445,9 +445,11 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     # cut problems (region, c, h, plain), each drawn from one stream: for
     # an l1 region and a product region the cut's normal lives in one
     # block, a column of the former or a block of the latter.  The
-    # zero-column ball products draw from their own stream, so the other
-    # inputs keep theirs.
-    jump_rng = np.random.default_rng([seed, 2])
+    # zero-column ball products draw from their own streams, so the other
+    # inputs keep theirs.  The second stream draws two per count with radii
+    # up to 10: an LMO that takes a column near zero as zero misses the dual
+    # by up to 2 r_j times its zero test's floor.
+    jump_rng, wide_jump_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 3])
 
     def cut(reg, stream, blocks=None):
         c = stream.standard_normal(reg.dimension)
@@ -463,7 +465,8 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     makers = {
         "l1 ball": lambda: [l1_cut(L1Ball(float(rng.uniform(0.5, 3.0)), int(rng.integers(2, 51))), rng),
                             l1_cut(l1_columns(), cols_rng)],
-        "ball product": lambda: [cut(_random_ball_product(rng), rng), _zero_column_cut(jump_rng)],
+        "ball product": lambda: [cut(_random_ball_product(rng), rng), _zero_column_cut(jump_rng),
+                                 *(_zero_column_cut(wide_jump_rng, top_radius=10.0) for _ in range(2))],
         "polytope": lambda: [cut(_random_polytope(rng), rng)],
         "product region": lambda: [product_cut(ProductRegion(
             (L1Ball(float(rng.uniform(0.5, 2.0)), int(rng.integers(2, 6))), _random_ball_product(rng),
@@ -484,12 +487,13 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     return results
 
 
-def _random_ball_product(rng) -> BallProduct:
+def _random_ball_product(rng, top_radius: float = 2.0) -> BallProduct:
+    """1-4 columns of 2-4 entries, radii uniform in [top_radius / 4, top_radius]."""
     num_cols = int(rng.integers(1, 5))
-    return BallProduct(num_cols, int(rng.integers(2, 5)), rng.uniform(0.5, 2.0, size=num_cols))
+    return BallProduct(num_cols, int(rng.integers(2, 5)), rng.uniform(0.25, 1.0, size=num_cols) * top_radius)
 
 
-def _zero_column_cut(rng) -> tuple:
+def _zero_column_cut(rng, top_radius: float = 2.0) -> tuple:
     """A ball-product cut problem (region, c, h, plain) whose multiplier
     sits where a column of c + mu a passes through zero: c_j = -tau a_j for
     one random column j, where tau is the multiplier of a Gaussian draw.
@@ -498,7 +502,7 @@ def _zero_column_cut(rng) -> tuple:
     Gaussian draw's, whose residual is 0 there.  So the new residual
     changes sign at tau, the new multiplier, and the cut oracle's bracket
     closes on that jump."""
-    reg = _random_ball_product(rng)
+    reg = _random_ball_product(rng, top_radius)
     c = rng.standard_normal(reg.dimension)
     h, plain = _active_cut(reg, c, rng)
     _, tau = reg.cut_lmo(h, c, plain)

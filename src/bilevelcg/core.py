@@ -149,10 +149,13 @@ class SmoothOracle:
 # ---------------------------------------------------------------------------
 
 # Cut residual at which the ball-product Newton iteration stops, and its
-# step cap; column norm under which an LMO column counts as zero.
+# step cap; column norm under which a plain LMO column counts as zero; and
+# the norm of a column c_j + mu a_j of the ball-product cut, over
+# |c_j| + mu |a_j|, under which its direction comes from the column itself.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
 ZERO_COLUMN_NORM = 1e-10
+NEAR_ZERO_RTOL = 1e-8
 
 
 class Region:
@@ -323,9 +326,10 @@ class BallProduct(Region):
         norms = np.linalg.norm(self.columns(x), axis=0)
         return bool(np.all(norms <= self.radii + tol))
 
-    def _column_lmo(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _column_lmo(self, cols: np.ndarray, floor=ZERO_COLUMN_NORM) -> tuple[np.ndarray, np.ndarray]:
         """LMO point of the objective columns ``cols`` (as columns) and the
-        column norms."""
+        column norms.  A column whose norm is at most ``floor`` counts as
+        zero."""
         # Each 1 x m @ m x 1 product of the stacked matmul runs the dot
         # kernel that ``col @ col`` runs on one column, so every norm keeps
         # that one-vector sum's order and bits.  A reduction over axis 0 sums
@@ -333,7 +337,7 @@ class BallProduct(Region):
         # dictionary set-up's 5,000 pretraining steps, moved its start by
         # 3e-7 and cg_bio's final f and g by 2e-6 and 9e-6 relative.
         norms = np.sqrt((cols.T[:, None, :] @ cols.T[:, :, None]).ravel())
-        zero = norms <= ZERO_COLUMN_NORM
+        zero = norms <= floor
         out = -self.radii * cols / np.where(zero, 1.0, norms)
         # Zero objective column: any feasible point is optimal; fix the first
         # axis direction for determinism.
@@ -378,50 +382,55 @@ class BallProduct(Region):
         inv = np.divide(1.0, a_norms, out=np.zeros(self.num_cols), where=pinned)
         t = np.sum(a_cols * c_cols, axis=0) * inv
         p = np.linalg.norm(c_cols - (t * inv) * a_cols, axis=0)
-        # For mu >= |c_j| / |a_j| + 2 ZERO_COLUMN_NORM / |a_j| no column with
-        # a_j != 0 is a zero column, and res(mu) <= 2 sum_j r_j |c_j| / mu - slack.
+        # For mu >= 2 |c_j| / |a_j| no column with a_j != 0 is near zero, and
+        # res(mu) <= 2 sum_j r_j |c_j| / mu - slack; when c is 0, every
+        # mu > 0 has res(mu) = -slack.
         c_norms = np.hypot(t, p)
-        lo, hi = 0.0, max(
-            2.0 * float(self.radii @ c_norms) / slack,
-            float(np.max((c_norms + 2.0 * ZERO_COLUMN_NORM) * inv)),
-        )
-        # r_j |a_j|^2 p_j^2, for the slope, and <a_j, s_j> of a zero column's
-        # LMO point -r_j e_1.
-        bend, zero_dot = self.radii * (a_norms * p) ** 2, -self.radii * a_cols[0]
+        lo, hi = 0.0, max(2.0 * float(self.radii @ c_norms) / slack, 2.0 * float(np.max(c_norms * inv))) or 1.0
+        near_c, near_a = NEAR_ZERO_RTOL * c_norms, NEAR_ZERO_RTOL * a_norms
+        bend = self.radii * (a_norms * p) ** 2  # r_j |a_j|^2 p_j^2, for the slope
         mu = 0.0
         for _ in range(NEWTON_MAX_STEPS):
             # Not |c_j|^2 + 2 mu <a_j, c_j> + mu^2 |a_j|^2, which cancels to
             # about 1e-8, not 0, where a column crosses zero.
             x = a_norms * mu + t
             norms = np.hypot(x, p)
-            live = norms > ZERO_COLUMN_NORM
-            # Near the threshold the zero test runs on the norm _column_lmo
-            # computes (the two differ by rounding), so that the LMO points at
-            # a closed bracket's ends lie on the two sides of its jump.
-            for j in (pinned & (norms <= 2.0 * ZERO_COLUMN_NORM)).nonzero()[0]:
-                u = c_cols[:, j] + mu * a_cols[:, j]
-                live[j] = np.sqrt(u @ u) > ZERO_COLUMN_NORM
-            norms = np.where(live, norms, np.inf)  # a zero column adds nothing to the slope
+            # Where column j of u = c + mu a crosses zero, x_j and p_j keep
+            # too few good bits of its direction, and rounding makes it differ
+            # from the one _column_lmo computes.  So a column near zero adds
+            # no slope and takes its term from its own entries, as
+            # _column_lmo does (-r_j e_1 when they are all 0), and the LMO
+            # point at any mu has the sign of res(mu).  The test, and the
+            # direction's error, scale with |c_j| + mu |a_j|.
+            near = norms <= near_c + mu * near_a
+            norms[near] = np.inf
             along = a_norms * x / norms  # <a_j, u_j> / |u_j|
-            res = float(np.where(live, -self.radii * along, zero_dot).sum()) - h.offset
+            for j in near.nonzero()[0]:
+                u = c_cols[:, j] + mu * a_cols[:, j]
+                size = np.sqrt(u @ u)
+                along[j] = a_cols[:, j] @ u / size if size > 0.0 else a_cols[0, j]
+            res = float((-self.radii * along).sum()) - h.offset
             if abs(res) <= NEWTON_TOL:
-                return self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), mu
+                return self.flatten(self._column_lmo(c_cols + mu * a_cols, 0.0)[0]), mu
             if res > 0.0:
                 lo = mu
             else:
                 hi = mu
             # res'(mu) = -sum_j r_j (|a_j|^2 - <a_j, u_j>^2 / |u_j|^2) / |u_j|,
-            # which is -sum_j r_j |a_j|^2 p_j^2 / |u_j|^3 over the live columns.
+            # which is -sum_j r_j |a_j|^2 p_j^2 / |u_j|^3 over the columns not
+            # near zero.
             slope = -float((bend / norms**3).sum())
             newton = mu - res / slope if slope < 0.0 else hi
-            mu = newton if lo < newton < hi else 0.5 * (lo + hi)
+            # A Newton step moves at most half the bracket: longer ones can
+            # cycle between two points near its ends, closing it too slowly.
+            mu = newton if lo < newton < hi and abs(newton - mu) <= 0.5 * (hi - lo) else 0.5 * (lo + hi)
             if not lo < mu < hi:
                 break
         # The bracket closed on a jump of res, where a column of c + mu a
         # passes through zero, or at rounding level: the LMO points at its
         # two ends solve the dual at mu = hi, and their mix onto the cut, by
         # their own violations, solves the primal.
-        lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols)[0] for end in (lo, hi))
+        lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols, 0.0)[0] for end in (lo, hi))
         lo_res, hi_res = (h.violation(self.flatten(cols)) for cols in (lo_cols, hi_cols))
         theta = lo_res / (lo_res - hi_res)
         return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), hi

@@ -71,13 +71,13 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
         curv = f1 - fx + gap
         if curv <= 0.0:
             return gamma_max
-        return float(np.clip(gap / (2.0 * curv), 0.0, gamma_max))
+        return min(max(gap / (2.0 * curv), 0.0), gamma_max)
     if mode == "backtracking":
         if dd == 0.0:
             return 0.0
         L = state.setdefault("L", oracle.lipschitz_grad or 1.0)
         for _ in range(60):
-            gamma = float(np.clip(gap / (L * dd), 0.0, gamma_max))
+            gamma = min(max(gap / (L * dd), 0.0), gamma_max)
             if gamma == 0.0:
                 return 0.0
             # No absolute slack: near the optimum the predicted decrease is
@@ -89,6 +89,81 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
         state["L"] = L
         return gamma
     raise ValueError(f"unknown line search mode {mode!r}")
+
+
+class _Atoms:
+    """The active atoms of pairwise CG with their weights, stored on their
+    support.
+
+    Atom i is row i of ``V``, in insertion order, with weight ``w[i]``.
+    V's columns are the support: every coordinate on which some atom has
+    been nonzero, in the order each first appeared, so an atom is zero off
+    them and the store takes O(atoms x support) memory.  The +-r e_i
+    vertices of an l1 ball give about as many columns as atoms; dense
+    vertices give the coordinates 0..d-1 in index order.
+
+    Two vertices are one atom when they are equal as numbers on every
+    coordinate, so a vertex that differs from an atom only in the sign of
+    its zeros (-0.0 against 0.0) adds its weight to that atom.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.V = np.zeros((16, 0))
+        self.w: list[float] = []
+        self.support = np.zeros(0, dtype=np.intp)
+        self.covered = np.zeros(x.size, dtype=bool)  # coordinates in the support
+        self.add(x, 1.0)
+
+    def away(self, grad: np.ndarray, s: np.ndarray) -> tuple[int, np.ndarray]:
+        """The away atom, maximizing <grad, v> (first inserted on ties), and
+        the pairwise direction from it to the vertex s."""
+        # Each 1 x m @ m x 1 product of the stacked matmul runs the dot
+        # kernel of ``grad @ v`` on the atom's entries, so the scores keep
+        # the bits of the dense products: exactly for one-nonzero atoms, and
+        # for dense atoms, whose support is 0..d-1 in index order.
+        m = self.support.size
+        i = int((self.V[: len(self.w), None, :m] @ grad[self.support]).argmax())
+        d = s.copy()
+        d[self.support] -= self.V[i, :m]
+        return i, d
+
+    def move(self, i: int, s: np.ndarray, gamma: float) -> None:
+        """Move weight ``gamma`` from atom i to the vertex s.  Atom i is
+        dropped when that is all of its weight, and the later rows shift up,
+        so a vertex added again goes last."""
+        self.w[i] -= gamma
+        if self.w[i] == 0.0:
+            del self.w[i]
+            self.V[i : len(self.w)] = self.V[i + 1 : len(self.w) + 1]
+        self.add(s, gamma)
+
+    def add(self, s: np.ndarray, weight: float) -> None:
+        """Add ``weight`` to the atom equal to s, or append s as an atom."""
+        n, on = len(self.w), s[self.support]
+        if np.count_nonzero(on) == np.count_nonzero(s):
+            hit = (self.V[:n, : on.size] == on).all(axis=1).nonzero()[0]
+            if hit.size:
+                self.w[hit[0]] += weight
+                return
+        else:
+            # s is nonzero off the support: a new atom on new columns.
+            fresh = s.nonzero()[0]
+            fresh = fresh[~self.covered[fresh]]
+            self.covered[fresh] = True
+            self.support = np.concatenate([self.support, fresh])
+            on = s[self.support]
+        rows, cols = self.V.shape
+        if on.size > cols:
+            # New entries are 0: an atom is 0 on the columns added after it.
+            grown = np.zeros((rows, max(on.size, min(2 * cols, s.size))))
+            grown[:n, :cols] = self.V[:n]
+            self.V = grown
+        if n == rows:
+            # In place, so a large V is moved by the allocator, not copied,
+            # and by a quarter, as resize writes zeros to the new rows.
+            self.V.resize((rows + rows // 4, self.V.shape[1]), refcheck=False)
+        self.V[n, : on.size] = on
+        self.w.append(weight)
 
 
 def standard_cg(
@@ -110,11 +185,12 @@ def standard_cg(
     the LMO's vertices, and each step moves weight from the away atom (the
     active atom maximizing <grad, v>, first-inserted on ties) to the LMO
     vertex, at most all of the away atom's weight.  A schedule step can
-    exceed that weight, so schedule runs take vanilla steps toward s.
+    exceed that weight, so schedule runs take vanilla steps toward s.  The
+    atoms live on their support (see :class:`_Atoms`): memory is
+    O(atoms x support), not O(atoms x d).
     """
     x = np.array(region.feasible_point() if start is None else start, dtype=float)
-    # atom key -> [vertex, weight], in insertion order
-    active = {x.tobytes(): [x, 1.0]}
+    atoms = _Atoms(x)
     tracer = _Tracer(config.keep_iterates)
     ls_state: dict = {}
     for k in range(config.max_iters + 1):
@@ -134,14 +210,10 @@ def standard_cg(
             d = s - x
             gamma = step_size(config.schedule, k)
         else:
-            away = max(active.values(), key=lambda atom: float(grad @ atom[0]))
-            d = s - away[0]
-            gamma = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, away[1])
+            away, d = atoms.away(grad, s)
+            gamma = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away])
             if gamma > 0.0:
-                away[1] -= gamma
-                if away[1] == 0.0:  # drop step: gamma was all of its weight
-                    del active[away[0].tobytes()]
-                active.setdefault(s.tobytes(), [s, 0.0])[1] += gamma
+                atoms.move(away, s, gamma)
         x = x + gamma * d
 
 

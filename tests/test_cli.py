@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +119,24 @@ class TestReadmeCsvCommands:
         code = main(["fair", "--csv", str(data), "--target", "y", "--sensitive", "s", "--out", str(out)])
         assert code == 0
         _assert_certified_start(json.loads((out / "000_fair_cg-bio_seed0.json").read_text()))
+
+
+class TestReadmeSuiteExample:
+    """The README's suite.json example runs as written."""
+
+    def test_suite_example_runs_every_cell(self, tmp_path, capsys):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        suite = tmp_path / "suite.json"
+        suite.write_text(blocks[0], encoding="utf-8")
+        cells = json.loads(blocks[0])
+        out = tmp_path / "runs"
+        assert main(["suite", str(suite), "--out", str(out)]) == 0
+        summaries = sorted(out.glob("*.json"))
+        assert len(summaries) == len(cells) == 2
+        for path in summaries:
+            assert not json.loads(path.read_text())["stop_reason"].startswith("error")
 
 
 class TestFairCommand:

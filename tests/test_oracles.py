@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilevelcg import oracles
-from bilevelcg.checks import brute_lmo_l1, check_oracles, cut_certificate_gap, l1_cut_lp_value
+from bilevelcg.checks import (
+    _zero_column_cut,
+    brute_lmo_l1,
+    check_oracles,
+    cut_certificate_gap,
+    l1_cut_lp_value,
+)
 from bilevelcg.core import (
     BallProduct,
     Halfspace,
@@ -265,9 +271,9 @@ class TestCutLmo:
         calls = []
         column_lmo = BallProduct._column_lmo
 
-        def counted(self, cols):
+        def counted(self, *args):
             calls.append(1)
-            return column_lmo(self, cols)
+            return column_lmo(self, *args)
 
         monkeypatch.setattr(BallProduct, "_column_lmo", counted)
         rng = np.random.default_rng(12)
@@ -286,6 +292,42 @@ class TestCutLmo:
                 s, mu = region.cut_lmo(h, obj, plain)
                 assert len(calls) <= 3
                 assert cut_certificate_gap(region, h, obj, s, mu) <= 1e-9
+
+    def test_ball_product_newton_steps_do_not_cycle(self):
+        # Full Newton steps from either end of this bracket land near the
+        # other end, about [0.244, 0.425]: after 200 of them the bracket
+        # was still that wide, and the answer missed the dual by 0.52.
+        region = BallProduct(3, 2, [8.713257479244938, 4.717122398411462, 6.526578917671671])
+        c = [0.6511130800774889, 0.07808691796681455, -0.4412025197451485,
+             0.03679193964024326, 0.144912528875137, 0.8912767058942477]
+        normal = np.array([-1.4879609180105096, -1.2407208082747356, 1.0621077927597966,
+                           -0.08856931693232953, -0.2940691875691939, 0.03827828117896749])
+        s, mu, gap = _cut(region, Halfspace(normal, -7.0806426802402065), c)
+        assert gap <= 1e-9
+
+    def test_ball_product_zero_crossing_cut_gap_does_not_grow_with_the_radii(self):
+        # A column taken as zero at the multiplier misses the dual by up to
+        # 2 r_j times the zero test's floor; with radii up to 1000, an
+        # absolute floor of 1e-10 missed 1e-9 on 203 of 300 draws.
+        rng = np.random.default_rng(11)
+        worst = max(
+            cut_certificate_gap(reg, h, c, *reg.cut_lmo(h, c, plain))
+            for reg, c, h, plain in (_zero_column_cut(rng, top_radius=1000.0) for _ in range(100))
+        )
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_ball_product_zero_crossing_cut_scales_with_the_objective(self, scale):
+        # The zero-crossing draws with c scaled: the multiplier and the gap
+        # scale with it.  A near-zero test on an absolute norm of 1e-10
+        # raised ZeroDivisionError at scale 1e6, where rounding alone
+        # moves a column's norm by about that much.
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            reg, c, h, _ = _zero_column_cut(rng)
+            c = scale * c
+            s, mu = reg.cut_lmo(h, c, lmo(reg, c))
+            assert cut_certificate_gap(reg, h, c, s, mu) <= 1e-9 * scale
 
     def test_ball_product_newton_lands_on_the_cut(self):
         rng = np.random.default_rng(11)

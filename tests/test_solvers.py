@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bilevelcg.core import (
+    BallProduct,
     ConfigurationError,
     ConstantStep,
     L1Ball,
@@ -216,7 +219,123 @@ class TestPairwiseCg:
         assert pairwise.trace[-1].f_val == pytest.approx(schedule.trace[-1].f_val, abs=tol)
 
 
+def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
+    """Pairwise CG with the active set standard_cg kept before its atom
+    store, the reference for it: a dict from each atom's bytes to
+    [atom, weight], in insertion order, whose away atom is a Python max over
+    one dot product per atom.  Returns the rows (f, FW gap), the final
+    point, the largest active set and the number of atoms added again after
+    a drop step."""
+    x = np.array(start, dtype=float)
+    active = {x.tobytes(): [x, 1.0]}
+    rows, dropped, again, largest, state = [], set(), 0, 1, {}
+    for k in range(max_iters + 1):
+        fx, grad = oracle(x)
+        s = solvers.lmo(region, grad)
+        gap = float(grad @ (x - s))
+        rows.append((float(fx), gap))
+        if gap <= eps_f or k == max_iters:
+            return rows, x, largest, again
+        away = max(active.values(), key=lambda atom: float(grad @ atom[0]))
+        d = s - away[0]
+        gamma = solvers._cg_step_length(oracle, x, fx, grad, d, line_search, state, away[1])
+        if gamma > 0.0:
+            away[1] -= gamma
+            if away[1] == 0.0:
+                del active[away[0].tobytes()]
+                dropped.add(away[0].tobytes())
+            again += s.tobytes() in dropped and s.tobytes() not in active
+            active.setdefault(s.tobytes(), [s, 0.0])[1] += gamma
+            largest = max(largest, len(active))
+        x = x + gamma * d
+
+
+def _least_squares_oracle(rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    A, b = rng.standard_normal((rows, dim)), rng.standard_normal(rows)
+    return quad_oracle(A.T @ A, -A.T @ b, L=float(np.linalg.eigvalsh(A.T @ A).max()))
+
+
+def _interior_quadratic(dim, seed):
+    """A strongly convex quadratic whose minimizer lies inside the unit l1
+    ball: pairwise steps drop vertices and take them up again."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(dim)
+    y *= rng.uniform(0.3, 1.5) / np.abs(y).sum()
+    B = rng.standard_normal((dim, dim))
+    Q = B.T @ B + 0.05 * np.eye(dim)
+    return quad_oracle(Q, -Q @ y, L=float(np.linalg.eigvalsh(Q).max()))
+
+
+# (oracle, region, start, line search, max_iters) of the atom-store runs.
+GROWS = (_least_squares_oracle(60, 40, 0), L1Ball(3.0, 40), np.zeros(40), "exact", 400)
+READDS = (_interior_quadratic(3, 0), L1Ball(1.0, 3), np.zeros(3), "exact", 300)
+
+
+class TestAtomStore:
+    """standard_cg keeps its pairwise atoms on their support and must take
+    the steps of the dict-based active set it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("oracle, region, start, line_search, max_iters", [
+        GROWS,  # l1 vertices +-r e_i, more of them than the store's first 16 rows
+        READDS,  # vertices dropped and then added again, last
+        (SHIFTED_EXP, L1Ball(1.0, 2), np.zeros(2), "backtracking", 60),
+        # Dense ball-product atoms, as in the dictionary polish.
+        (_least_squares_oracle(12, 20, 1), BallProduct(num_cols=4, col_dim=5, radii=1.0),
+         np.full(20, 0.1), "exact", 300),
+    ], ids=["l1-grows", "l1-readds", "l1-backtracking", "ball-product"])
+    def test_steps_equal_the_dict_active_set(self, oracle, region, start, line_search, max_iters):
+        eps_f = 1e-13
+        rows, final, _, _ = _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start)
+        out = standard_cg(oracle, region, SolverConfig(eps_f=eps_f, max_iters=max_iters),
+                          line_search=line_search, start=start)
+        assert [(r.f_val.hex(), r.surrogate_f_gap.hex()) for r in out.trace] == [
+            (f.hex(), gap.hex()) for f, gap in rows
+        ]
+        assert [v.hex() for v in out.final_point] == [v.hex() for v in final]
+
+    def test_the_runs_outgrow_the_first_rows_and_add_dropped_atoms_again(self):
+        oracle, region, start, line_search, max_iters = GROWS
+        assert _dict_pairwise_cg(oracle, region, 1e-13, max_iters, line_search, start)[2] > 16
+        oracle, region, start, line_search, max_iters = READDS
+        assert _dict_pairwise_cg(oracle, region, 1e-13, max_iters, line_search, start)[3] > 0
+
+    def test_an_atom_added_again_after_its_drop_goes_last(self):
+        atoms = solvers._Atoms(np.zeros(2))
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        atoms.move(0, e1, 0.5)  # origin 0.5, e1 0.5
+        atoms.move(1, e2, 0.5)  # e1 dropped: origin 0.5, e2 0.5
+        atoms.move(1, e1, 0.25)  # e1 again, after e2
+        assert atoms.w == [0.5, 0.25, 0.25]
+        # <(1, 1), v> ties e2 and e1: the first inserted, e2, is the away atom.
+        away, d = atoms.away(np.array([1.0, 1.0]), e1)
+        assert away == 1
+        np.testing.assert_array_equal(d, e1 - e2)
+
+    def test_vertices_equal_as_numbers_are_one_atom(self):
+        # -0.0 == 0.0: a vertex that differs from an atom only in the sign of
+        # its zeros, on the support or off it, adds its weight to that atom.
+        atoms = solvers._Atoms(np.array([0.0, 2.0, 0.0]))
+        atoms.add(np.array([-0.0, 2.0, -0.0]), 0.5)
+        atoms.add(np.array([3.0, -0.0, 0.0]), 0.25)
+        atoms.add(np.array([3.0, 0.0, -0.0]), 0.25)
+        assert atoms.w == [1.5, 0.5]
+        np.testing.assert_array_equal(atoms.support, [1, 0])
+
+
 class TestInitializeLower:
+    def test_l1_start_at_d5000_holds_its_atoms_on_their_support(self):
+        # About 200 +-r e_i atoms: as dense vectors, and again as dict keys,
+        # they took 12 MB; on their support they take well under 1 MB.
+        inst, _ = regression_problem(n=100, d=5000, seed=0)
+        tracemalloc.start()
+        try:
+            initialize_lower(inst, 1e-5, line_search="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_toy_certificate_is_exact(self):
         inst = toy_problem()
         x0, cert, certified = initialize_lower(inst, 1e-5)
