@@ -312,6 +312,21 @@ class TestAtomStore:
         assert away == 1
         np.testing.assert_array_equal(d, e1 - e2)
 
+    def test_dense_away_scores_keep_the_bits_of_the_dot_products(self):
+        # Mirror-image atoms under a mirror-symmetric gradient have equal
+        # exact scores; their rounded dot products tie or split by an ulp.
+        # A 2-D matvec sums in another order and picks the other atom on
+        # five of these eight seeds.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            half = rng.standard_normal(32)
+            grad, v = np.concatenate([half, half[::-1]]), rng.standard_normal(64)
+            mirror = v[::-1].copy()
+            atoms = solvers._Atoms(v)
+            atoms.add(mirror, 0.5)
+            scores = [float(grad @ v), float(grad @ mirror)]
+            assert atoms.away(grad, v)[0] == scores.index(max(scores))
+
     def test_vertices_equal_as_numbers_are_one_atom(self):
         # -0.0 == 0.0: a vertex that differs from an atom only in the sign of
         # its zeros, on the support or off it, adds its weight to that atom.
