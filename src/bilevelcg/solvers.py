@@ -134,7 +134,10 @@ class _Atoms:
         self.w[i] -= gamma
         if self.w[i] == 0.0:
             del self.w[i]
-            self.V[i : len(self.w)] = self.V[i + 1 : len(self.w) + 1]
+            # As one flat block: numpy moves an overlapping 1-D block in
+            # place, where it would copy a 2-D one whole first.
+            flat, cols = self.V.reshape(-1), self.V.shape[1]
+            flat[i * cols : len(self.w) * cols] = flat[(i + 1) * cols : (len(self.w) + 1) * cols]
         self.add(s, gamma)
 
     def add(self, s: np.ndarray, weight: float) -> None:
