@@ -327,6 +327,25 @@ class TestAtomStore:
             scores = [float(grad @ v), float(grad @ mirror)]
             assert atoms.away(grad, v)[0] == scores.index(max(scores))
 
+    def test_a_drop_step_moves_the_rows_in_place(self):
+        # 100 dense atoms of 1,000 entries (0.8 MB): dropping the first one
+        # must not copy the 99 rows after it.  The step still compares the
+        # vertex with every row, a 99 x 1,000 boolean temporary.
+        rng = np.random.default_rng(0)
+        atoms = solvers._Atoms(rng.standard_normal(1000))
+        rows = [rng.standard_normal(1000) for _ in range(99)]
+        for row in rows:
+            atoms.add(row, 0.0)
+        tracemalloc.start()
+        try:
+            atoms.move(0, rows[0], 1.0)  # all of the start's weight
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e5
+        np.testing.assert_array_equal(atoms.V[:99], np.array(rows))
+        assert atoms.w == [1.0] + [0.0] * 98
+
     def test_vertices_equal_as_numbers_are_one_atom(self):
         # -0.0 == 0.0: a vertex that differs from an atom only in the sign of
         # its zeros, on the support or off it, adds its weight to that atom.
