@@ -149,12 +149,11 @@ class SmoothOracle:
 # ---------------------------------------------------------------------------
 
 # Cut residual at which the ball-product Newton iteration stops, and its
-# step cap; column norm under which a plain LMO column counts as zero; and
-# the norm of a column c_j + mu a_j of the ball-product cut, over
-# |c_j| + mu |a_j|, under which its direction comes from the column itself.
+# step cap; and the norm of a column c_j + mu a_j of the ball-product cut,
+# over |c_j| + mu |a_j|, under which its direction comes from the column
+# itself.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
-ZERO_COLUMN_NORM = 1e-10
 NEAR_ZERO_RTOL = 1e-8
 
 
@@ -326,10 +325,10 @@ class BallProduct(Region):
         norms = np.linalg.norm(self.columns(x), axis=0)
         return bool(np.all(norms <= self.radii + tol))
 
-    def _column_lmo(self, cols: np.ndarray, floor=ZERO_COLUMN_NORM) -> tuple[np.ndarray, np.ndarray]:
+    def _column_lmo(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """LMO point of the objective columns ``cols`` (as columns) and the
-        column norms.  A column whose norm is at most ``floor`` counts as
-        zero."""
+        column norms.  Only an all-zero column counts as zero, so the point
+        does not depend on the objective's scale."""
         # Each 1 x m @ m x 1 product of the stacked matmul runs the dot
         # kernel that ``col @ col`` runs on one column, so every norm keeps
         # that one-vector sum's order and bits.  A reduction over axis 0 sums
@@ -337,7 +336,7 @@ class BallProduct(Region):
         # dictionary set-up's 5,000 pretraining steps, moved its start by
         # 3e-7 and cg_bio's final f and g by 2e-6 and 9e-6 relative.
         norms = np.sqrt((cols.T[:, None, :] @ cols.T[:, :, None]).ravel())
-        zero = norms <= floor
+        zero = norms == 0.0
         out = -self.radii * cols / np.where(zero, 1.0, norms)
         # Zero objective column: any feasible point is optimal; fix the first
         # axis direction for determinism.
@@ -411,7 +410,7 @@ class BallProduct(Region):
                 along[j] = a_cols[:, j] @ u / size if size > 0.0 else a_cols[0, j]
             res = float((-self.radii * along).sum()) - h.offset
             if abs(res) <= NEWTON_TOL:
-                return self.flatten(self._column_lmo(c_cols + mu * a_cols, 0.0)[0]), mu
+                return self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), mu
             if res > 0.0:
                 lo = mu
             else:
@@ -430,7 +429,7 @@ class BallProduct(Region):
         # passes through zero, or at rounding level: the LMO points at its
         # two ends solve the dual at mu = hi, and their mix onto the cut, by
         # their own violations, solves the primal.
-        lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols, 0.0)[0] for end in (lo, hi))
+        lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols)[0] for end in (lo, hi))
         lo_res, hi_res = (h.violation(self.flatten(cols)) for cols in (lo_cols, hi_cols))
         theta = lo_res / (lo_res - hi_res)
         return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), hi

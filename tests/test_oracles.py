@@ -100,6 +100,14 @@ class TestLmo:
         np.testing.assert_allclose(cols[:, 0], [-0.6, -0.8])
         np.testing.assert_allclose(cols[:, 1], [-2.0, 0.0])  # zero column convention
 
+    def test_ball_product_tiny_column_is_not_zero(self):
+        # Only an all-zero column takes the -r e_1 convention: columns of
+        # norm 1e-11 point the same way as at norm 1.
+        region = BallProduct(num_cols=2, col_dim=3, radii=1.0)
+        c = np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(lmo(region, 1e-11 * c), lmo(region, c))
+        np.testing.assert_array_equal(lmo(region, c), [0.0, -1.0, 0.0, 0.0, 0.0, 1.0])
+
     def test_polytope_matches_vertex_minimum(self):
         c = np.array([-1.0, -1.0])
         s = lmo(TOY_REGION, c)
@@ -239,9 +247,9 @@ class TestCutLmo:
             halfspace_lmo(region, Halfspace(np.array(normal), -10.0), np.ones(region.dimension))
 
     def test_ball_product_zero_column_at_the_multiplier(self):
-        # c + mu a = 0 at mu = 1, where the residual jumps from 0.5 to -1.5
-        # (at the zero-column threshold, 1e-10 before): the answer mixes the
-        # two LMO points (1, 0) and (-1, 0) onto the cut, 3:1.
+        # c + mu a = 0 at mu = 1, where the residual jumps from 0.5 to -1.5:
+        # the answer mixes the two LMO points (1, 0) and (-1, 0) onto the
+        # cut, 3:1.
         region = BallProduct(num_cols=1, col_dim=2, radii=1.0)
         h = Halfspace(np.array([1.0, 0.0]), 0.5)
         s, mu, gap = _cut(region, h, [-1.0, 0.0])
@@ -271,9 +279,9 @@ class TestCutLmo:
         calls = []
         column_lmo = BallProduct._column_lmo
 
-        def counted(self, *args):
+        def counted(self, cols):
             calls.append(1)
-            return column_lmo(self, *args)
+            return column_lmo(self, cols)
 
         monkeypatch.setattr(BallProduct, "_column_lmo", counted)
         rng = np.random.default_rng(12)
@@ -316,12 +324,31 @@ class TestCutLmo:
         )
         assert worst <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("normal, offset", [
+        pytest.param([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.5, id="inactive"),
+        pytest.param([0.0, -1.0, 0.0, 0.0, 0.0, 0.0], 0.5, id="one-column"),
+        pytest.param([0.0, -1.0, 0.0, 0.0, 0.0, 1.0], 0.5, id="two-columns"),
+    ])
+    def test_ball_product_cut_of_a_tiny_objective(self, normal, offset):
+        # Columns of norm 1e-11.  The plain LMO and the cut must count the
+        # same columns as zero: where only the plain LMO took these as zero,
+        # the inactive cut looked violated, the cut's own residual at mu = 0
+        # was -0.5, and its bracket mix divided by zero.
+        region = BallProduct(num_cols=2, col_dim=3, radii=1.0)
+        c = 1e-11 * np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0])
+        h = Halfspace(np.array(normal), offset)
+        plain = lmo(region, c)
+        s, mu = (plain, 0.0) if h.contains(plain, tol=0.0) else region.cut_lmo(h, c, plain)
+        np.testing.assert_array_equal(halfspace_lmo(region, h, c), s)
+        assert cut_certificate_gap(region, h, c, s, mu) <= 1e-9 * 1e-11
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
     def test_ball_product_zero_crossing_cut_scales_with_the_objective(self, scale):
         # The zero-crossing draws with c scaled: the multiplier and the gap
         # scale with it.  A near-zero test on an absolute norm of 1e-10
         # raised ZeroDivisionError at scale 1e6, where rounding alone
-        # moves a column's norm by about that much.
+        # moves a column's norm by about that much; at 1e-12 every column
+        # of c is below that norm.
         rng = np.random.default_rng(11)
         for _ in range(100):
             reg, c, h, _ = _zero_column_cut(rng)
