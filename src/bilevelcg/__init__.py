@@ -21,7 +21,6 @@ from .core import (
     SolverConfig,
     TraceRow,
     cutting_plane,
-    step_size,
 )
 from .harness import (
     HoelderParams,

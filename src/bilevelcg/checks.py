@@ -27,7 +27,6 @@ from .core import (
     SmoothOracle,
     SolverConfig,
     cutting_plane,
-    step_size,
 )
 from .harness import (
     _least_upper_excess,
@@ -159,7 +158,7 @@ def check_descent_steps(slack: float = 1e-8) -> list:
             if b.k != a.k + 1 or np.isnan(a.surrogate_f_gap):
                 continue
             pairs += 1
-            gamma = step_size(cfg.schedule, a.k)
+            gamma = cfg.schedule.step(a.k)
             f_excess = b.f_val - (
                 a.f_val - gamma * a.surrogate_f_gap + 0.5 * gamma**2 * L_f * D**2
             )

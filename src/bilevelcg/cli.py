@@ -8,7 +8,7 @@ import json
 import sys
 from typing import Optional
 
-from .harness import SuiteError, run_experiment
+from .harness import INSTANCE_OPTIONS, SuiteError, run_experiment
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -70,18 +70,9 @@ def _family_cells(args) -> list[dict]:
         "max_iters": args.max_iters,
         "schedule": args.schedule,
     }
-    options: dict = {}
-    if getattr(args, "n", None) is not None:
-        options["n"] = args.n
-    if getattr(args, "d", None) is not None:
-        options["d"] = args.d
-    if getattr(args, "l1_radius", None) is not None:
-        options["l1_radius"] = args.l1_radius
-    if getattr(args, "csv", None) is not None:
-        options["csv"] = args.csv
-        options["target"] = args.target
-        if getattr(args, "sensitive", None) is not None:
-            options["sensitive"] = args.sensitive
+    # The family's options that the command line sets.
+    options = {key: getattr(args, key) for key in INSTANCE_OPTIONS[args.command]
+               if getattr(args, key, None) is not None}
     return [
         {
             "instance": args.command,

@@ -4,6 +4,7 @@ stepsize schedules, cutting planes, and run traces."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations
@@ -64,10 +65,9 @@ class QuadraticForm:
         return self.Q if self.F is None else self.F.T @ self.F
 
 
-def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints) -> np.ndarray:
-    """Minimize the convex 0.5 x'Qx + q'x + c over an intersection of
-    halfspaces {<n_i, x> >= o_i}, given as a list ``constraints`` of
-    (normal, offset) pairs.
+def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Halfspace]) -> np.ndarray:
+    """Minimize the convex 0.5 x'Qx + q'x + c over the intersection of the
+    :class:`Halfspace` list ``constraints``.
 
     Active sets are visited in order of size, and each one's KKT system is
     solved by least squares.  The first candidate that is feasible and has
@@ -85,18 +85,19 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints) -> np.n
         for active in combinations(range(len(constraints)), size):
             K = np.zeros((d + size, d + size))
             K[:d, :d] = hessian
-            rhs = np.concatenate([-quad.q, [constraints[i][1] for i in active]])
+            # An active halfspace <a, x> <= beta enters negated, as the row
+            # <-a, x> = -beta and the column -a.
+            rhs = np.concatenate([-quad.q, [-constraints[i].offset for i in active]])
             for j, i in enumerate(active):
-                K[:d, d + j] = constraints[i][0]
-                K[d + j, :d] = constraints[i][0]
+                K[:d, d + j] = K[d + j, :d] = -constraints[i].normal
             sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
             scale = max(1.0, float(np.linalg.norm(rhs)))
             if np.linalg.norm(K @ sol - rhs) > 1e-8 * scale:
                 continue  # singular and inconsistent: skip this case
             x = sol[:d]
-            if not all(float(normal @ x) >= offset - 1e-9 for normal, offset in constraints):
+            if not all(h.contains(x, tol=1e-9) for h in constraints):
                 continue
-            # The KKT rows read Qx + q = sum_j -sol[d + j] n_active[j]: the
+            # The KKT rows read Qx + q = sum_j sol[d + j] a_active[j]: the
             # multipliers are -sol[d:].
             if np.all(sol[d:] <= 1e-12 * scale):
                 return x
@@ -363,7 +364,7 @@ class BallProduct(Region):
         that closes without one."""
         if h.contains(plain, tol=0.0):
             return plain, 0.0
-        a_cols, c_cols = self.columns(h.normal), self.columns(c)
+        a_cols = self.columns(h.normal)
         a_norms = np.linalg.norm(a_cols, axis=0)
         # beta - min_s <a, s>: negative when the cut misses the region.
         slack = h.offset + float(self.radii @ a_norms)
@@ -378,6 +379,11 @@ class BallProduct(Region):
             cols[:, pinned] = -self.radii[pinned] * a_cols[:, pinned] / a_norms[pinned]
             return self.flatten(cols), np.inf
 
+        # The steps run on c scaled by a power of two to a largest entry in
+        # [0.5, 1), and mu is scaled back: exact, where at tiny objective
+        # scales the slope's |u_j|^3 would underflow.
+        exponent = int(np.frexp(np.max(np.abs(c)))[1])
+        c_cols = self.columns(np.ldexp(c, -exponent))
         inv = np.divide(1.0, a_norms, out=np.zeros(self.num_cols), where=pinned)
         t = np.sum(a_cols * c_cols, axis=0) * inv
         p = np.linalg.norm(c_cols - (t * inv) * a_cols, axis=0)
@@ -410,7 +416,7 @@ class BallProduct(Region):
                 along[j] = a_cols[:, j] @ u / size if size > 0.0 else a_cols[0, j]
             res = float((-self.radii * along).sum()) - h.offset
             if abs(res) <= NEWTON_TOL:
-                return self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), mu
+                return self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), math.ldexp(mu, exponent)
             if res > 0.0:
                 lo = mu
             else:
@@ -432,7 +438,7 @@ class BallProduct(Region):
         lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols)[0] for end in (lo, hi))
         lo_res, hi_res = (h.violation(self.flatten(cols)) for cols in (lo_cols, hi_cols))
         theta = lo_res / (lo_res - hi_res)
-        return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), hi
+        return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), math.ldexp(hi, exponent)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         cols = self.columns(v).copy()
@@ -473,12 +479,11 @@ class Polytope(Region):
             return False
         return bool(np.all(self.A @ x <= self.b + tol))
 
-    def halfspaces(self) -> list[tuple[np.ndarray, float]]:
-        """All defining halfspaces (a, beta) with semantics <a, x> <= beta,
-        the sign constraints last."""
-        rows = [(self.A[i], float(self.b[i])) for i in range(self.A.shape[0])]
+    def halfspaces(self) -> list[Halfspace]:
+        """All defining halfspaces, the sign constraints last."""
+        rows = [Halfspace(self.A[i], self.b[i]) for i in range(self.A.shape[0])]
         eye = np.eye(self.dimension)
-        return rows + [(-eye[i], 0.0) for i in range(self.dimension)]
+        return rows + [Halfspace(-eye[i], 0.0) for i in range(self.dimension)]
 
     def vertices(self) -> np.ndarray:
         """Enumerate vertices by intersecting d-subsets of the defining
@@ -487,8 +492,8 @@ class Polytope(Region):
         planes = self.halfspaces()
         seen: list[np.ndarray] = []
         for idx in combinations(range(len(planes)), d):
-            M = np.array([planes[i][0] for i in idx])
-            rhs = np.array([planes[i][1] for i in idx])
+            M = np.array([planes[i].normal for i in idx])
+            rhs = np.array([planes[i].offset for i in idx])
             if abs(np.linalg.det(M)) < 1e-12:
                 continue
             v = np.linalg.solve(M, rhs)
@@ -532,10 +537,9 @@ class Polytope(Region):
         return point, float(duals[-1])
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """The exact QP min 0.5 |x - v|^2 over the defining halfspaces, each
-        written <-a, x> >= -beta."""
+        """The exact QP min 0.5 |x - v|^2 over the defining halfspaces."""
         quad = QuadraticForm(np.eye(v.size), -v, 0.5 * float(v @ v))
-        return minimize_quadratic_over_halfspaces(quad, [(-a, -beta) for a, beta in self.halfspaces()])
+        return minimize_quadratic_over_halfspaces(quad, self.halfspaces())
 
     def feasible_point(self) -> np.ndarray:
         origin = np.zeros(self.dimension)
@@ -631,7 +635,7 @@ class BilevelInstance:
     upper: SmoothOracle
     lower: SmoothOracle
     region: Region
-    reference: Optional[ReferenceData] = None
+    reference: ReferenceData = ReferenceData()
     name: str = "instance"
 
     def __post_init__(self):
@@ -729,12 +733,6 @@ class InvSqrt:
 
 
 Schedule = Union[Harmonic, ConstantStep, InvSqrt]
-
-
-def step_size(schedule: Schedule, k: int) -> float:
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    return schedule.step(k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
+from . import problems
 from .core import (
     BilevelInstance,
     ConstantStep,
+    Halfspace,
     Harmonic,
     InvSqrt,
     Polytope,
@@ -69,14 +71,16 @@ def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int
     return out.trace[-1].f_val
 
 
-# Lower-level gap under which a vertex of a polytope counts as optimal.
+# Lower-level gap under which a vertex of a polytope counts as optimal, and
+# the conditional-gradient steps of dist_to_hull over more than 16 vertices.
 _FACE_TOL = 1e-9
+_HULL_ITERS = 500
 
 
 def _solution_face(instance: BilevelInstance) -> np.ndarray:
-    ref = instance.reference
-    if ref is not None and ref.lower_solution_set is not None:
-        return np.atleast_2d(np.asarray(ref.lower_solution_set, dtype=float))
+    face = instance.reference.lower_solution_set
+    if face is not None:
+        return np.atleast_2d(np.asarray(face, dtype=float))
     # Derivable case: linear lower level over a small polytope.
     region = instance.region
     if _is_linear(instance.lower) and isinstance(region, Polytope) and region.dimension <= 4:
@@ -109,11 +113,11 @@ def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max
     quad = oracle.quadratic
     if quad is not None and verts.shape[0] <= 16:
         # Weights w = e_n + P u with P = [I; -1'], so the point is
-        # v_n + B'u for B = P'V, and w >= 0 reads u >= 0, -1'u >= -1.
+        # v_n + B'u for B = P'V, and w >= 0 reads -u <= 0, 1'u <= 1.
         last, B = verts[-1], verts[:-1] - verts[-1]
         m = B.shape[0]
         sub = QuadraticForm(B @ quad.hessian() @ B.T, B @ quad.gradient(last))
-        halfspaces = [(e, 0.0) for e in np.eye(m)] + [(-np.ones(m), -1.0)]
+        halfspaces = [Halfspace(-e, 0.0) for e in np.eye(m)] + [Halfspace(np.ones(m), 1.0)]
         return last + B.T @ minimize_quadratic_over_halfspaces(sub, halfspaces), True
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
     out = standard_cg(oracle, _Hull(verts), cfg, line_search=_line_search(oracle), start=verts.mean(axis=0))
@@ -165,16 +169,16 @@ class HoelderParams:
         return self.M * (self.order * eps_g / self.alpha) ** (1.0 / self.order)
 
 
-def dist_to_hull(x: np.ndarray, verts: np.ndarray, iters: int = 500) -> float:
+def dist_to_hull(x: np.ndarray, verts: np.ndarray) -> float:
     """Euclidean distance from x to the convex hull of the vertex rows.  When
-    conditional gradient stops uncertified after ``iters`` steps, the
+    conditional gradient stops uncertified after ``_HULL_ITERS`` steps, the
     distance to its last iterate over-estimates the true one."""
     x = np.asarray(x, dtype=float)
     half_sq = SmoothOracle(
         x.size, lambda p: (0.5 * float((p - x) @ (p - x)), p - x),
         quadratic=QuadraticForm(np.eye(x.size), -x, 0.5 * float(x @ x)),
     )
-    point, _ = _minimize_over_hull(half_sq, verts, 1e-16, iters)
+    point, _ = _minimize_over_hull(half_sq, verts, 1e-16, _HULL_ITERS)
     return float(np.linalg.norm(point - x))
 
 
@@ -191,8 +195,8 @@ def _closed_form_case(instance: BilevelInstance) -> Polytope:
 
 
 def _g_star(instance: BilevelInstance) -> float:
-    ref = instance.reference
-    return ref.g_star if (ref is not None and ref.g_star is not None) else reference_lower(instance)
+    g_star = instance.reference.g_star
+    return g_star if g_star is not None else reference_lower(instance)
 
 
 def hoelder_estimate(instance: BilevelInstance) -> HoelderParams:
@@ -233,11 +237,11 @@ def _least_upper_excess(instance: BilevelInstance, eps_g: float) -> float:
     :func:`hoelder_estimate` accepts."""
     region = _closed_form_case(instance)
     g = instance.lower.quadratic
-    ref = instance.reference
-    f_star = ref.f_star if (ref is not None and ref.f_star is not None) else reference_bilevel(instance)
-    # Each halfspace <a, x> <= beta is written <-a, x> >= -beta.
-    halfspaces = region.halfspaces() + [(g.q, _g_star(instance) + eps_g - g.c)]
-    x = minimize_quadratic_over_halfspaces(instance.upper.quadratic, [(-a, -beta) for a, beta in halfspaces])
+    f_star = instance.reference.f_star
+    if f_star is None:
+        f_star = reference_bilevel(instance)
+    near_optimal = Halfspace(g.q, _g_star(instance) + eps_g - g.c)
+    x = minimize_quadratic_over_halfspaces(instance.upper.quadratic, region.halfspaces() + [near_optimal])
     return instance.upper.value(x) - f_star
 
 
@@ -363,14 +367,10 @@ def config_to_dict(config: SolverConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SolverConfig:
-    cfg = SolverConfig()
-    fields = {}
-    for key in ("eps_f", "eps_g", "max_iters"):
-        if key in data:
-            fields[key] = data[key]
+    values = {key: data[key] for key in ("eps_f", "eps_g", "max_iters") if key in data}
     if "schedule" in data:
-        fields["schedule"] = parse_schedule(data["schedule"])
-    return replace(cfg, **fields)
+        values["schedule"] = parse_schedule(data["schedule"])
+    return SolverConfig(**values)
 
 
 def _strip_timing(outcome: SolveOutcome) -> SolveOutcome:
@@ -408,36 +408,57 @@ def read_trace_csv(path) -> tuple[TraceRow, ...]:
     return tuple(rows)
 
 
+# The options each instance family accepts, with their kinds.  A dict cell
+# takes the DictLearnSpec fields but the seed, which is the cell's own.
+_SIZES = {"n": int, "d": int, "l1_radius": float}
+_CSV = {"csv": str, "target": str}
+INSTANCE_OPTIONS = {
+    "toy": {},
+    "regression": {**_SIZES, **_CSV},
+    "fair": {**_SIZES, **_CSV, "sensitive": str},
+    "dict": {f.name: type(f.default) for f in fields(problems.DictLearnSpec) if f.name != "seed"},
+}
+# The values each kind accepts (JSON's true is not a number), and its name.
+_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a real number"), str: (str, "a string")}
+
+
+def _instance_options(name: str, options: dict) -> dict:
+    """The options of a named instance, checked against ``INSTANCE_OPTIONS``
+    and converted to their kinds; raises TypeError or ValueError."""
+    if name not in INSTANCE_OPTIONS:
+        raise ValueError(f"unknown instance {name!r}")
+    kinds = INSTANCE_OPTIONS[name]
+    unknown = set(options) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown options {sorted(unknown)} for instance {name!r}")
+    for key, value in options.items():
+        accepted, noun = _KINDS[kinds[key]]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"options.{key} must be {noun}, got {value!r}")
+        if key in _SIZES and not 0 < value < np.inf:
+            raise ValueError(f"options.{key} must be positive and finite, got {value!r}")
+    return {key: kinds[key](value) for key, value in options.items()}
+
+
 def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
     """Construct a named experiment instance.  Returns (instance, start)
     where ``start`` is a mandated initial point or None."""
-    from . import problems
-
-    opts = dict(options or {})
+    opts = _instance_options(name, dict(options or {}))
     # Only the sizes the cell gives: each constructor holds its own defaults.
-    sizes = {key: kind(opts[key]) for key, kind in (("n", int), ("d", int), ("l1_radius", float))
-             if key in opts}
+    sizes = {key: opts[key] for key in _SIZES if key in opts}
     if name == "toy":
         return problems.toy_problem(), None
-    if name == "regression":
-        data = None
-        if opts.get("csv"):
-            data = problems.load_csv(opts["csv"], opts["target"], seed=seed)
-        inst, _ = problems.regression_problem(data=data, seed=seed, **sizes)
-        return inst, None
-    if name == "fair":
+    if name in ("regression", "fair"):
         data = None
         if opts.get("csv"):
             data = problems.load_csv(
-                opts["csv"], opts["target"], sensitive_column=opts.get("sensitive"), seed=seed
+                opts["csv"], opts.get("target"), sensitive_column=opts.get("sensitive"), seed=seed
             )
-        inst, _ = problems.fair_classification_problem(data=data, seed=seed, **sizes)
+        make = problems.regression_problem if name == "regression" else problems.fair_classification_problem
+        inst, _ = make(data=data, seed=seed, **sizes)
         return inst, None
-    if name == "dict":
-        spec_kwargs = {k: opts[k] for k in opts if k in problems.DictLearnSpec.__dataclass_fields__}
-        bundle = problems.dictionary_problem(problems.DictLearnSpec(seed=seed, **spec_kwargs))
-        return bundle.bilevel, bundle.initial_point
-    raise ValueError(f"unknown instance {name!r}")
+    bundle = problems.dictionary_problem(problems.DictLearnSpec(seed=seed, **opts))
+    return bundle.bilevel, bundle.initial_point
 
 
 def run_solver(
@@ -501,23 +522,16 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     seed = cell.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
-    # build_instance would truncate 10.5 to 10 and read true as 1.
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     options = cell.get("options") or {}
     if not isinstance(options, dict):
         raise TypeError("options must be a JSON object")
+    _instance_options(cell["instance"], options)
     # run_solver would read a list of pairs as a dict and fail on a string
     # only when the cell runs.
     if not isinstance(cell.get("solver_options", {}), dict):
         raise TypeError("solver_options must be a JSON object")
-    for key, kind in (("n", numbers.Integral), ("d", numbers.Integral), ("l1_radius", numbers.Real)):
-        value = options.get(key)
-        if key in options and (isinstance(value, bool) or not isinstance(value, kind)):
-            noun = "an int" if kind is numbers.Integral else "a real number"
-            raise TypeError(f"options.{key} must be {noun}, got {value!r}")
-    # A NaN or infinite radius would build a region and fail only when its
-    # cell runs.
-    if "l1_radius" in options and not 0.0 < options["l1_radius"] < np.inf:
-        raise ValueError(f"options.l1_radius must be positive and finite, got {options['l1_radius']!r}")
     # config_from_dict skips unknown keys, and parse_schedule needs a string.
     config = cell.get("config", {})
     if not isinstance(config, dict):
@@ -546,28 +560,20 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
         if stored.get("cell_sha256") == cell_hash:
             return stored
     config, seed = _cell_settings(cell)
+    g_star = None
     try:
         instance, start = build_instance(cell["instance"], seed=seed, options=cell.get("options"))
+        g_star = instance.reference.g_star
         outcome = run_solver(instance, cell["solver"], config, start=start, options=cell.get("solver_options"))
         if not record_timing:
             outcome = _strip_timing(outcome)
-        record = RunRecord(
-            instance=cell["instance"], solver=cell["solver"],
-            config=config_to_dict(config), seed=seed, outcome=outcome,
-            g_star=instance.reference.g_star if instance.reference is not None else None,
-        )
-        summary = record.summary
         write_trace_csv(trace_path, outcome.trace)
     except Exception as exc:  # record the failure, keep the suite going
         if os.path.exists(trace_path):  # an earlier config's trace is stale
             os.remove(trace_path)
-        summary = {
-            "instance": cell.get("instance"), "solver": cell.get("solver"),
-            "config": config_to_dict(config), "stop_reason": f"error: {exc}",
-            "iterations": 0, "final_f": None, "final_g": None, "final_g_excess": None,
-            "final_f_gap": None, "final_g_gap": None,
-            "wall_nanos_total": 0, "seed": seed,
-        }
+        # No iterations, and every final value None.
+        outcome = SolveOutcome(np.zeros(0), f"error: {exc}", (TraceRow(0, np.nan, np.nan, np.nan, np.nan, 0),))
+    summary = RunRecord(cell["instance"], cell["solver"], config_to_dict(config), seed, outcome, g_star).summary
     summary["cell_sha256"] = cell_hash
     tmp = summary_path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

@@ -5,11 +5,12 @@ dictionary learning, and generic CSV ingestion."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import solvers
 from .core import (
     BallProduct,
     BilevelInstance,
@@ -26,6 +27,14 @@ from .core import (
 
 class DataError(ValueError):
     """Raised for malformed or degenerate input data."""
+
+
+# The train, validation and test shares of every split; the noise level of
+# the synthetic regression validation and test targets; the FW gap at which
+# the dictionary's pretraining and its polish phase stop.
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+REGRESSION_NOISE_SIGMA = 0.1
+PRETRAIN_GAP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +76,11 @@ class DatasetSplit:
     val_idx: np.ndarray
     test_idx: np.ndarray
     sensitive: Optional[np.ndarray] = None
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
         n = self.features.shape[0]
         if self.targets.shape[0] != n:
             raise DataError("targets length must match feature rows")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise DataError("split fractions must sum to 1")
         parts = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
         if sorted(parts.tolist()) != list(range(n)):
             raise DataError("split indices must partition the dataset")
@@ -95,11 +101,11 @@ class DatasetSplit:
         return self._take(self.test_idx)
 
 
-def _split_indices(n: int, fractions, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_tr = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_tr = int(round(SPLIT_FRACTIONS[0] * n))
+    n_val = int(round(SPLIT_FRACTIONS[1] * n))
     return perm[:n_tr], perm[n_tr : n_tr + n_val], perm[n_tr + n_val :]
 
 
@@ -107,7 +113,6 @@ def load_csv(
     path,
     target_column: str,
     sensitive_column: Optional[str] = None,
-    fractions=(0.6, 0.2, 0.2),
     seed: int = 0,
 ) -> DatasetSplit:
     """Parse a rectangular numeric CSV with a header row, standardize the
@@ -156,8 +161,8 @@ def load_csv(
     span = features.max(axis=0) - lo
     span[span == 0.0] = 1.0
     features = (features - lo) / span
-    tr, va, te = _split_indices(table.shape[0], fractions, seed)
-    return DatasetSplit(features, targets, tr, va, te, sensitive=sensitive, fractions=tuple(fractions))
+    tr, va, te = _split_indices(table.shape[0], seed)
+    return DatasetSplit(features, targets, tr, va, te, sensitive=sensitive)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def _least_squares_oracle(A: np.ndarray, b: np.ndarray) -> SmoothOracle:
 
 
 def synthetic_regression_data(
-    n: int = 60, d: int = 100, seed: int = 0, l1_radius: float = 1.0, noise_sigma: float = 0.1
+    n: int = 60, d: int = 100, seed: int = 0, l1_radius: float = 1.0
 ) -> tuple[DatasetSplit, np.ndarray]:
     """Over-parameterized regression data with a planted sparse coefficient
     vector inside the l1 ball, so that the training loss attains exactly
@@ -226,10 +231,10 @@ def synthetic_regression_data(
     w = rng.uniform(0.5, 1.0, size=support.size) * rng.choice([-1.0, 1.0], size=support.size)
     beta[support] = 0.9 * l1_radius * w / np.abs(w).sum()
     b = A @ beta
-    tr, va, te = _split_indices(n, (0.6, 0.2, 0.2), seed)
+    tr, va, te = _split_indices(n, seed)
     if d <= tr.size:
         raise DataError("synthetic regression must be over-parameterized (d > train rows)")
-    noise = noise_sigma * rng.standard_normal(n)
+    noise = REGRESSION_NOISE_SIGMA * rng.standard_normal(n)
     b = b.copy()
     b[va] += noise[va]
     b[te] += noise[te]
@@ -279,7 +284,7 @@ def synthetic_fair_data(n: int = 200, d: int = 5, seed: int = 0) -> DatasetSplit
     beta_true[0] = 3.0  # load the sensitive-correlated feature
     probs = _sigmoid(X @ beta_true - float(np.median(X @ beta_true)))
     y = (rng.uniform(size=n) < probs).astype(float)
-    tr, va, te = _split_indices(n, (0.6, 0.2, 0.2), seed)
+    tr, va, te = _split_indices(n, seed)
     return DatasetSplit(X, y, tr, va, te, sensitive=v)
 
 
@@ -326,7 +331,7 @@ def fair_classification_problem(
     lower = SmoothOracle(dim, g_eval, lipschitz_grad=L_g)
     upper = SmoothOracle(dim, f_eval, lipschitz_grad=L_f)
     region = L1Ball(radius=l1_radius, dimension=dim)
-    instance = BilevelInstance(upper, lower, region, ReferenceData(), name="fair")
+    instance = BilevelInstance(upper, lower, region, name="fair")
     return instance, data
 
 
@@ -399,6 +404,21 @@ def _reconstruction_oracle(A: np.ndarray, m: int, p: int) -> SmoothOracle:
     return SmoothOracle(m * p + p * n, evaluate)
 
 
+def _fixed_codes_oracle(A: np.ndarray, X: np.ndarray, dimension: int) -> SmoothOracle:
+    """g(D) = ||A - D X||_F^2 / (2 n) in the dictionary D alone, with the
+    codes X held fixed.  D, column-major, is the first m * p entries of a
+    vector of length ``dimension``; the gradient is zero on the rest."""
+    (m, n), p = A.shape, X.shape[0]
+    rest = np.zeros(dimension - m * p)
+
+    def evaluate(z):
+        R = z[: m * p].reshape(m, p, order="F") @ X - A
+        grad = (R @ X.T / n).reshape(-1, order="F")
+        return 0.5 * float(np.sum(R * R)) / n, np.concatenate([grad, rest])
+
+    return SmoothOracle(dimension, evaluate, lipschitz_grad=lambda_max_gram(X.T) / n)
+
+
 @dataclass(frozen=True)
 class DictionaryBundle:
     """Everything produced by the dictionary-learning constructor."""
@@ -417,7 +437,6 @@ class DictionaryBundle:
 def dictionary_problem(
     spec: DictLearnSpec = DictLearnSpec(),
     pretrain_iters: int = 3000,
-    pretrain_gap: float = 1e-6,
     pretrain_polish_iters: int = 2000,
 ) -> DictionaryBundle:
     """Generate the synthetic continual dictionary-learning instance.
@@ -429,8 +448,6 @@ def dictionary_problem(
     lower level is the old-data reconstruction error in the dictionary
     block alone, so cutting planes have a zero coefficient block.
     """
-    from .solvers import standard_cg  # local import to avoid a module cycle
-
     rng = np.random.default_rng(spec.seed)
     m, q = spec.signal_dim, spec.true_dict_size
     p, p_new = spec.old_dict_size, spec.new_dict_size
@@ -453,43 +470,28 @@ def dictionary_problem(
         rng.standard_normal((m, p)) / np.sqrt(m),
         _normalize_l1_columns(rng.standard_normal((p, spec.n_old)), spec.l1_radius),
     )
-    cfg = SolverConfig(eps_f=pretrain_gap, eps_g=1.0, max_iters=pretrain_iters, schedule=InvSqrt(1.0))
-    joint = standard_cg(pre_oracle, pre_region, cfg, start=z0)
+    cfg = SolverConfig(eps_f=PRETRAIN_GAP, eps_g=1.0, max_iters=pretrain_iters, schedule=InvSqrt(1.0))
+    joint = solvers.standard_cg(pre_oracle, pre_region, cfg, start=z0)
     D_hat, X_hat = dict_unpack(joint.final_point, m, p, spec.n_old)
 
     d_region = BallProduct(num_cols=p, col_dim=m, radii=1.0)
-
-    def d_only_eval(dvec):
-        D = dvec.reshape(m, p, order="F")
-        R = D @ X_hat - A_old
-        return 0.5 * float(np.sum(R * R)) / spec.n_old, (R @ X_hat.T / spec.n_old).reshape(-1, order="F")
-
-    d_oracle = SmoothOracle(m * p, d_only_eval, lipschitz_grad=lambda_max_gram(X_hat.T) / spec.n_old)
-    polish_cfg = SolverConfig(eps_f=pretrain_gap, eps_g=1.0, max_iters=pretrain_polish_iters)
-    polished = standard_cg(
+    d_oracle = _fixed_codes_oracle(A_old, X_hat, m * p)
+    polish_cfg = SolverConfig(eps_f=PRETRAIN_GAP, eps_g=1.0, max_iters=pretrain_polish_iters)
+    polished = solvers.standard_cg(
         d_oracle, d_region, polish_cfg, line_search="exact", start=D_hat.reshape(-1, order="F")
     )
     D_hat = polished.final_point.reshape(m, p, order="F")
 
-    # Bilevel instance over the expanded dictionary and new-data codes.
+    # Bilevel instance over the expanded dictionary and new-data codes; the
+    # lower level holds the pretrained codes, padded with zero rows.
     X_hat_pad = np.vstack([X_hat, np.zeros((q - p, spec.n_old))])
     region = _dict_region(m, q, spec.n_new, spec.l1_radius)
-    n_new = spec.n_new
-
-    def g_eval(z):
-        D, _ = dict_unpack(z, m, q, n_new)
-        R = D @ X_hat_pad - A_old
-        grad_D = R @ X_hat_pad.T / spec.n_old
-        grad = np.concatenate([grad_D.reshape(-1, order="F"), np.zeros(q * n_new)])
-        return 0.5 * float(np.sum(R * R)) / spec.n_old, grad
-
-    dim = m * q + q * n_new
     upper = _reconstruction_oracle(A_new, m, q)
-    lower = SmoothOracle(dim, g_eval, lipschitz_grad=lambda_max_gram(X_hat_pad.T) / spec.n_old)
-    bilevel = BilevelInstance(upper, lower, region, ReferenceData(), name="dictionary")
+    lower = _fixed_codes_oracle(A_old, X_hat_pad, m * q + q * spec.n_new)
+    bilevel = BilevelInstance(upper, lower, region, name="dictionary")
 
     D0 = np.hstack([D_hat, np.zeros((m, q - p))])
-    X0 = _normalize_l1_columns(rng.standard_normal((q, n_new)), spec.l1_radius)
+    X0 = _normalize_l1_columns(rng.standard_normal((q, spec.n_new)), spec.l1_radius)
     z_init = dict_pack(D0, X0)
 
     return DictionaryBundle(

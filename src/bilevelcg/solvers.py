@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     BilevelInstance,
     ConfigurationError,
+    Halfspace,
     OracleError,
     Region,
     SmoothOracle,
@@ -21,7 +22,6 @@ from .core import (
     TraceRow,
     cutting_plane,
     minimize_quadratic_over_halfspaces,
-    step_size,
 )
 from .oracles import halfspace_lmo, lmo, project
 
@@ -211,7 +211,7 @@ def standard_cg(
             return tracer.outcome(x, "budget_exhausted")
         if line_search is None:
             d = s - x
-            gamma = step_size(config.schedule, k)
+            gamma = config.schedule.step(k)
         else:
             away, d = atoms.away(grad, s)
             gamma = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away])
@@ -252,9 +252,9 @@ def _start_certificate(instance, g_val, fw_gap, eps_g) -> tuple[float, bool]:
     """The FW gap bounds g(x0) - g* by convexity.  When it does not certify
     x0, a known optimal value gives the exact excess instead."""
     certificate, certified = float(fw_gap), fw_gap <= eps_g / 2.0
-    ref = instance.reference
-    if not certified and ref is not None and ref.g_star is not None:
-        certificate = g_val - ref.g_star
+    g_star = instance.reference.g_star
+    if not certified and g_star is not None:
+        certificate = g_val - g_star
         certified = certificate <= eps_g / 2.0
     return certificate, certified
 
@@ -303,7 +303,7 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
             return tracer.outcome(x, passed, **start)
         if k == config.max_iters:
             return tracer.outcome(x, "budget_exhausted", **start)
-        gamma = step_size(config.schedule, k)
+        gamma = config.schedule.step(k)
         x = (1.0 - gamma) * x + gamma * s
 
 
@@ -485,10 +485,10 @@ def mng(
         constraints = []
         gm_sq = float(gm @ gm)
         if gm_sq > 1e-24:
-            # <gm, x_k - z> >= 3/(4M) |gm|^2  rewritten as <-gm, z> >= o.
-            constraints.append((-gm, 0.75 / M * gm_sq - float(gm @ x)))
+            # <gm, x_k - z> >= 3/(4M) |gm|^2
+            constraints.append(Halfspace(gm, float(gm @ x) - 0.75 / M * gm_sq))
         if float(f_grad @ f_grad) > 1e-24:
-            constraints.append((f_grad, float(f_grad @ x)))
+            constraints.append(Halfspace(-f_grad, -float(f_grad @ x)))
         return minimize_quadratic_over_halfspaces(quad, constraints)
 
     return _baseline_loop(instance, max_iters, keep_iterates, update, start=start)

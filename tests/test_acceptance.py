@@ -19,7 +19,7 @@ from bilevelcg.checks import (
     check_convex_rates,
     check_nonconvex_rates,
 )
-from bilevelcg.core import Harmonic, SolverConfig, step_size
+from bilevelcg.core import Harmonic, SolverConfig
 from bilevelcg.harness import run_experiment
 from bilevelcg.problems import (
     dictionary_problem,
@@ -119,7 +119,7 @@ def test_criterion_04_per_step_descent_inequalities(capsys):
     pairs = 0
     worst = 0.0
     for prev, nxt in zip(rows, rows[1:]):
-        gamma = step_size(cfg.schedule, prev.k)
+        gamma = cfg.schedule.step(prev.k)
         f_bound = prev.f_val - gamma * prev.surrogate_f_gap + 0.5 * gamma**2 * L_f * D**2
         g_bound = (1 - gamma) * prev.g_val + gamma * g0 + 0.5 * gamma**2 * L_g * D**2
         worst = max(worst, nxt.f_val - f_bound, nxt.g_val - g_bound)

@@ -209,6 +209,6 @@ class TestSuiteCommand:
     def test_failed_cell_exits_1(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps([
-            {"instance": "nonsense", "solver": "cg-bio", "config": {}, "seed": 0},
+            {"instance": "toy", "solver": "nonsense", "config": {}, "seed": 0},
         ]))
         assert main(["suite", str(suite), "--out", str(tmp_path / "runs")]) == 1

@@ -21,7 +21,6 @@ from bilevelcg.core import (
     SolverConfig,
     TraceRow,
     cutting_plane,
-    step_size,
 )
 
 
@@ -230,6 +229,13 @@ class TestPolytope:
         with pytest.raises(ValueError):
             Polytope(A=np.eye(2), b=np.ones(3))
 
+    def test_halfspaces_agree_with_membership(self):
+        reg = self.region()
+        planes = reg.halfspaces()
+        assert len(planes) == 4 and all(isinstance(h, Halfspace) for h in planes)
+        for x in np.random.default_rng(0).uniform(-0.5, 1.5, size=(200, 2)):
+            assert all(h.contains(x, tol=1e-9) for h in planes) == reg.contains(x)
+
 
 class TestProductRegion:
     def region(self):
@@ -281,36 +287,32 @@ class TestCuttingPlane:
 
 class TestSchedules:
     def test_harmonic_values(self):
-        assert step_size(Harmonic(2), 0) == 1.0
-        assert step_size(Harmonic(2), 2) == 0.5
-        assert step_size(Harmonic(12), 0) == pytest.approx(1.0 / 6.0)
+        assert Harmonic(2).step(0) == 1.0
+        assert Harmonic(2).step(2) == 0.5
+        assert Harmonic(12).step(0) == pytest.approx(1.0 / 6.0)
 
     def test_harmonic_shift_floor(self):
         with pytest.raises(ValueError):
             Harmonic(1)
 
     def test_constant_range(self):
-        assert step_size(ConstantStep(0.25), 7) == 0.25
+        assert ConstantStep(0.25).step(7) == 0.25
         with pytest.raises(ValueError):
             ConstantStep(0.0)
         with pytest.raises(ValueError):
             ConstantStep(1.5)
 
     def test_inv_sqrt_clamped(self):
-        assert step_size(InvSqrt(3.0), 0) == 1.0
-        assert step_size(InvSqrt(1.0), 3) == 0.5
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            step_size(Harmonic(2), -1)
+        assert InvSqrt(3.0).step(0) == 1.0
+        assert InvSqrt(1.0).step(3) == 0.5
 
     @given(st.integers(0, 10_000), st.integers(2, 30))
     def test_harmonic_always_in_unit_interval(self, k, shift):
-        assert 0.0 < step_size(Harmonic(shift), k) <= 1.0
+        assert 0.0 < Harmonic(shift).step(k) <= 1.0
 
     @given(st.integers(0, 10_000), st.floats(0.01, 10.0))
     def test_inv_sqrt_always_in_unit_interval(self, k, scale):
-        assert 0.0 < step_size(InvSqrt(scale), k) <= 1.0
+        assert 0.0 < InvSqrt(scale).step(k) <= 1.0
 
 
 class TestSolverConfig:
@@ -366,3 +368,4 @@ class TestBilevelInstance:
         upper = quad_oracle(np.eye(2), np.zeros(2))
         inst = BilevelInstance(upper, upper, L1Ball(1.0, 2), ReferenceData(g_star=0.0))
         assert inst.dimension == 2
+        assert BilevelInstance(upper, upper, L1Ball(1.0, 2)).reference == ReferenceData()

@@ -310,7 +310,7 @@ class TestFairnessMetrics:
         from bilevelcg.problems import DatasetSplit
 
         return DatasetSplit(
-            X, y, idx[:0], idx[:0], idx, sensitive=v, fractions=(0.0, 0.0, 1.0)
+            X, y, idx[:0], idx[:0], idx, sensitive=v
         )
 
     def metric(self, a, b):
@@ -474,7 +474,7 @@ class TestRunExperiment:
 
     def test_cell_failure_recorded_suite_continues(self, tmp_path):
         cells = [
-            {"instance": "nonsense", "solver": "cg-bio", "config": {}, "seed": 0},
+            {"instance": "toy", "solver": "nonsense", "config": {}, "seed": 0},
             {"instance": "toy", "solver": "cg-bio",
              "config": {"eps_f": 1e-5, "eps_g": 1e-5}, "seed": 0},
         ]
@@ -527,6 +527,18 @@ class TestRunExperiment:
         ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": float("nan")}}, "options.l1_radius must be positive and finite"),
         ({"instance": "regression", "solver": "cg-bio", "options": {"l1_radius": float("inf")}}, "options.l1_radius must be positive and finite"),
         ({"instance": "regression", "solver": "cg-bio", "options": {"l1_radius": 0}}, "options.l1_radius must be positive and finite"),
+        ({"instance": "nonsense", "solver": "cg-bio"}, "unknown instance 'nonsense'"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"radius": 3.0}}, r"unknown options \['radius'\]"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"n": 3}}, r"unknown options \['n'\]"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"seed": 3}}, r"unknown options \['seed'\]"),
+        ({"instance": "toy", "solver": "cg-bio", "options": {"n": 3}}, r"unknown options \['n'\]"),
+        ({"instance": "toy", "solver": "cg-bio", "seed": -1}, "seed must be nonnegative"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"n": 0}}, "options.n must be positive"),
+        ({"instance": "fair", "solver": "cg-bio", "options": {"d": -2}}, "options.d must be positive"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"signal_dim": 2.5}}, "options.signal_dim must be an int"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"noise_sigma": "0.1"}}, "options.noise_sigma must be a real"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"l1_radius": -3.0}}, "options.l1_radius must be positive and finite"),
+        ({"instance": "fair", "solver": "cg-bio", "options": {"csv": 5}}, "options.csv must be a string"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}
@@ -553,7 +565,7 @@ class TestRunExperiment:
     def test_summary_reports_the_last_rows_objective_values(self, tmp_path):
         cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}},
                  {"instance": "fair", "solver": "dbgd", "config": {"max_iters": 5}, "options": {"n": 40, "d": 3}},
-                 {"instance": "nonsense", "solver": "dbgd"}]
+                 {"instance": "toy", "solver": "nonsense"}]
         summaries = run_experiment(cells, str(tmp_path))
         trace = (tmp_path / "000_toy_dbgd_seed0.csv").read_text().splitlines()
         f_val, g_val = (float(v) for v in trace[-1].split(",")[1:3])

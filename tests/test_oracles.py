@@ -342,13 +342,15 @@ class TestCutLmo:
         np.testing.assert_array_equal(halfspace_lmo(region, h, c), s)
         assert cut_certificate_gap(region, h, c, s, mu) <= 1e-9 * 1e-11
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-12, 1e-6, 1e6])
     def test_ball_product_zero_crossing_cut_scales_with_the_objective(self, scale):
         # The zero-crossing draws with c scaled: the multiplier and the gap
         # scale with it.  A near-zero test on an absolute norm of 1e-10
         # raised ZeroDivisionError at scale 1e6, where rounding alone
         # moves a column's norm by about that much; at 1e-12 every column
-        # of c is below that norm.
+        # of c is below that norm.  At 1e-100 and 1e-150 the Newton slope's
+        # |u_j|^3 underflowed, with divide and invalid warnings, until the
+        # steps ran on c scaled to a largest entry near 1.
         rng = np.random.default_rng(11)
         for _ in range(100):
             reg, c, h, _ = _zero_column_cut(rng)
@@ -435,7 +437,7 @@ def _along_boundary(region, p, step):
     if isinstance(region, ProductRegion):
         return np.concatenate([_along_boundary(b, part, step) for b, part in zip(region.blocks, region.split(p))])
     if isinstance(region, Polytope):
-        a = next(a for a, beta in region.halfspaces() if abs(float(a @ p) - beta) <= 1e-12)
+        a = next(h.normal for h in region.halfspaces() if abs(h.violation(p)) <= 1e-12)
         return p + step * np.array([-a[1], a[0]]) / np.linalg.norm(a)
     moved = p.copy()
     if isinstance(region, L1Ball):
@@ -451,8 +453,8 @@ def _along_boundary(region, p, step):
 def _polytope_project_one_sweep(self, v):
     """One sweep of alternating projections onto the defining halfspaces."""
     x = v.copy()
-    for a, beta in self.halfspaces():
-        x = x - max(float(a @ x) - beta, 0.0) / float(a @ a) * a
+    for h in self.halfspaces():
+        x = x - max(h.violation(x), 0.0) / float(h.normal @ h.normal) * h.normal
     return x
 
 

@@ -325,11 +325,3 @@ class TestDatasetSplit:
                 features=np.zeros((4, 2)), targets=np.zeros(4),
                 train_idx=np.array([0, 1]), val_idx=np.array([1]), test_idx=np.array([3]),
             )
-
-    def test_fraction_sum_enforced(self):
-        with pytest.raises(DataError):
-            DatasetSplit(
-                features=np.zeros((3, 2)), targets=np.zeros(3),
-                train_idx=np.array([0]), val_idx=np.array([1]), test_idx=np.array([2]),
-                fractions=(0.5, 0.2, 0.2),
-            )

@@ -7,6 +7,7 @@ from bilevelcg.core import (
     BallProduct,
     ConfigurationError,
     ConstantStep,
+    Halfspace,
     L1Ball,
     OracleError,
     QuadraticForm,
@@ -516,31 +517,31 @@ class TestQuadraticSubproblem:
 
     def test_active_constraint_binds(self):
         quad = QuadraticForm(np.eye(2), np.zeros(2), 0.0)
-        # require x1 >= 1 (written <(1,0), x> >= 1)
-        x = minimize_quadratic_over_halfspaces(quad, [(np.array([1.0, 0.0]), 1.0)])
+        # require x1 >= 1 (written <(-1,0), x> <= -1)
+        x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0, 0.0]), -1.0)])
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-10)
 
     def test_inactive_constraint_ignored(self):
         quad = QuadraticForm(np.eye(2), np.array([-2.0, 0.0]), 0.0)
-        x = minimize_quadratic_over_halfspaces(quad, [(np.array([1.0, 0.0]), 1.0)])
+        x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0, 0.0]), -1.0)])
         np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-10)
 
     def test_two_constraints_intersect(self):
         quad = QuadraticForm(np.eye(2), np.zeros(2), 0.0)
-        cons = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 2.0)]
+        cons = [Halfspace(np.array([-1.0, 0.0]), -1.0), Halfspace(np.array([0.0, -1.0]), -2.0)]
         x = minimize_quadratic_over_halfspaces(quad, cons)
         np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-10)
 
     def test_infeasible_constraints_raise(self):
         quad = QuadraticForm(np.eye(1), np.zeros(1), 0.0)
-        # x >= 1 and -x >= 0 have no common point.
+        # x >= 1 and x <= 0 have no common point.
         with pytest.raises(OracleError):
-            minimize_quadratic_over_halfspaces(quad, [(np.array([1.0]), 1.0), (np.array([-1.0]), 0.0)])
+            minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0]), -1.0), Halfspace(np.array([1.0]), 0.0)])
 
     def test_singular_hessian_picks_a_point_on_the_minimizing_line(self):
         # 0.5 (x1 + x2)^2 - (x1 + x2) is minimized on the line x1 + x2 = 1.
         quad = QuadraticForm(np.ones((2, 2)), np.array([-1.0, -1.0]), 0.0)
-        x = minimize_quadratic_over_halfspaces(quad, [(np.array([1.0, 0.0]), 2.0)])
+        x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0, 0.0]), -2.0)])
         assert x[0] >= 2.0 - 1e-9
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -548,7 +549,7 @@ class TestQuadraticSubproblem:
         # 0.5 (x - 5)^2 over 0 <= x <= 3: the active set {x >= 0} gives the
         # first feasible candidate x = 0, with multiplier -5.
         quad = QuadraticForm(np.eye(1), np.array([-5.0]), 12.5)
-        x = minimize_quadratic_over_halfspaces(quad, [(np.array([1.0]), 0.0), (np.array([-1.0]), -3.0)])
+        x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0]), 0.0), Halfspace(np.array([1.0]), 3.0)])
         np.testing.assert_allclose(x, [3.0], atol=1e-10)
 
     def test_stops_at_the_first_kkt_point(self, monkeypatch):
