@@ -8,7 +8,7 @@ import json
 import sys
 from typing import Optional
 
-from .harness import INSTANCE_OPTIONS, SuiteError, run_experiment
+from .harness import INSTANCE_OPTIONS, SOLVERS, SuiteError, run_experiment
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -22,7 +22,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--record-timing", action="store_true",
                      help="keep wall-clock columns (breaks byte-identical reruns)")
     sub.add_argument("--solvers", default="cg-bio",
-                     help="comma-separated: cg-bio,big-sam,a-irg,dbgd,mng,cg")
+                     help="comma-separated: " + ",".join(SOLVERS))
 
 
 def build_parser() -> argparse.ArgumentParser:

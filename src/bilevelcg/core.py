@@ -60,6 +60,14 @@ class QuadraticForm:
             return self.Q @ x + self.q
         return self.F.T @ (self.F @ x) + self.q
 
+    def curvature(self, d: np.ndarray) -> float:
+        """0.5 d'Qd, from one matvec: f(x + t d) = f(x) + t <grad f(x), d>
+        + t^2 curvature(d)."""
+        if self.F is None:
+            return 0.5 * float(d @ (self.Q @ d))
+        Fd = self.F @ d
+        return 0.5 * float(Fd @ Fd)
+
     def hessian(self) -> np.ndarray:
         """The dense d x d Hessian: ``Q``, or F'F formed on every call."""
         return self.Q if self.F is None else self.F.T @ self.F
@@ -273,16 +281,17 @@ def _l1_cut_walk(r: float, a: np.ndarray, beta: float, c: np.ndarray) -> tuple[n
     k = 2 * i + int(c[i] < 0)  # the line of the plain LMO vertex
     prev, mu = k, 0.0
     while -r * slope[k] > beta:
-        steeper = slope > slope[k]
-        if not steeper.any():
+        # Only a steeper line can overtake line k as mu grows.
+        steeper = np.flatnonzero(slope > slope[k])
+        if not steeper.size:
             raise OracleError("the cut excludes the whole l1 ball")
-        cross = np.divide(icpt[k] - icpt, slope - slope[k], out=np.full(icpt.shape, np.inf), where=steeper)
+        cross = (icpt[k] - icpt[steeper]) / (slope[steeper] - slope[k])
         # Rounding can put a crossing a hair before mu; the envelope only
         # moves right.  Of the lines crossing first, the steepest continues
         # the envelope (argmax keeps the lowest index on ties).
         cross = np.maximum(cross, mu)
         mu = float(cross.min())
-        first = np.flatnonzero(cross == mu)
+        first = steeper[cross == mu]
         prev, k = k, int(first[np.argmax(slope[first])])
     s = np.zeros_like(c)
     a_left, a_right = -r * slope[prev], -r * slope[k]

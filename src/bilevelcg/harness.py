@@ -437,7 +437,12 @@ def _instance_options(name: str, options: dict) -> dict:
             raise TypeError(f"options.{key} must be {noun}, got {value!r}")
         if key in _SIZES and not 0 < value < np.inf:
             raise ValueError(f"options.{key} must be positive and finite, got {value!r}")
-    return {key: kinds[key](value) for key, value in options.items()}
+    if "csv" in options and "target" not in options:
+        raise ValueError("options.csv needs options.target, the target column")
+    converted = {key: kinds[key](value) for key, value in options.items()}
+    if name == "dict":
+        problems.DictLearnSpec(**converted)  # its own checks of the sizes
+    return converted
 
 
 def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
@@ -461,6 +466,10 @@ def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
     return bundle.bilevel, bundle.initial_point
 
 
+# The solver names run_solver dispatches; a suite cell must name one.
+SOLVERS = ("cg-bio", "cg", "big-sam", "a-irg", "dbgd", "mng")
+
+
 def run_solver(
     instance: BilevelInstance,
     solver: str,
@@ -475,6 +484,8 @@ def run_solver(
 
     cg-bio starts from ``start`` or else from :func:`initialize_lower`'s
     point, and :func:`cg_bio` records that start's certificate."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
     opts = dict(options or {})
     allowed = {"cg-bio": {"init_iters"}, "cg": {"line_search"}}.get(solver)
     if allowed is not None and not set(opts) <= allowed:
@@ -496,8 +507,6 @@ def run_solver(
         "dbgd": (DbgdConfig, dbgd),
         "mng": (MngConfig, mng),
     }
-    if solver not in baselines:
-        raise ValueError(f"unknown solver {solver!r}")
     if solver == "mng" and "M" not in opts:
         if not instance.lower.lipschitz_grad:
             raise ValueError("MNG needs solver_options.M: the lower Lipschitz constant is 0 or unknown")
@@ -519,6 +528,8 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     for key in ("instance", "solver"):
         if key not in cell:
             raise ValueError(f"missing {key!r}")
+    if cell["solver"] not in SOLVERS:
+        raise ValueError(f"unknown solver {cell['solver']!r}")
     seed = cell.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")

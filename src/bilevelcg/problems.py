@@ -356,6 +356,12 @@ class DictLearnSpec:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = ("signal_dim", "true_dict_size", "old_dict_size", "new_dict_size", "n_old", "n_new", "sparsity")
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.shared < 0:
+            raise DataError(f"shared must be nonnegative, got {self.shared!r}")
         if self.shared > min(self.old_dict_size, self.new_dict_size):
             raise DataError("shared columns cannot exceed either sub-dictionary size")
         if self.sparsity > min(self.old_dict_size, self.new_dict_size):

@@ -59,35 +59,40 @@ class _Tracer:
 
 def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
     """Stepsize in [0, gamma_max] along the pairwise direction d = s - v_away
-    of standard CG, where gamma_max is the away atom's weight."""
+    of standard CG, where gamma_max is the away atom's weight, and the
+    oracle's (value, gradient) at x + gamma * d when the step evaluated it
+    there, else None."""
     gap = float(-(grad @ d))  # <grad, v_away - s>
-    dd = float(d @ d)
     if mode == "exact":
-        # The objective along x + t d is fitted by a parabola through t = 0
-        # and t = 1 (exact for quadratic objectives), then the step is
-        # clipped.  Fitting over [0, gamma_max] instead would divide the
-        # rounding error of f1 - fx by gamma_max**2.
-        f1 = oracle.value(x + d)
-        curv = f1 - fx + gap
+        # f(x + t d) = fx - t gap + t^2 curv for a quadratic: a tagged one
+        # gives curv in closed form.  Otherwise the objective is fitted by a
+        # parabola through t = 0 and t = 1; fitting over [0, gamma_max]
+        # instead would divide the rounding error of f1 - fx by gamma_max**2.
+        if oracle.quadratic is not None:
+            curv = oracle.quadratic.curvature(d)
+        else:
+            curv = oracle.value(x + d) - fx + gap
         if curv <= 0.0:
-            return gamma_max
-        return min(max(gap / (2.0 * curv), 0.0), gamma_max)
+            return gamma_max, None
+        return min(max(gap / (2.0 * curv), 0.0), gamma_max), None
     if mode == "backtracking":
+        dd = float(d @ d)
         if dd == 0.0:
-            return 0.0
+            return 0.0, None
         L = state.setdefault("L", oracle.lipschitz_grad or 1.0)
         for _ in range(60):
             gamma = min(max(gap / (L * dd), 0.0), gamma_max)
             if gamma == 0.0:
-                return 0.0
+                return 0.0, None
+            trial = oracle(x + gamma * d)
             # No absolute slack: near the optimum the predicted decrease is
             # below 1e-14, and a slack there accepts steps that raise f.
-            if oracle.value(x + gamma * d) <= fx - gamma * gap + 0.5 * L * gamma**2 * dd:
+            if trial[0] <= fx - gamma * gap + 0.5 * L * gamma**2 * dd:
                 state["L"] = max(L / 2.0, 1e-12)
-                return gamma
+                return gamma, trial
             L *= 2.0
         state["L"] = L
-        return gamma
+        return gamma, trial  # the last trial is where the step goes
     raise ValueError(f"unknown line search mode {mode!r}")
 
 
@@ -183,6 +188,12 @@ def standard_cg(
     "exact" (exact for quadratics).  The FW gap is recorded in the
     ``surrogate_f_gap`` trace column.
 
+    A row costs one oracle call.  The exact step on a tagged quadratic
+    reads the tag's curvature, and a backtracking step hands on its
+    evaluation at the point it moves to, so only rejected backtracking
+    trials, and the parabola fit of the exact step on an untagged
+    objective, add calls.
+
     With a line search the steps are pairwise (Lacoste-Julien & Jaggi
     2015): x is kept as a convex combination of active atoms, the start and
     the LMO's vertices, and each step moves weight from the away atom (the
@@ -196,8 +207,9 @@ def standard_cg(
     atoms = _Atoms(x)
     tracer = _Tracer(config.keep_iterates)
     ls_state: dict = {}
+    evaluation = None  # the line search's (value, gradient) at x
     for k in range(config.max_iters + 1):
-        fx, grad = oracle(x)
+        fx, grad = oracle(x) if evaluation is None else evaluation
         try:
             s = lmo(region, grad)
         except OracleError as exc:
@@ -214,7 +226,7 @@ def standard_cg(
             gamma = config.schedule.step(k)
         else:
             away, d = atoms.away(grad, s)
-            gamma = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away])
+            gamma, evaluation = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away])
             if gamma > 0.0:
                 atoms.move(away, s, gamma)
         x = x + gamma * d

@@ -65,6 +65,14 @@ class TestRegressionCommand:
         assert "options.l1_radius must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_without_target_exits_2_before_any_cell_runs(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,y\n" + "".join(f"{i},{2 * i}\n" for i in range(5)), encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["regression", "--csv", str(data), "--out", str(out)]) == 2
+        assert "options.csv needs options.target" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_command(self, tmp_path, capsys):
         code = main([
             "regression", "--n", "100", "--d", "150", "--solvers", "cg-bio,big-sam,dbgd",
@@ -209,6 +217,7 @@ class TestSuiteCommand:
     def test_failed_cell_exits_1(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps([
-            {"instance": "toy", "solver": "nonsense", "config": {}, "seed": 0},
+            # The toy lower level is linear: MNG has no default M.
+            {"instance": "toy", "solver": "mng", "config": {}, "seed": 0},
         ]))
         assert main(["suite", str(suite), "--out", str(tmp_path / "runs")]) == 1

@@ -474,7 +474,8 @@ class TestRunExperiment:
 
     def test_cell_failure_recorded_suite_continues(self, tmp_path):
         cells = [
-            {"instance": "toy", "solver": "nonsense", "config": {}, "seed": 0},
+            # The toy lower level is linear: MNG has no default M.
+            {"instance": "toy", "solver": "mng", "config": {}, "seed": 0},
             {"instance": "toy", "solver": "cg-bio",
              "config": {"eps_f": 1e-5, "eps_g": 1e-5}, "seed": 0},
         ]
@@ -539,6 +540,13 @@ class TestRunExperiment:
         ({"instance": "dict", "solver": "cg-bio", "options": {"noise_sigma": "0.1"}}, "options.noise_sigma must be a real"),
         ({"instance": "dict", "solver": "cg-bio", "options": {"l1_radius": -3.0}}, "options.l1_radius must be positive and finite"),
         ({"instance": "fair", "solver": "cg-bio", "options": {"csv": 5}}, "options.csv must be a string"),
+        ({"instance": "toy", "solver": "nonsense"}, "unknown solver 'nonsense'"),
+        ({"instance": "regression", "solver": "cg-bio", "options": {"csv": "data.csv"}}, "options.csv needs options.target"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"n_old": 0}}, "n_old must be at least 1"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"sparsity": 0}}, "sparsity must be at least 1"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"signal_dim": -1}}, "signal_dim must be at least 1"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"shared": -1, "new_dict_size": 9}}, "shared must be nonnegative"),
+        ({"instance": "dict", "solver": "cg-bio", "options": {"old_dict_size": 41}}, "must tile the true dictionary"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}
@@ -565,7 +573,7 @@ class TestRunExperiment:
     def test_summary_reports_the_last_rows_objective_values(self, tmp_path):
         cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}},
                  {"instance": "fair", "solver": "dbgd", "config": {"max_iters": 5}, "options": {"n": 40, "d": 3}},
-                 {"instance": "toy", "solver": "nonsense"}]
+                 {"instance": "toy", "solver": "mng"}]  # no default M: a run-time error
         summaries = run_experiment(cells, str(tmp_path))
         trace = (tmp_path / "000_toy_dbgd_seed0.csv").read_text().splitlines()
         f_val, g_val = (float(v) for v in trace[-1].split(",")[1:3])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilevelcg import oracles
+from bilevelcg import core, oracles
 from bilevelcg.checks import (
     _zero_column_cut,
     brute_lmo_l1,
@@ -418,6 +418,74 @@ class TestCutLmo:
             assert region.contains(s, tol=1e-9) and h.contains(s, tol=1e-9)
         with pytest.raises(AssertionError, match="simplex_solve called"):
             halfspace_lmo(TOY_REGION, Halfspace(np.array([-1.0, -1.0]), -1.0), np.array([1.0, 0.0]))
+
+
+def _masked_l1_cut_walk(r, a, beta, c):
+    """The l1 envelope walk with its crossings taken by a masked divide over
+    all 2d lines: the reference for ``core._l1_cut_walk``, which divides on
+    the steeper lines only."""
+    icpt = np.stack([c, -c], axis=1).ravel()
+    slope = np.stack([a, -a], axis=1).ravel()
+    i = int(np.argmax(np.abs(c)))
+    k = 2 * i + int(c[i] < 0)
+    prev, mu = k, 0.0
+    while -r * slope[k] > beta:
+        steeper = slope > slope[k]
+        if not steeper.any():
+            raise OracleError("the cut excludes the whole l1 ball")
+        cross = np.divide(icpt[k] - icpt, slope - slope[k], out=np.full(icpt.shape, np.inf), where=steeper)
+        cross = np.maximum(cross, mu)
+        mu = float(cross.min())
+        first = np.flatnonzero(cross == mu)
+        prev, k = k, int(first[np.argmax(slope[first])])
+    s = np.zeros_like(c)
+    a_left, a_right = -r * slope[prev], -r * slope[k]
+    theta = (beta - a_right) / (a_left - a_right) if prev != k else 0.0
+    s[prev // 2] += theta * (r if prev % 2 else -r)
+    s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
+    return s, mu
+
+
+def _walk_hex(walk, *args):
+    try:
+        s, mu = walk(*args)
+    except OracleError as exc:
+        return str(exc)
+    return [v.hex() for v in s], mu.hex()
+
+
+class TestL1CutWalk:
+    def test_tie_heavy_integer_draws_match_the_masked_walk(self):
+        # Small integer objectives and normals tie often, in |c_i|, in the
+        # slopes and in the crossings; some cuts exclude the whole ball.
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(3000):
+            d = int(rng.integers(2, 9))
+            r = float(rng.integers(1, 4))
+            c = rng.integers(-3, 4, size=d).astype(float)
+            a = rng.integers(-3, 4, size=d).astype(float)
+            plain = L1Ball(r, d).lmo(c)
+            beta = float(a @ plain) - float(rng.integers(1, 4 * d + 1)) / 2.0
+            if float(a @ plain) <= beta:
+                continue
+            args = (r, a, beta, c)
+            assert _walk_hex(core._l1_cut_walk, *args) == _walk_hex(_masked_l1_cut_walk, *args)
+            checked += 1
+        assert checked == 3000
+
+    def test_check_oracles_l1_draws_match_the_masked_walk(self, monkeypatch):
+        walk, compared = core._l1_cut_walk, []
+
+        def both(*args):
+            assert _walk_hex(walk, *args) == _walk_hex(_masked_l1_cut_walk, *args)
+            compared.append(None)
+            return walk(*args)
+
+        monkeypatch.setattr(core, "_l1_cut_walk", both)
+        assert all(ok for _, ok, _ in check_oracles(count=100))
+        # Two l1 draws per count, and the product regions' cuts in an l1 block.
+        assert len(compared) >= 200
 
 
 PROJECTIONS = [

@@ -237,6 +237,18 @@ class TestDictionaryProblem:
         with pytest.raises(DataError):
             DictLearnSpec(old_dict_size=45)  # sizes no longer tile the truth
 
+    @pytest.mark.parametrize("field", [
+        "signal_dim", "true_dict_size", "old_dict_size", "new_dict_size", "n_old", "n_new", "sparsity",
+    ])
+    def test_sizes_below_one_rejected(self, field):
+        with pytest.raises(DataError, match=f"{field} must be at least 1"):
+            DictLearnSpec(**{field: 0})
+
+    def test_negative_shared_rejected(self):
+        # shared = -1 with old 40 and new 11 would tile the truth's 50.
+        with pytest.raises(DataError, match="shared must be nonnegative"):
+            DictLearnSpec(shared=-1, new_dict_size=9)
+
     def test_deterministic_per_seed(self):
         a = dictionary_problem(SMALL_DICT, pretrain_iters=20, pretrain_polish_iters=20)
         b = dictionary_problem(SMALL_DICT, pretrain_iters=20, pretrain_polish_iters=20)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from bilevelcg.core import (
     SolverConfig,
 )
 from bilevelcg import solvers
-from bilevelcg.problems import regression_problem, toy_problem
+from bilevelcg.problems import fair_classification_problem, regression_problem, toy_problem
 from bilevelcg.solvers import (
     AIrgConfig,
     BigSamConfig,
@@ -239,7 +240,7 @@ def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
             return rows, x, largest, again
         away = max(active.values(), key=lambda atom: float(grad @ atom[0]))
         d = s - away[0]
-        gamma = solvers._cg_step_length(oracle, x, fx, grad, d, line_search, state, away[1])
+        gamma, _ = solvers._cg_step_length(oracle, x, fx, grad, d, line_search, state, away[1])
         if gamma > 0.0:
             away[1] -= gamma
             if away[1] == 0.0:
@@ -271,6 +272,8 @@ def _interior_quadratic(dim, seed):
 # (oracle, region, start, line search, max_iters) of the atom-store runs.
 GROWS = (_least_squares_oracle(60, 40, 0), L1Ball(3.0, 40), np.zeros(40), "exact", 400)
 READDS = (_interior_quadratic(3, 0), L1Ball(1.0, 3), np.zeros(3), "exact", 300)
+# Criterion 3's fair instance: a logistic lower level, no quadratic tag.
+FAIR = fair_classification_problem(n=40, d=3, seed=7, l1_radius=2.0)[0]
 
 
 class TestAtomStore:
@@ -284,8 +287,12 @@ class TestAtomStore:
         # Dense ball-product atoms, as in the dictionary polish.
         (_least_squares_oracle(12, 20, 1), BallProduct(num_cols=4, col_dim=5, radii=1.0),
          np.full(20, 0.1), "exact", 300),
-    ], ids=["l1-grows", "l1-readds", "l1-backtracking", "ball-product"])
+        (FAIR.lower, FAIR.region, FAIR.region.feasible_point(), "backtracking", 200),
+    ], ids=["l1-grows", "l1-readds", "l1-backtracking", "ball-product", "fair-backtracking"])
     def test_steps_equal_the_dict_active_set(self, oracle, region, start, line_search, max_iters):
+        # The reference evaluates the oracle afresh at every row, where a
+        # backtracking run takes the row's value and gradient from its
+        # accepted trial: the two are one expression, so the bits agree.
         eps_f = 1e-13
         rows, final, _, _ = _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start)
         out = standard_cg(oracle, region, SolverConfig(eps_f=eps_f, max_iters=max_iters),
@@ -356,6 +363,84 @@ class TestAtomStore:
         atoms.add(np.array([3.0, 0.0, -0.0]), 0.25)
         assert atoms.w == [1.5, 0.5]
         np.testing.assert_array_equal(atoms.support, [1, 0])
+
+
+def _counted(oracle):
+    """``oracle`` with a list that grows by one entry per eval call."""
+    calls = []
+
+    def evaluate(x):
+        calls.append(None)
+        return oracle.eval(x)
+
+    return dataclasses.replace(oracle, eval=evaluate), calls
+
+
+class TestOneEvaluationPerStep:
+    """A line-search row of standard_cg costs one oracle call: the exact step
+    on a tagged quadratic reads the tag's curvature, and a backtracking step
+    hands on its evaluation at the point it moves to."""
+
+    def test_exact_step_on_a_tagged_least_squares_calls_once_per_row(self):
+        inst, _ = regression_problem(n=30, d=60, seed=0)
+        assert inst.lower.quadratic.F is not None
+        oracle, calls = _counted(inst.lower)
+        out = standard_cg(oracle, inst.region, SolverConfig(eps_f=1e-9, max_iters=500), line_search="exact")
+        assert out.stop_reason == "criterion_met" and len(out.trace) > 20
+        assert len(calls) == len(out.trace)
+
+    @pytest.mark.parametrize("oracle, region, start", [
+        (SHIFTED_EXP, L1Ball(1.0, 2), np.zeros(2)),
+        (FAIR.lower, FAIR.region, FAIR.region.feasible_point()),
+    ], ids=["shifted-exp", "fair"])
+    def test_backtracking_calls_once_per_row_and_rejected_trial(self, monkeypatch, oracle, region, start):
+        oracle, calls = _counted(oracle)
+        step_length, rejected = solvers._cg_step_length, []
+
+        def counted_step(*args):
+            before = len(calls)
+            gamma, evaluation = step_length(*args)
+            # Every trial but the accepted one, whose evaluation is handed on.
+            rejected.append(len(calls) - before - (evaluation is not None))
+            return gamma, evaluation
+
+        monkeypatch.setattr(solvers, "_cg_step_length", counted_step)
+        out = standard_cg(oracle, region, SolverConfig(eps_f=1e-10, max_iters=60),
+                          line_search="backtracking", start=start)
+        assert len(out.trace) > 10 and sum(rejected) > 0
+        assert len(calls) == len(out.trace) + sum(rejected)
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense-Q", "factor-F"])
+    def test_closed_form_step_agrees_with_the_parabola_fit(self, factored):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            dim = int(rng.integers(2, 30))
+            F = rng.standard_normal((int(rng.integers(1, 40)), dim))
+            q = rng.standard_normal(dim)
+            form = QuadraticForm(None, q, 0.3, F=F) if factored else QuadraticForm(F.T @ F, q, 0.3)
+            tagged = SmoothOracle(dim, lambda x, form=form: (form.value(x), form.gradient(x)), quadratic=form)
+            untagged = dataclasses.replace(tagged, quadratic=None)
+            x, d = rng.standard_normal(dim), rng.standard_normal(dim)
+            fx, grad = tagged(x)
+            if grad @ d > 0:
+                d = -d  # a descent direction, as a pairwise one is
+            closed, none = solvers._cg_step_length(tagged, x, fx, grad, d, "exact", {}, np.inf)
+            fitted, _ = solvers._cg_step_length(untagged, x, fx, grad, d, "exact", {}, np.inf)
+            assert none is None and closed > 0.0
+            assert closed == pytest.approx(fitted, rel=1e-8)
+            # The closed form is the exact minimizer along d.
+            assert closed == pytest.approx(-float(grad @ d) / float(F @ d @ (F @ d)), rel=1e-12)
+
+    @pytest.mark.parametrize("form", [
+        QuadraticForm(None, np.array([1.0, -2.0, 0.5]), 0.0, F=np.zeros((4, 3))),
+        QuadraticForm(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]), 0.0),
+    ], ids=["factor-F", "dense-Q"])
+    def test_linear_tag_steps_with_the_away_weight(self, form):
+        assert form.curvature(np.array([1.0, 2.0, -3.0])) == 0.0
+        oracle = SmoothOracle(3, lambda x: (form.value(x), form.gradient(x)), quadratic=form)
+        x, d = np.zeros(3), np.array([0.0, 1.0, 0.0])
+        fx, grad = oracle(x)
+        assert solvers._cg_step_length(oracle, x, fx, grad, d, "exact", {}, 0.375) == (0.375, None)
 
 
 class TestInitializeLower:
