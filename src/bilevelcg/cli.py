@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite = subs.add_parser("suite", help="execute a declarative JSON suite file")
     suite.add_argument("path", help="JSON list of cells {instance, solver, config, seed}")
     suite.add_argument("--out", default="runs")
-    suite.add_argument("--jobs", type=int, default=1)
+    suite.add_argument("--jobs", type=int, default=None,
+                       help="processes running cells, this one included (default: the usable CPUs)")
     suite.add_argument("--record-timing", action="store_true")
     return parser
 
@@ -117,7 +118,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         cells = _family_cells(args)
     try:
-        summaries = run_experiment(cells, args.out, jobs=getattr(args, "jobs", 1),
+        summaries = run_experiment(cells, args.out, jobs=getattr(args, "jobs", None),
                                    record_timing=args.record_timing)
     except SuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,13 @@ and run persistence (trace CSV + summary JSON)."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import json
 import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -517,7 +518,8 @@ def run_solver(
 
 
 class SuiteError(ValueError):
-    """A suite cell is malformed; raised before any cell runs."""
+    """A suite cell or the worker count is malformed; raised before any
+    cell runs."""
 
 
 def _cell_settings(cell) -> tuple[SolverConfig, int]:
@@ -555,21 +557,36 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     return config_from_dict(config), seed
 
 
-def _cell_stem(cell: dict, index: int) -> str:
-    return f"{index:03d}_{cell['instance']}_{cell['solver']}_seed{cell.get('seed', 0)}"
+def _cell_paths(cell: dict, index: int, out_dir: str) -> tuple[str, str]:
+    """The trace CSV and summary JSON paths of a cell."""
+    stem = os.path.join(out_dir, f"{index:03d}_{cell['instance']}_{cell['solver']}_seed{cell.get('seed', 0)}")
+    return stem + ".csv", stem + ".json"
 
 
-def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict:
-    stem = _cell_stem(cell, index)
-    trace_path = os.path.join(out_dir, stem + ".csv")
-    summary_path = os.path.join(out_dir, stem + ".json")
-    cell_hash = hashlib.sha256(json.dumps(cell, sort_keys=True).encode("utf-8")).hexdigest()
-    if os.path.exists(trace_path) and os.path.exists(summary_path):
-        with open(summary_path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-        # A summary written for another cell config is stale: rerun the cell.
-        if stored.get("cell_sha256") == cell_hash:
-            return stored
+def _cell_hash(cell: dict) -> str:
+    return hashlib.sha256(json.dumps(cell, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _read_summary(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _stored_summary(cell: dict, index: int, out_dir: str) -> Optional[dict]:
+    """The summary of a completed cell, else None.  A cell is completed when
+    its trace and summary exist and the summary's ``cell_sha256`` matches
+    the cell: one written for another cell config is stale."""
+    trace_path, summary_path = _cell_paths(cell, index, out_dir)
+    if not (os.path.exists(trace_path) and os.path.exists(summary_path)):
+        return None
+    stored = _read_summary(summary_path)
+    return stored if stored.get("cell_sha256") == _cell_hash(cell) else None
+
+
+def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> None:
+    """Run a cell and write its trace and summary; a failed run writes an
+    error summary and no trace."""
+    trace_path, summary_path = _cell_paths(cell, index, out_dir)
     config, seed = _cell_settings(cell)
     g_star = None
     try:
@@ -585,38 +602,111 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> dict
         # No iterations, and every final value None.
         outcome = SolveOutcome(np.zeros(0), f"error: {exc}", (TraceRow(0, np.nan, np.nan, np.nan, np.nan, 0),))
     summary = RunRecord(cell["instance"], cell["solver"], config_to_dict(config), seed, outcome, g_star).summary
-    summary["cell_sha256"] = cell_hash
+    summary["cell_sha256"] = _cell_hash(cell)
     tmp = summary_path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, summary_path)
-    return summary
+
+
+def _claim(pending: list[int], claims, slot: int) -> Optional[int]:
+    """Take the next pending cell index from the shared counter, or None when
+    every one is taken.  Claim slot ``slot`` holds the index until the
+    claimant's next call and -1 once nothing is left."""
+    counter, lock, slots = claims
+    with lock:
+        taken = counter.value
+        if taken == len(pending):
+            slots[slot] = -1
+            return None
+        counter.value = taken + 1
+        slots[slot] = pending[taken]
+        return pending[taken]
+
+
+def _claim_cells(suite: list[dict], pending: list[int], out_dir: str, record_timing: bool,
+                 claims, slot: int) -> None:
+    """The loop of the caller and of every worker: claim a pending cell, run
+    it, and repeat until every one is taken."""
+    while (index := _claim(pending, claims, slot)) is not None:
+        _run_cell(suite[index], index, out_dir, record_timing)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(
     suite: list[dict],
     out_dir: str,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     record_timing: bool = False,
 ) -> list[dict]:
     """Execute a suite of cells {instance, solver, config, seed, ...},
-    persisting one trace CSV and one summary JSON per cell.  Completed
-    cells (both files present, the summary's ``cell_sha256`` matching the
-    cell) are skipped, making reruns resumable, and
-    fixed seeds reproduce output files byte-for-byte.  Every cell is
-    validated before the first one runs (SuiteError names a malformed
-    one); ``jobs`` > 1 runs the independent cells in worker processes."""
+    persisting one trace CSV and one summary JSON per cell, and return each
+    cell's summary as its file holds it.  Completed cells (both files
+    present, the summary's ``cell_sha256`` matching the cell) are read
+    back, not run, making reruns resumable, and fixed seeds reproduce
+    output files byte-for-byte.  Every cell and ``jobs`` are validated
+    before the first cell runs (SuiteError names a malformed cell).
+
+    ``jobs`` counts the processes that run cells, the calling one included;
+    None means the usable CPUs.  The caller starts on the pending cells at
+    once and spawns ``min(jobs, pending) - 1`` workers that claim the rest,
+    so a suite with one pending cell starts no process.  A spawned worker
+    imports the caller's main module: a script that calls this needs an
+    ``if __name__ == "__main__":`` guard, or ``jobs=1``.  Several processes
+    share the cores, so set ``OPENBLAS_NUM_THREADS=1``, and recorded wall
+    times (``record_timing``) include the contention."""
+    if jobs is None:
+        jobs = _usable_cpus()
+    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise SuiteError(f"jobs must be an int >= 1 or None, got {jobs!r}")
     for index, cell in enumerate(suite):
         try:
             _cell_settings(cell)
         except (TypeError, ValueError) as exc:
             raise SuiteError(f"cell {index}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    if jobs <= 1 or len(suite) <= 1:
-        return [_run_cell(c, i, out_dir, record_timing) for i, c in enumerate(suite)]
-    # Spawned workers: forking a process that may hold BLAS threads is unsafe.
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(jobs, len(suite)), mp_context=spawn) as pool:
-        futs = [pool.submit(_run_cell, c, i, out_dir, record_timing) for i, c in enumerate(suite)]
-        return [f.result() for f in futs]
+    summaries = [_stored_summary(cell, index, out_dir) for index, cell in enumerate(suite)]
+    pending = [index for index, summary in enumerate(summaries) if summary is None]
+    workers = min(jobs, len(pending)) - 1
+    if workers > 0:
+        # Spawned workers: forking a process that may hold BLAS threads is unsafe.
+        spawn = multiprocessing.get_context("spawn")
+        claims = (spawn.RawValue("i", 0), spawn.Lock(), spawn.RawArray("i", [-1] * (workers + 1)))
+    else:
+        claims = (ctypes.c_int(0), contextlib.nullcontext(), [-1])
+    _, lock, slots = claims
+    procs = []
+    try:
+        for slot in range(1, workers + 1):
+            proc = spawn.Process(target=_claim_cells,
+                                 args=(suite, pending, out_dir, record_timing, claims, slot))
+            proc.start()
+            procs.append(proc)
+        _claim_cells(suite, pending, out_dir, record_timing, claims, 0)
+        # Every cell is taken: a worker that holds no claim has nothing to do.
+        # Under the lock, so that none is stopped while it holds the lock.
+        with lock:
+            for slot, proc in enumerate(procs, 1):
+                if slots[slot] < 0:
+                    proc.terminate()
+        for proc in procs:
+            proc.join()
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        raise
+    # A worker that died holding a claim left its cell unfinished: run it
+    # here, where an error of the cell's own comes up as it does serially.
+    for index in sorted(index for index in slots[1:] if index >= 0):
+        _run_cell(suite[index], index, out_dir, record_timing)
+    for index in pending:
+        summaries[index] = _read_summary(_cell_paths(suite[index], index, out_dir)[1])
+    return summaries

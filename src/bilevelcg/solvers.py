@@ -80,11 +80,15 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
         if dd == 0.0:
             return 0.0, None
         L = state.setdefault("L", oracle.lipschitz_grad or 1.0)
+        tried = None
         for _ in range(60):
             gamma = min(max(gap / (L * dd), 0.0), gamma_max)
             if gamma == 0.0:
                 return 0.0, None
-            trial = oracle(x + gamma * d)
+            # Clipped to gamma_max, gamma repeats as L doubles: so does the
+            # trial point, whose evaluation is kept.
+            if gamma != tried:
+                trial, tried = oracle(x + gamma * d), gamma
             # No absolute slack: near the optimum the predicted decrease is
             # below 1e-14, and a slack there accepts steps that raise f.
             if trial[0] <= fx - gamma * gap + 0.5 * L * gamma**2 * dd:

@@ -5,6 +5,8 @@ capture) and then asserts, so a full run shows ten verdict lines.
 """
 
 import functools
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -19,6 +21,7 @@ from bilevelcg.checks import (
     check_convex_rates,
     check_nonconvex_rates,
 )
+from bilevelcg import harness
 from bilevelcg.core import Harmonic, SolverConfig
 from bilevelcg.harness import run_experiment
 from bilevelcg.problems import (
@@ -232,8 +235,30 @@ def test_criterion_09_baseline_orderings(capsys):
            bad or f"{len(checks)} orderings, {elapsed:.0f}s")
 
 
-def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
+def _hold_first_cell(monkeypatch, others: int) -> list:
+    """Patch this process's ``harness._run_cell`` (spawned workers import
+    their own) so that its first cell waits, up to a minute, until the
+    workers have written ``others`` summaries.  Returns a list whose one
+    entry says whether they did."""
+    run_cell, wrote, calls = harness._run_cell, [False], []
+
+    def held(cell, index, out_dir, record_timing):
+        calls.append(index)
+        if len(calls) == 1 and multiprocessing.active_children():
+            deadline = time.monotonic() + 60.0
+            while not wrote[0] and time.monotonic() < deadline:
+                time.sleep(0.01)
+                wrote[0] = sum(name.endswith(".json") for name in os.listdir(out_dir)) == others
+        run_cell(cell, index, out_dir, record_timing)
+
+    monkeypatch.setattr(harness, "_run_cell", held)
+    return wrote
+
+
+def test_criterion_10_byte_identical_reruns(capsys, tmp_path, monkeypatch):
     suite = [
+        # The calling process's cell in the run at the default worker count.
+        {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 30}, "seed": 4},
         {"instance": "toy", "solver": "cg-bio",
          "config": {"eps_f": 1e-5, "eps_g": 1e-5, "max_iters": 200}, "seed": 0},
         {"instance": "regression", "solver": "big-sam",
@@ -244,12 +269,19 @@ def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
          "config": {"eps_f": 1e-12, "eps_g": 1e-2, "max_iters": 40},
          "seed": 3, "options": SMALL_DICT_OPTS},
     ]
+    # One serial run and one at the default worker count, where spawned
+    # workers run every cell but the first: the bytes must not depend on
+    # which process ran a cell.
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    run_experiment(suite, str(dir_a))
+    run_experiment(suite, str(dir_a), jobs=1)
+    worker_wrote = _hold_first_cell(monkeypatch, len(suite) - 1)
     run_experiment(suite, str(dir_b))
     names_a = sorted(p.name for p in dir_a.iterdir())
     names_b = sorted(p.name for p in dir_b.iterdir())
     checks = [
+        # One usable CPU: the default runs serially, and no worker exists.
+        ("workers wrote every cell but the first",
+         worker_wrote[0] == (harness._usable_cpus() > 1)),
         ("same file set", names_a == names_b and len(names_a) == 2 * len(suite)),
         ("no failed cells", all("error" not in (dir_a / n).read_text()[:200]
                                 for n in names_a if n.endswith(".json"))),

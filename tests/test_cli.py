@@ -189,6 +189,15 @@ class TestSuiteCommand:
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_1_exits_2_before_any_cell_runs(self, tmp_path, capsys, jobs):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([{"instance": "toy", "solver": "cg-bio"}] * 2))
+        out = tmp_path / "runs"
+        assert main(["suite", str(suite), "--out", str(out), "--jobs", jobs]) == 2
+        assert f"jobs must be an int >= 1 or None, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_cell_exits_2_naming_it(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps([

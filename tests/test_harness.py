@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -411,6 +412,26 @@ class TestPersistence:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def _count_claims(pending, claims, slot, start, counts):
+    """Claim pending indices until none is left, counting them; the target
+    of the contention test's processes."""
+    start.wait()
+    while harness._claim(pending, claims, slot) is not None:
+        counts[slot] += 1
+
+
+class _Spawn:
+    """The spawn context with a stand-in Process class."""
+
+    _real = multiprocessing.get_context("spawn")
+
+    def __init__(self, process):
+        self.Process = process
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
 class TestRunExperiment:
     def test_empty_suite(self, tmp_path):
         assert run_experiment([], str(tmp_path)) == []
@@ -553,6 +574,98 @@ class TestRunExperiment:
         with pytest.raises(SuiteError, match=f"cell 1: .*{reason}"):
             run_experiment([good, bad], str(tmp_path / "runs"))
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -1, True, False, 1.5, "2"])
+    def test_bad_jobs_rejected_before_any_cell_runs(self, tmp_path, jobs):
+        good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}
+        with pytest.raises(SuiteError, match="jobs must be an int >= 1"):
+            run_experiment([good, good], str(tmp_path / "runs"), jobs=jobs)
+        assert not (tmp_path / "runs").exists()
+
+    def test_serial_concurrent_and_resumed_calls_return_equal_lists(self, tmp_path):
+        cells = [
+            {"instance": "toy", "solver": "cg-bio", "config": {"eps_f": 1e-5, "eps_g": 1e-5}},
+            {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 30}, "seed": 1},
+            {"instance": "fair", "solver": "dbgd", "config": {"max_iters": 30}, "options": {"n": 40, "d": 3}},
+            {"instance": "toy", "solver": "mng"},  # no default M: an error summary
+        ]
+        serial = run_experiment(cells, str(tmp_path / "serial"), jobs=1)
+        concurrent = run_experiment(cells, str(tmp_path / "concurrent"), jobs=2)
+        resumed = run_experiment(cells, str(tmp_path / "serial"), jobs=2)
+        assert serial == concurrent == resumed
+        assert [s["solver"] for s in serial] == ["cg-bio", "dbgd", "dbgd", "mng"]
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "concurrent").iterdir())
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "concurrent" / name).read_bytes()
+
+    def test_concurrent_call_leaves_no_process(self, tmp_path):
+        cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 20}, "seed": seed}
+                 for seed in range(4)]
+        run_experiment(cells, str(tmp_path), jobs=4)
+        assert multiprocessing.active_children() == []
+        assert len(list(tmp_path.iterdir())) == 8
+
+    def test_resumed_cells_start_no_process(self, tmp_path, monkeypatch):
+        cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 20}, "seed": seed}
+                 for seed in range(3)]
+        first = run_experiment(cells, str(tmp_path), jobs=1)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Spawn(no_process))
+        assert run_experiment(cells, str(tmp_path), jobs=3) == first
+        # One pending cell: the caller runs it.
+        cells[1]["config"]["max_iters"] = 21
+        assert run_experiment(cells, str(tmp_path), jobs=3)[1]["iterations"] == 21
+
+    def test_contended_claims_take_each_cell_once(self):
+        # More claimant processes than cores on one counter and lock,
+        # released together: a lost update would hand an index out twice,
+        # and the claim counts would add up to more than the pending cells.
+        spawn = multiprocessing.get_context("spawn")
+        pending, claimants = list(range(20_000)), max(3, harness._usable_cpus() + 1)
+        claims = (spawn.RawValue("i", 0), spawn.Lock(), spawn.RawArray("i", [-1] * claimants))
+        counts, start = spawn.RawArray("i", claimants), spawn.Barrier(claimants)
+        procs = [spawn.Process(target=_count_claims, args=(pending, claims, slot, start, counts),
+                               daemon=True) for slot in range(claimants)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60.0)
+        assert not any(proc.is_alive() for proc in procs)
+        assert [proc.exitcode for proc in procs] == [0] * claimants
+        assert sum(counts) == len(pending)
+        assert list(claims[2]) == [-1] * claimants
+
+    def test_cell_claimed_by_a_worker_that_exits_is_run_by_the_caller(self, tmp_path, monkeypatch):
+        cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 20}, "seed": seed}
+                 for seed in range(4)]
+        serial = run_experiment(cells, str(tmp_path / "serial"), jobs=1)
+        claimed = []
+
+        class ClaimsAndExits:
+            """A worker that claims one cell and exits without running it."""
+
+            def __init__(self, target, args):
+                self.args = args
+
+            def start(self):
+                suite, pending, out_dir, record_timing, claims, slot = self.args
+                claimed.append(harness._claim(pending, claims, slot))
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Spawn(ClaimsAndExits))
+        assert run_experiment(cells, str(tmp_path / "stub"), jobs=3) == serial
+        assert claimed == [0, 1]
+        for name in sorted(p.name for p in (tmp_path / "serial").iterdir()):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "stub" / name).read_bytes()
 
     def test_summary_json_well_formed(self, tmp_path):
         cells = [{"instance": "toy", "solver": "cg-bio",

@@ -410,6 +410,21 @@ class TestOneEvaluationPerStep:
         assert len(out.trace) > 10 and sum(rejected) > 0
         assert len(calls) == len(out.trace) + sum(rejected)
 
+    @pytest.mark.parametrize("eps_f, max_iters", [(1e-5, 100_000), (1e-13, 200)])
+    def test_backtracking_evaluates_each_trial_point_once(self, eps_f, max_iters):
+        # A step clipped to the away weight keeps its trial point as L
+        # doubles; both runs take such a step (one call each at the parent).
+        points = []
+
+        def evaluate(x):
+            points.append(x.tobytes())
+            return FAIR.lower.eval(x)
+
+        oracle = dataclasses.replace(FAIR.lower, eval=evaluate)
+        standard_cg(oracle, FAIR.region, SolverConfig(eps_f=eps_f, max_iters=max_iters),
+                    line_search="backtracking", start=FAIR.region.feasible_point())
+        assert len(points) == len(set(points)) > 20
+
     @pytest.mark.parametrize("factored", [False, True], ids=["dense-Q", "factor-F"])
     def test_closed_form_step_agrees_with_the_parabola_fit(self, factored):
         rng = np.random.default_rng(5)
