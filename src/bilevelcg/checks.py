@@ -370,14 +370,16 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         worst = max(worst, float(c @ s) + support if reg.contains(s, tol=1e-9) else np.inf)
     results.append(("ball-product LMO support certificate", worst <= 1e-8, f"worst gap {worst:.2e}"))
 
-    # Polytope LMO (simplex) against vertex enumeration.
+    # Polytope LMO against the simplex's vertex, on Gaussian objectives and
+    # on integer ones in {-1, 0, 1}, which tie often: on ties both must
+    # return the last minimizing vertex.
     worst = 0.0
-    for i in range(count):
+    for _ in range(count):
         reg = _random_polytope(rng)
-        c = rng.standard_normal(reg.dimension)
-        gap = float(lmo(reg, c) @ c) - float(np.min(reg.vertices() @ c))
-        worst = max(worst, abs(gap))
-    results.append(("polytope LMO vs vertex enumeration", worst <= 1e-8, f"worst {worst:.2e}"))
+        for c in (rng.standard_normal(reg.dimension), rng.integers(-1, 2, size=reg.dimension).astype(float)):
+            point = simplex_solve(LpProblem(c, reg.A, reg.b)).point
+            worst = max(worst, float(np.abs(lmo(reg, c) - point).max()))
+    results.append(("polytope LMO vs simplex", worst <= 1e-9, f"worst {worst:.2e}"))
 
     # Every certificate below minimizes with these plain LMOs, and the cuts
     # are drawn with them: a wrong one makes the rest meaningless.
@@ -400,15 +402,6 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         ok_feas = reg.contains(s, tol=1e-7) and h.contains(s, tol=1e-7)
         worst = max(worst, (float(s @ c) - ref) if ok_feas else np.inf)
     results.append(("restricted polytope LMO vs vertex enumeration", worst <= 1e-8, f"worst {worst:.2e}"))
-
-    # Simplex solver against vertex enumeration on random bounded LPs.
-    worst = 0.0
-    for _ in range(count):
-        reg = _random_polytope(rng)
-        c = rng.standard_normal(reg.dimension)
-        sol = simplex_solve(LpProblem(c=c, A=reg.A, b=reg.b))
-        worst = max(worst, abs(sol.value - float(np.min(reg.vertices() @ c))))
-    results.append(("simplex vs vertex enumeration", worst <= 1e-8, f"worst {worst:.2e}"))
 
     # Projections by their Frank-Wolfe gap at c = p - y: gap <= 1e-12 bounds
     # |p - proj(y)| by 1e-6.  Each draw gives one or more (region, y) pairs;

@@ -7,18 +7,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import oracles
-
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 
 class OracleError(RuntimeError):
-    """A subproblem oracle failed (infeasible LP, a cut excluding the region, ...)."""
+    """A subproblem oracle failed (an empty or unbounded polytope, a cut
+    excluding the whole region, ...)."""
 
 
 class ConfigurationError(ValueError):
@@ -181,8 +181,9 @@ class Region:
     - ``project(v)``: Euclidean projection;
     - ``feasible_point()``: a deterministic feasible point.
 
-    All tie-breaking is lowest-index deterministic so that traces are
-    reproducible across platforms.
+    All tie-breaking is deterministic (lowest index; the polytope LMO takes
+    its last minimizing vertex) so that traces are reproducible across
+    platforms.
     """
 
 
@@ -266,39 +267,47 @@ class L1Ball(Region):
 
 def _l1_cut_walk(r: float, a: np.ndarray, beta: float, c: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize <c, s> over the l1 ball of radius r cut by <a, s> <= beta,
-    whose plain LMO point violates the cut: maximize the dual
-    -r * max_k line_k(mu) - mu * beta over mu >= 0 by walking the upper
-    envelope of the 2d lines sigma * (c_i + mu a_i) from mu = 0.  The signed
-    vertex of line (i, sigma) is -sigma * r * e_i, with <a, vertex> =
-    -r * slope; the walk stops at the first line whose vertex satisfies the
-    cut and mixes that vertex with the one before it onto the cut.  Returns
-    the minimizer and the multiplier mu."""
+    whose plain LMO point violates the cut: :func:`_envelope_walk` over the
+    generated lines sigma * (-c_i, -a_i) of the signed vertices
+    -sigma * r * e_i.  Returns the minimizer and the multiplier mu."""
     # Line 2i + (sigma < 0), so the lowest line index is the lowest
     # coordinate, + before -, as in L1Ball.lmo().
-    icpt = np.stack([c, -c], axis=1).ravel()
-    slope = np.stack([a, -a], axis=1).ravel()
+    values = np.stack([-c, c], axis=1).ravel()
+    slopes = np.stack([-a, a], axis=1).ravel()
     i = int(np.argmax(np.abs(c)))
-    k = 2 * i + int(c[i] < 0)  # the line of the plain LMO vertex
-    prev, mu = k, 0.0
-    while -r * slope[k] > beta:
-        # Only a steeper line can overtake line k as mu grows.
-        steeper = np.flatnonzero(slope > slope[k])
-        if not steeper.size:
-            raise OracleError("the cut excludes the whole l1 ball")
-        cross = (icpt[k] - icpt[steeper]) / (slope[steeper] - slope[k])
-        # Rounding can put a crossing a hair before mu; the envelope only
-        # moves right.  Of the lines crossing first, the steepest continues
-        # the envelope (argmax keeps the lowest index on ties).
-        cross = np.maximum(cross, mu)
-        mu = float(cross.min())
-        first = steeper[cross == mu]
-        prev, k = k, int(first[np.argmax(slope[first])])
+    j, k, theta, mu = _envelope_walk(values, slopes, r, beta, 2 * i + int(c[i] < 0), "l1 ball")
     s = np.zeros_like(c)
-    a_left, a_right = -r * slope[prev], -r * slope[k]
-    theta = (beta - a_right) / (a_left - a_right) if prev != k else 0.0
-    s[prev // 2] += theta * (r if prev % 2 else -r)
+    s[j // 2] += theta * (r if j % 2 else -r)
     s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
     return s, mu
+
+
+def _envelope_walk(values: np.ndarray, slopes: np.ndarray, r: float, beta: float, k: int,
+                   what: str) -> tuple[int, int, float, float]:
+    """Minimize <c, s> over the hull of vertices v_k cut by <a, s> <= beta,
+    given their lines (values_k, slopes_k) = (<c, v_k>, <a, v_k>) / r, r > 0,
+    and a vertex k minimizing <c, .> that violates the cut: maximize the dual
+    r * min_k (values_k + mu * slopes_k) - mu * beta over mu >= 0 by walking
+    the lower envelope from line k at mu = 0 to the first line whose vertex
+    satisfies the cut.  Returns (j, k, theta, mu): theta * v_j +
+    (1 - theta) * v_k is the minimizer, on the cut, and mu the multiplier."""
+    j, mu = k, 0.0
+    while r * slopes[k] > beta:
+        # Only a flatter line can undercut line k as mu grows.
+        flatter = np.flatnonzero(slopes < slopes[k])
+        if not flatter.size:
+            raise OracleError(f"the cut excludes the whole {what}")
+        cross = (values[flatter] - values[k]) / (slopes[k] - slopes[flatter])
+        # Rounding can put a crossing a hair before mu; the envelope only
+        # moves right.  Of the lines crossing first, the flattest continues
+        # the envelope (argmin keeps the lowest index on ties).
+        cross = np.maximum(cross, mu)
+        mu = float(cross.min())
+        first = flatter[cross == mu]
+        j, k = k, int(first[np.argmin(slopes[first])])
+    cut_j, cut_k = r * slopes[j], r * slopes[k]
+    theta = (beta - cut_k) / (cut_j - cut_k) if j != k else 0.0
+    return j, k, theta, mu
 
 
 @dataclass(frozen=True)
@@ -460,11 +469,37 @@ class BallProduct(Region):
         return np.zeros(self.dimension)
 
 
+def _vertex_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The vertices of {x : Ax <= b, x >= 0}, desk-scale (d <= ~4): the
+    feasible intersections of d-subsets of its hyperplanes, sign constraints
+    last, in order; a coordinate whose sign constraint is in the subset is 0."""
+    m, d = A.shape
+    normals = np.vstack([A, -np.eye(d)])
+    offsets = np.concatenate([b, np.zeros(d)])
+    seen: list[np.ndarray] = []
+    for idx in combinations(range(m + d), d):
+        M = normals[list(idx)]
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        v = np.linalg.solve(M, offsets[list(idx)])
+        v[[i - m for i in idx if i >= m]] = 0.0
+        if np.any(v < -1e-9) or not np.all(A @ v <= b + 1e-9):
+            continue
+        if not any(np.linalg.norm(v - w) < 1e-9 for w in seen):
+            seen.append(v)
+    return np.array(seen).reshape(-1, d)
+
+
+def _last_argmin(values: np.ndarray) -> int:
+    """The last minimizing index: on ties, the vertex Bland's simplex reaches."""
+    return values.size - 1 - int(np.argmin(values[::-1]))
+
+
 @dataclass(frozen=True)
 class Polytope(Region):
-    """{x : Ax <= b, x >= 0}.  Must be bounded (it backs an LMO).  The
-    LMOs solve LPs with the dense simplex; the projection is the exact QP
-    :func:`minimize_quadratic_over_halfspaces`."""
+    """{x : Ax <= b, x >= 0}.  The LMOs run on the vertices, enumerated at
+    the first call, which raises OracleError for an empty or unbounded
+    polytope; the projection is :func:`minimize_quadratic_over_halfspaces`."""
 
     A: np.ndarray
     b: np.ndarray
@@ -494,56 +529,37 @@ class Polytope(Region):
         eye = np.eye(self.dimension)
         return rows + [Halfspace(-eye[i], 0.0) for i in range(self.dimension)]
 
-    def vertices(self) -> np.ndarray:
-        """Enumerate vertices by intersecting d-subsets of the defining
-        halfspaces.  Intended for desk-scale instances (dimension <= ~4)."""
-        d = self.dimension
-        planes = self.halfspaces()
-        seen: list[np.ndarray] = []
-        for idx in combinations(range(len(planes)), d):
-            M = np.array([planes[i].normal for i in idx])
-            rhs = np.array([planes[i].offset for i in idx])
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            v = np.linalg.solve(M, rhs)
-            if not self.contains(v, tol=1e-9):
-                continue
-            if not any(np.linalg.norm(v - w) < 1e-9 for w in seen):
-                seen.append(v)
-        if not seen:
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        verts = _vertex_rows(self.A, self.b)
+        if not verts.size:
             raise OracleError("polytope has no vertices (empty or degenerate)")
-        return np.array(seen)
+        # Bounded iff the recession cone {d >= 0, Ad <= 0} is {0}, iff the
+        # cone cut by 1'd <= 1 has no vertex but 0.
+        cone = _vertex_rows(np.vstack([self.A, np.ones(self.dimension)]), np.append(np.zeros(self.b.size), 1.0))
+        if np.any(cone != 0.0):
+            raise OracleError("polytope is unbounded")
+        verts.setflags(write=False)
+        return verts
+
+    def vertices(self) -> np.ndarray:
+        """The rows of a read-only array, in :func:`_vertex_rows` order."""
+        return self._vertices
 
     @property
     def diameter(self) -> float:
         verts = self.vertices()
-        best = 0.0
-        for i in range(len(verts)):
-            d = np.linalg.norm(verts[i + 1 :] - verts[i], axis=1)
-            if d.size:
-                best = max(best, float(d.max()))
-        return best
-
-    def _lp_point(self, c: np.ndarray, cut: Optional[Halfspace] = None) -> tuple[np.ndarray, np.ndarray]:
-        """A vertex minimizing <c, x> over the polytope, cut by ``cut`` when
-        given, and the row multipliers, from the dense simplex."""
-        A, b = self.A, self.b
-        if cut is not None:
-            A = np.vstack([A, cut.normal[None, :]])
-            b = np.append(b, cut.offset)
-        sol = oracles.simplex_solve(oracles.LpProblem(c, A, b))
-        if sol.status == "infeasible":
-            raise OracleError("LP subproblem infeasible")
-        if sol.status == "unbounded":
-            raise OracleError("LP subproblem unbounded (region not compact)")
-        return sol.point, sol.duals
+        return float(np.linalg.norm(verts[:, None] - verts[None], axis=-1).max())
 
     def lmo(self, c: np.ndarray) -> np.ndarray:
-        return self._lp_point(c)[0]
+        verts = self.vertices()
+        return verts[_last_argmin(verts @ c)].copy()
 
     def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
-        point, duals = self._lp_point(c, h)
-        return point, float(duals[-1])
+        verts = self.vertices()
+        values = verts @ c
+        j, k, theta, mu = _envelope_walk(values, verts @ h.normal, 1.0, h.offset, _last_argmin(values), "polytope")
+        return theta * verts[j] + (1.0 - theta) * verts[k], mu
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """The exact QP min 0.5 |x - v|^2 over the defining halfspaces."""
@@ -552,10 +568,7 @@ class Polytope(Region):
 
     def feasible_point(self) -> np.ndarray:
         origin = np.zeros(self.dimension)
-        if self.contains(origin):
-            return origin
-        # Phase-1 style: any vertex of the feasible set.
-        return self._lp_point(origin)[0]
+        return origin if self.contains(origin) else self.lmo(origin)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
-"""The dense two-phase simplex LP solver, and the checked entry points
-through which the solvers call a region's oracles.
+"""The checked entry points through which the solvers call a region's
+oracles, and a dense two-phase simplex LP solver.
 
 Each region class in :mod:`core` carries its own linear minimization oracle
 (plain and restricted to a halfspace cut) and projection; the functions
-here validate the input vector and call them.  Only
-``Polytope`` reaches the simplex, as ``oracles.simplex_solve``: the l1-ball
-and ball-product cut LMOs solve their one-dimensional dual directly.  All
-tie-breaking is lowest-index deterministic so that traces are reproducible
-across platforms.
+here validate the input vector and call them.  No region reaches the
+simplex: every cut LMO solves its one-dimensional dual directly.  The
+simplex is the independent LP reference of :mod:`bilevelcg.checks`.  Its
+tie-breaking is lowest-index deterministic (Bland's rule).
 """
 
 from __future__ import annotations
@@ -45,14 +44,9 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``duals`` holds the multipliers y >= 0 of the rows A x <= b (the
-    final reduced costs of their slacks), so c + A'y >= 0 and
-    <c, point> = -<b, y> at the optimum; NaN unless optimal."""
-
     point: np.ndarray
     value: float
     status: str  # "optimal" | "infeasible" | "unbounded"
-    duals: np.ndarray
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -131,7 +125,7 @@ def simplex_solve(lp: LpProblem) -> LpSolution:
         T[-1, n + m : total] = 0.0
         status = _bland_iterate(T, basis, total)
         if status != "optimal" or -T[-1, -1] > FEAS_TOL:
-            return LpSolution(np.full(n, np.nan), np.nan, "infeasible", np.full(m, np.nan))
+            return LpSolution(np.full(n, np.nan), np.nan, "infeasible")
         # Drive remaining artificials out of the basis where possible.
         for i in range(m):
             if basis[i] >= n + m:
@@ -151,16 +145,14 @@ def simplex_solve(lp: LpProblem) -> LpSolution:
             T[-1] -= T[-1, bi] * T[i]
     status = _bland_iterate(T, basis, n + m)
     if status == "unbounded":
-        return LpSolution(np.full(n, np.nan), np.nan, "unbounded", np.full(m, np.nan))
+        return LpSolution(np.full(n, np.nan), np.nan, "unbounded")
 
     x = np.zeros(n + m)
     for i, bi in enumerate(basis):
         if bi < n + m:
             x[bi] = T[i, -1]
     point = x[:n]
-    # Reduced costs stop at -PIVOT_TOL, so clip their rounding below zero.
-    duals = np.maximum(T[-1, n : n + m], 0.0)
-    return LpSolution(point, float(lp.c @ point), "optimal", duals)
+    return LpSolution(point, float(lp.c @ point), "optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bilevelcg.checks import brute_lmo_l1
+from bilevelcg.checks import _random_polytope, brute_lmo_l1
 from bilevelcg.core import (
     BallProduct,
     BilevelInstance,
@@ -218,6 +218,26 @@ class TestPolytope:
 
     def test_diameter_is_max_vertex_distance(self):
         assert self.region().diameter == pytest.approx(np.sqrt(61.0) / 6.0)
+
+    def test_no_vertex_has_a_negative_coordinate(self):
+        # A coordinate whose sign constraint defines the vertex is exactly 0:
+        # the toy's vertex on x1 = 0 used to read x1 = -5.6e-17.
+        rng = np.random.default_rng(0)
+        regions = [self.region()] + [Polytope(np.eye(d), np.ones(d)) for d in (2, 3)]
+        for region in regions + [_random_polytope(rng) for _ in range(20)]:
+            assert not np.any(region.vertices() < 0.0)
+
+    def test_vertices_are_enumerated_once_and_read_only(self):
+        reg = self.region()
+        verts = reg.vertices()
+        assert reg.vertices() is verts and not verts.flags.writeable
+
+    def test_unbounded_polytope_raises_at_its_first_oracle_call(self):
+        # {x >= 0, x1 - x2 <= 1} holds the ray (1, 1) t; its recession cone
+        # cut by x1 + x2 <= 1 has the vertex (0.5, 0.5).
+        region = Polytope([[1.0, -1.0]], [1.0])
+        with pytest.raises(OracleError, match="unbounded"):
+            region.lmo(np.array([-1.0, -1.0]))
 
     def test_membership_includes_sign_constraints(self):
         reg = self.region()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,17 +62,6 @@ class TestSimplex:
         b = simplex_solve(problem)
         np.testing.assert_array_equal(a.point, b.point)
 
-    @pytest.mark.parametrize("c, A, b, duals", [
-        ([-1.0, -1.0], TOY_REGION.A, TOY_REGION.b, [1.0, 0.0]),
-        ([1.0], [[-1.0], [1.0]], [-0.5, 2.0], [1.0, 0.0]),  # negated row, phase one
-    ])
-    def test_row_duals_certify_the_value(self, c, A, b, duals):
-        lp = LpProblem(c=np.array(c), A=np.array(A), b=np.array(b))
-        sol = simplex_solve(lp)
-        np.testing.assert_allclose(sol.duals, duals, atol=1e-12)
-        assert np.all(lp.c + lp.A.T @ sol.duals >= -1e-12)
-        assert sol.value == pytest.approx(-float(lp.b @ sol.duals), abs=1e-12)
-
 
 class TestLmo:
     def test_l1_selects_largest_coefficient(self):
@@ -112,6 +103,19 @@ class TestLmo:
         c = np.array([-1.0, -1.0])
         s = lmo(TOY_REGION, c)
         assert float(c @ s) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("region", [TOY_REGION, Polytope(np.eye(2), np.ones(2)), Polytope(np.eye(3), np.ones(3))])
+    def test_polytope_ties_take_the_simplex_vertex(self, region):
+        # Every objective in {-1, 0, 1}^d, most of them tied: the LMO returns
+        # the last minimizing vertex, the one the simplex reaches.
+        for c in itertools.product([-1.0, 0.0, 1.0], repeat=region.dimension):
+            c = np.array(c)
+            expected = simplex_solve(LpProblem(c, region.A, region.b)).point
+            np.testing.assert_allclose(lmo(region, c), expected, rtol=0.0, atol=1e-12)
+
+    def test_polytope_lmo_returns_a_fresh_vertex(self):
+        s = lmo(TOY_REGION, np.array([-1.0, 0.0]))
+        assert s.flags.writeable and not np.shares_memory(s, TOY_REGION.vertices())
 
     def test_product_region_blockwise(self):
         region = ProductRegion((L1Ball(1.0, 2), L1Ball(3.0, 2)))
@@ -187,10 +191,10 @@ class TestHalfspaceLmo:
         np.testing.assert_allclose(s[2:], [1.0, 0.0])
 
     def test_infeasible_cut_raises(self):
-        region = L1Ball(1.0, 2)
-        h = Halfspace(np.array([1.0, 0.0]), -5.0)  # x1 <= -5 misses the ball
-        with pytest.raises(OracleError):
-            halfspace_lmo(region, h, np.array([0.0, 1.0]))
+        h = Halfspace(np.array([1.0, 0.0]), -5.0)  # x1 <= -5 misses both regions
+        for region, what in ((L1Ball(1.0, 2), "l1 ball"), (TOY_REGION, "polytope")):
+            with pytest.raises(OracleError, match=f"the cut excludes the whole {what}"):
+                halfspace_lmo(region, h, np.array([0.0, 1.0]))
 
 
 def _cut(region, h, c):
@@ -388,10 +392,12 @@ class TestCutLmo:
         assert cut_certificate_gap(region, h, c, s, mu) <= 1e-9
 
     def test_polytope_multiplier_from_the_tableau(self):
+        # The walk's mu matches the 3.0 the dense simplex read from its
+        # final tableau.
         h = Halfspace(np.array([-1.0, -1.0]), -1.0)
         s, mu, gap = _cut(TOY_REGION, h, [1.0, 0.0])
         np.testing.assert_allclose(s, [0.5, 0.5], atol=1e-9)
-        assert mu >= 0.0 and gap <= 1e-9
+        assert abs(mu - 3.0) <= 1e-12 and gap <= 1e-9
 
     def test_l1_frozen_d5000_matches_simplex(self):
         rng = np.random.default_rng(20221006)
@@ -404,20 +410,23 @@ class TestCutLmo:
         assert abs(float(c @ s) - l1_cut_lp_value(region, h, c)) <= 1e-9
         assert gap <= 1e-9
 
-    def test_l1_and_ball_product_cuts_never_call_the_simplex(self, monkeypatch):
+    def test_no_region_oracle_calls_the_simplex(self, monkeypatch):
         def forbidden(lp):
             raise AssertionError("simplex_solve called")
 
         monkeypatch.setattr(oracles, "simplex_solve", forbidden)
         rng = np.random.default_rng(3)
-        for region in (L1Ball(1.5, 40), BallProduct(num_cols=5, col_dim=3, radii=1.0)):
+        # A fresh toy polytope, so that its vertices are enumerated here.
+        toy = Polytope(TOY_REGION.A, TOY_REGION.b)
+        for region in (L1Ball(1.5, 40), BallProduct(num_cols=5, col_dim=3, radii=1.0), toy):
             c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
             plain = lmo(region, c)
-            h = Halfspace(normal, float(normal @ plain) - 0.5)
+            # Halfway from the plain point's cut value to the region's least.
+            low = float(normal @ lmo(region, normal))
+            h = Halfspace(normal, 0.5 * (low + float(normal @ plain)))
             s = halfspace_lmo(region, h, c)
             assert region.contains(s, tol=1e-9) and h.contains(s, tol=1e-9)
-        with pytest.raises(AssertionError, match="simplex_solve called"):
-            halfspace_lmo(TOY_REGION, Halfspace(np.array([-1.0, -1.0]), -1.0), np.array([1.0, 0.0]))
+            assert cut_certificate_gap(region, h, c, s, region.cut_lmo(h, c, plain)[1]) <= 1e-9
 
 
 def _masked_l1_cut_walk(r, a, beta, c):
@@ -561,6 +570,20 @@ def _l1_lmo_last_on_ties(self, c):
     return s.reshape(-1)
 
 
+def _polytope_lmo_first_on_ties(self, c):
+    """Optimal, but takes the first minimizing vertex of a tie."""
+    verts = self.vertices()
+    return verts[int(np.argmin(verts @ c))].copy()
+
+
+def _polytope_cut_lmo_last_vertex(self, h, c, plain):
+    """The walk's last vertex, which satisfies the cut, without the mix."""
+    verts = self.vertices()
+    values = verts @ c
+    _, k, _, mu = core._envelope_walk(values, verts @ h.normal, 1.0, h.offset, core._last_argmin(values), "polytope")
+    return verts[k].copy(), mu
+
+
 _L1_PROJECT = L1Ball.project
 
 
@@ -628,6 +651,9 @@ class TestCutCertificate:
         (Polytope, "project", _polytope_project_one_sweep, "polytope projection certificate"),
         (L1Ball, "lmo", _l1_lmo_last_on_ties, "l1 LMO vs vertex enumeration"),
         (L1Ball, "project", _l1_one_ball_project, "l1 projection certificate"),
+        (Polytope, "lmo", _polytope_lmo_first_on_ties, "polytope LMO vs simplex"),
+        (Polytope, "cut_lmo", _polytope_cut_lmo_last_vertex, "restricted polytope LMO vs vertex enumeration"),
+        (Polytope, "cut_lmo", _polytope_cut_lmo_last_vertex, "polytope cut LMO certificate"),
     ])
     def test_check_oracles_fails_a_mutant(self, monkeypatch, cls, name, mutant, label):
         monkeypatch.setattr(cls, name, mutant)
