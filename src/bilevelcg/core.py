@@ -31,46 +31,45 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Explicit representation f(x) = 0.5 x'Qx + q'x + c for solvers that
-    need to minimize f over small polyhedra in closed form.
+    """Explicit representation f(x) = 0.5 x'Qx + q'x + c, or factored as
+    f(x) = 0.5 |Fx - h|^2, for solvers that minimize f over small polyhedra
+    in closed form or follow it along their steps.
 
-    The Hessian is given either densely as ``Q`` or as a factor ``F`` with
-    Q = F'F (then ``Q`` is None).  A least-squares objective
-    0.5 |Ax - b|^2 is tagged with F = A: an n x d matrix instead of a d x d
-    Gram, so that value and gradient cost O(nd).  :meth:`hessian` forms the
-    dense matrix for the callers that need one."""
+    A least-squares objective 0.5 |Ax - b|^2 is tagged with F = A and h = b:
+    an n x d matrix instead of a d x d Gram, so value and gradient cost O(nd)
+    and the value is not taken by cancellation against 0.5 |b|^2.
+    :meth:`hessian` and :meth:`linear` form F'F and -F'h on every call."""
 
     Q: Optional[np.ndarray]
-    q: np.ndarray
+    q: Optional[np.ndarray] = None
     c: float = 0.0
     F: Optional[np.ndarray] = None
+    h: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if (self.Q is None) == (self.F is None):
             raise ValueError("give exactly one of the Hessian Q and its factor F")
+        if (self.q is None) != (self.Q is None) or (self.h is None) != (self.F is None):
+            raise ValueError("a Hessian Q takes a linear term q, a factor F a shift h")
 
     def value(self, x: np.ndarray) -> float:
         if self.F is None:
             return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.c
-        Fx = self.F @ x
-        return 0.5 * float(Fx @ Fx) + float(self.q @ x) + self.c
+        r = self.F @ x - self.h
+        return 0.5 * float(r @ r)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self.F is None:
             return self.Q @ x + self.q
-        return self.F.T @ (self.F @ x) + self.q
-
-    def curvature(self, d: np.ndarray) -> float:
-        """0.5 d'Qd, from one matvec: f(x + t d) = f(x) + t <grad f(x), d>
-        + t^2 curvature(d)."""
-        if self.F is None:
-            return 0.5 * float(d @ (self.Q @ d))
-        Fd = self.F @ d
-        return 0.5 * float(Fd @ Fd)
+        return self.F.T @ (self.F @ x - self.h)
 
     def hessian(self) -> np.ndarray:
-        """The dense d x d Hessian: ``Q``, or F'F formed on every call."""
+        """The dense d x d Hessian: ``Q``, or F'F."""
         return self.Q if self.F is None else self.F.T @ self.F
+
+    def linear(self) -> np.ndarray:
+        """The linear term: ``q``, or -F'h."""
+        return self.q if self.F is None else -(self.F.T @ self.h)
 
 
 def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Halfspace]) -> np.ndarray:
@@ -84,9 +83,10 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Ha
     singular KKT system can give multipliers of the wrong sign), the
     feasible candidate of least value is returned.  Raises OracleError when
     no active set yields a feasible point.  The worst case visits all 2^m
-    active sets.  The dense Hessian is formed once per call.
+    active sets.  The dense Hessian and linear term are formed once per call.
     """
-    d = quad.q.shape[0]
+    q = quad.linear()
+    d = q.shape[0]
     hessian = quad.hessian()
     best, best_val = None, np.inf
     for size in range(len(constraints) + 1):
@@ -95,7 +95,7 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Ha
             K[:d, :d] = hessian
             # An active halfspace <a, x> <= beta enters negated, as the row
             # <-a, x> = -beta and the column -a.
-            rhs = np.concatenate([-quad.q, [-constraints[i].offset for i in active]])
+            rhs = np.concatenate([-q, [-constraints[i].offset for i in active]])
             for j, i in enumerate(active):
                 K[:d, d + j] = K[d + j, :d] = -constraints[i].normal
             sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
@@ -124,9 +124,10 @@ class SmoothOracle:
     ``lipschitz_grad`` is a Lipschitz constant of the gradient in the l2
     norm, or None when unknown.  ``quadratic`` is set when the function is an
     explicit convex quadratic (enables closed-form subproblems and exact
-    line search); a factored tag (``QuadraticForm`` with ``F``) keeps an
-    O(nd) least-squares oracle free of d x d arrays on every path but the
-    exact QPs, which form the Hessian.
+    line search) and must agree with ``eval``.  A factored tag
+    (``QuadraticForm`` with ``F``) keeps an O(nd) least-squares oracle free
+    of d x d arrays on every path but the exact QPs, which form the Hessian;
+    standard_cg's exact steps and cg_bio read it in place of ``eval``.
     """
 
     dimension: int
@@ -807,13 +808,15 @@ class SolveOutcome:
     that bound is at most eps_g / 2; other solvers leave both None.  From an
     uncertified start a row that passes the stop test reports
     "uncertified_start", not "criterion_met": the test's guarantee needs a
-    certified start."""
+    certified start.  ``init_iterations`` counts the CG steps of a start
+    that :func:`bilevelcg.harness.run_solver` made, else it is None."""
 
     final_point: np.ndarray
     stop_reason: str
     trace: tuple[TraceRow, ...]
     init_certificate: Optional[float] = None
     certified: Optional[bool] = None
+    init_iterations: Optional[int] = None
 
     def __post_init__(self):
         if not self.trace:

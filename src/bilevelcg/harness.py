@@ -38,11 +38,11 @@ from .solvers import (
     DbgdConfig,
     MngConfig,
     _line_search,
+    _start_run,
     a_irg,
     big_sam,
     cg_bio,
     dbgd,
-    initialize_lower,
     mng,
     standard_cg,
 )
@@ -337,6 +337,7 @@ class RunRecord:
         if self.outcome.certified is not None:  # a cg-bio run's start
             summary["certified"] = self.outcome.certified
             summary["init_certificate"] = _none_if_nan(self.outcome.init_certificate)
+            summary["init_iterations"] = self.outcome.init_iterations
         return summary
 
 
@@ -484,7 +485,7 @@ def run_solver(
     ValueError (TypeError for a baseline).
 
     cg-bio starts from ``start`` or else from :func:`initialize_lower`'s
-    point, and :func:`cg_bio` records that start's certificate."""
+    point, whose CG steps and certificate the outcome records."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     opts = dict(options or {})
@@ -492,10 +493,10 @@ def run_solver(
     if allowed is not None and not set(opts) <= allowed:
         raise ValueError(f"unknown {solver} options {sorted(set(opts) - allowed)}")
     if solver == "cg-bio":
-        if start is None:
-            init_iters = int(opts.get("init_iters", 10_000))
-            start, _, _ = initialize_lower(instance, config.eps_g, max_iters=init_iters)
-        return cg_bio(instance, start, config)
+        if start is not None:
+            return cg_bio(instance, start, config)
+        init = _start_run(instance, config.eps_g, max_iters=int(opts.get("init_iters", 10_000)))
+        return replace(cg_bio(instance, init.final_point, config), init_iterations=init.iterations)
     if solver == "cg":
         return standard_cg(
             instance.upper, instance.region, config,

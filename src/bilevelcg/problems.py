@@ -214,7 +214,7 @@ def _least_squares_oracle(A: np.ndarray, b: np.ndarray) -> SmoothOracle:
         return 0.5 * float(r @ r), A.T @ r
 
     # Factored by A itself: no d x d Gram is formed or held.
-    quad = QuadraticForm(None, -(A.T @ b), 0.5 * float(b @ b), F=A)
+    quad = QuadraticForm(None, F=A, h=b)
     return SmoothOracle(A.shape[1], evaluate, lipschitz_grad=gram_lam, quadratic=quad)
 
 

@@ -57,19 +57,21 @@ class _Tracer:
 # Conditional-gradient methods
 # ---------------------------------------------------------------------------
 
-def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
+def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max, image=None):
     """Stepsize in [0, gamma_max] along the pairwise direction d = s - v_away
     of standard CG, where gamma_max is the away atom's weight, and the
     oracle's (value, gradient) at x + gamma * d when the step evaluated it
-    there, else None."""
+    there, else None.  ``image`` is F d for a carried :class:`_Residual`."""
     gap = float(-(grad @ d))  # <grad, v_away - s>
     if mode == "exact":
-        # f(x + t d) = fx - t gap + t^2 curv for a quadratic: a tagged one
-        # gives curv in closed form.  Otherwise the objective is fitted by a
+        # f(x + t d) = fx - t gap + t^2 curv for a quadratic: F d or a dense
+        # tag's Q gives curv in closed form.  Otherwise f is fitted by a
         # parabola through t = 0 and t = 1; fitting over [0, gamma_max]
         # instead would divide the rounding error of f1 - fx by gamma_max**2.
-        if oracle.quadratic is not None:
-            curv = oracle.quadratic.curvature(d)
+        if image is not None:
+            curv = 0.5 * float(image @ image)
+        elif oracle.quadratic is not None:
+            curv = 0.5 * float(d @ (oracle.quadratic.Q @ d))
         else:
             curv = oracle.value(x + d) - fx + gap
         if curv <= 0.0:
@@ -98,6 +100,28 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max):
         state["L"] = L
         return gamma, trial  # the last trial is where the step goes
     raise ValueError(f"unknown line search mode {mode!r}")
+
+
+class _Residual:
+    """The residual r = F x - h of a factored tag, carried along the iterates
+    so that a row reads F once, for the value 0.5 |r|^2 and the gradient F'r.
+    A step's image F v is formed from the columns of F on v's support: at
+    most 2 for the pairwise directions and cut vertices of an l1 ball."""
+
+    def __init__(self, quad, x: np.ndarray):
+        self.F, self.h, self.r = quad.F, quad.h, quad.F @ x - quad.h
+
+    def image(self, v: np.ndarray) -> np.ndarray:
+        on = v.nonzero()[0]
+        return self.F.take(on, axis=1) @ v[on]
+
+    def __call__(self) -> tuple[float, np.ndarray]:
+        return 0.5 * float(self.r @ self.r), self.F.T @ self.r
+
+
+def _carried(oracle: SmoothOracle, x: np.ndarray) -> Optional[_Residual]:
+    quad = oracle.quadratic
+    return _Residual(quad, x) if quad is not None and quad.F is not None else None
 
 
 class _Atoms:
@@ -192,8 +216,8 @@ def standard_cg(
     "exact" (exact for quadratics).  The FW gap is recorded in the
     ``surrogate_f_gap`` trace column.
 
-    A row costs one oracle call.  The exact step on a tagged quadratic
-    reads the tag's curvature, and a backtracking step hands on its
+    A row costs one oracle call, and none when the exact step carries a
+    factored tag's :class:`_Residual`.  A backtracking step hands on its
     evaluation at the point it moves to, so only rejected backtracking
     trials, and the parabola fit of the exact step on an untagged
     objective, add calls.
@@ -211,9 +235,10 @@ def standard_cg(
     atoms = _Atoms(x)
     tracer = _Tracer(config.keep_iterates)
     ls_state: dict = {}
+    residual = _carried(oracle, x) if line_search == "exact" else None
     evaluation = None  # the line search's (value, gradient) at x
     for k in range(config.max_iters + 1):
-        fx, grad = oracle(x) if evaluation is None else evaluation
+        fx, grad = residual() if residual is not None else evaluation or oracle(x)
         try:
             s = lmo(region, grad)
         except OracleError as exc:
@@ -230,9 +255,12 @@ def standard_cg(
             gamma = config.schedule.step(k)
         else:
             away, d = atoms.away(grad, s)
-            gamma, evaluation = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away])
+            image = None if residual is None else residual.image(d)
+            gamma, evaluation = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away], image)
             if gamma > 0.0:
                 atoms.move(away, s, gamma)
+                if residual is not None:
+                    residual.r += gamma * image
         x = x + gamma * d
 
 
@@ -255,13 +283,16 @@ def initialize_lower(
     achieved FW gap (an upper bound on the lower-level suboptimality by
     convexity).
     """
-    cfg = SolverConfig(eps_f=eps_g / 2.0, eps_g=eps_g, max_iters=max_iters)
-    if line_search is None:
-        line_search = _line_search(instance.lower)
-    out = standard_cg(instance.lower, instance.region, cfg, line_search=line_search)
+    out = _start_run(instance, eps_g, max_iters, line_search)
     tail = out.trace[-1]
     certificate, certified = _start_certificate(instance, tail.f_val, tail.surrogate_f_gap, eps_g)
     return out.final_point, certificate, certified
+
+
+def _start_run(instance, eps_g, max_iters=10_000, line_search=None) -> SolveOutcome:
+    """The standard CG run behind :func:`initialize_lower`."""
+    cfg = SolverConfig(eps_f=eps_g / 2.0, eps_g=eps_g, max_iters=max_iters)
+    return standard_cg(instance.lower, instance.region, cfg, line_search=line_search or _line_search(instance.lower))
 
 
 def _start_certificate(instance, g_val, fw_gap, eps_g) -> tuple[float, bool]:
@@ -289,13 +320,15 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     :func:`initialize_lower` computes them for its own point, and a row
     that passes the test from an uncertified start reports
     "uncertified_start" instead of "criterion_met".  An infeasible ``x0``
-    raises ConfigurationError.
+    raises ConfigurationError.  A factored tag's :class:`_Residual` is
+    carried in place of its oracle.
     """
     x = np.asarray(x0, dtype=float).copy()
     region = instance.region
     if not region.contains(x, tol=1e-8):
         raise ConfigurationError("x0 is not feasible")
-    g0_val, g0_grad = instance.lower(x)
+    upper, lower = _carried(instance.upper, x), _carried(instance.lower, x)
+    g0_val, g0_grad = instance.lower(x) if lower is None else lower()
     certificate, certified = _start_certificate(
         instance, g0_val, float(g0_grad @ (x - lmo(region, g0_grad))), config.eps_g
     )
@@ -304,8 +337,8 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
 
     tracer = _Tracer(config.keep_iterates)
     for k in range(config.max_iters + 1):
-        f_val, f_grad = instance.upper(x)
-        g_val, g_grad = instance.lower(x)
+        f_val, f_grad = instance.upper(x) if upper is None else upper()
+        g_val, g_grad = instance.lower(x) if lower is None else lower()
         cut = cutting_plane(g_grad, x, g0_val, g_val)
         try:
             s = halfspace_lmo(region, cut, f_grad)
@@ -321,6 +354,9 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
             return tracer.outcome(x, "budget_exhausted", **start)
         gamma = config.schedule.step(k)
         x = (1.0 - gamma) * x + gamma * s
+        for carried in (upper, lower):
+            if carried is not None:
+                carried.r = (1.0 - gamma) * carried.r + gamma * (carried.image(s) - carried.h)
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,31 @@ class TestQuadraticForm:
     def test_factored_form_agrees_with_its_gram(self):
         rng = np.random.default_rng(4)
         F = rng.standard_normal((7, 30))
-        q = rng.standard_normal(30)
-        factored = QuadraticForm(None, q, 0.25, F=F)
-        dense = QuadraticForm(F.T @ F, q, 0.25)
+        h = rng.standard_normal(7)
+        factored = QuadraticForm(None, F=F, h=h)
+        dense = QuadraticForm(F.T @ F, -(F.T @ h), 0.5 * float(h @ h))
         for _ in range(20):
             x = rng.standard_normal(30)
             assert factored.value(x) == pytest.approx(dense.value(x), rel=1e-12)
             np.testing.assert_allclose(factored.gradient(x), dense.gradient(x), rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(factored.hessian(), F.T @ F)
-        assert dense.hessian() is dense.Q
+        np.testing.assert_array_equal(factored.linear(), dense.q)
+        assert dense.hessian() is dense.Q and dense.linear() is dense.q
 
     @pytest.mark.parametrize("Q, F", [(None, None), (np.eye(2), np.eye(2))])
     def test_exactly_one_of_hessian_and_factor(self, Q, F):
         with pytest.raises(ValueError, match="exactly one"):
             QuadraticForm(Q, np.zeros(2), F=F)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"Q": np.eye(2)},
+        {"Q": np.eye(2), "q": np.zeros(2), "h": np.zeros(2)},
+        {"Q": None, "F": np.eye(2)},
+        {"Q": None, "F": np.eye(2), "h": np.zeros(2), "q": np.zeros(2)},
+    ], ids=["Q-without-q", "Q-with-h", "F-without-h", "F-with-q"])
+    def test_a_hessian_takes_q_and_a_factor_h(self, kwargs):
+        with pytest.raises(ValueError, match="a factor F a shift h"):
+            QuadraticForm(**kwargs)
 
     def test_value_and_gradient(self):
         form = QuadraticForm(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, -1.0]), 0.5)

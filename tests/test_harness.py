@@ -677,9 +677,10 @@ class TestRunExperiment:
             "final_g_excess", "final_f_gap", "final_g_gap", "wall_nanos_total", "seed", "cell_sha256",
         }
         data = json.loads((tmp_path / "000_toy_cg-bio_seed3.json").read_text())
-        assert set(data) == common | {"certified", "init_certificate"}
+        assert set(data) == common | {"certified", "init_certificate", "init_iterations"}
         assert data["seed"] == 3
         assert data["certified"] is True and 0.0 <= data["init_certificate"] <= 5e-6
+        assert data["init_iterations"] == solvers._start_run(toy_problem(), 1e-5).iterations > 0
         # A baseline's summary has no start to certify.
         assert set(json.loads((tmp_path / "001_toy_dbgd_seed3.json").read_text())) == common
 

@@ -118,6 +118,32 @@ class TestFactoredLeastSquaresTag:
         _, peak = traced(lambda: run_solver(inst, solver, SolverConfig(max_iters=3)))
         assert peak < self.GRAM_BYTES / 4
 
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_tags_agree_with_their_oracles_over_the_ball(self, tmp_path, source):
+        rng = np.random.default_rng(9)
+        if source == "synthetic":
+            inst, _ = regression_problem(n=self.N, d=self.D, seed=0)
+        else:
+            table = rng.standard_normal((40, 13))
+            path = tmp_path / "data.csv"
+            rows = "\n".join(",".join(repr(float(v)) for v in row) for row in table)
+            path.write_text(",".join(f"c{j}" for j in range(12)) + ",y\n" + rows + "\n", encoding="utf-8")
+            inst, _ = regression_problem(data=load_csv(path, target_column="y"), l1_radius=3.0)
+        region = inst.region
+        for oracle in (inst.upper, inst.lower):
+            tag = oracle.quadratic
+            assert tag.F is not None
+            for density in (1, 2, 10, region.dimension):
+                # A point of the ball on ``density`` random coordinates.
+                x = np.zeros(region.dimension)
+                on = rng.choice(region.dimension, size=density, replace=False)
+                x[on] = rng.standard_normal(density)
+                x *= rng.uniform(0.0, region.radius) / np.abs(x).sum()
+                assert region.contains(x)
+                value, grad = oracle(x)
+                assert tag.value(x) == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert np.linalg.norm(tag.gradient(x) - grad) <= 1e-12 * np.linalg.norm(grad)
+
     def test_lipschitz_constants_are_exact(self):
         inst, data = regression_problem(n=self.N, d=self.D, seed=0)
         for oracle, (A, _) in ((inst.lower, data.train), (inst.upper, data.validation)):

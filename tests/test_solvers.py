@@ -17,7 +17,12 @@ from bilevelcg.core import (
     SolverConfig,
 )
 from bilevelcg import solvers
-from bilevelcg.problems import fair_classification_problem, regression_problem, toy_problem
+from bilevelcg.problems import (
+    fair_classification_problem,
+    regression_problem,
+    synthetic_regression_data,
+    toy_problem,
+)
 from bilevelcg.solvers import (
     AIrgConfig,
     BigSamConfig,
@@ -377,17 +382,28 @@ def _counted(oracle):
 
 
 class TestOneEvaluationPerStep:
-    """A line-search row of standard_cg costs one oracle call: the exact step
-    on a tagged quadratic reads the tag's curvature, and a backtracking step
+    """A line-search row of standard_cg costs at most one oracle call: the
+    exact step on a factored tag carries its residual and calls none, the
+    exact step on a dense tag reads Q's curvature, and a backtracking step
     hands on its evaluation at the point it moves to."""
 
-    def test_exact_step_on_a_tagged_least_squares_calls_once_per_row(self):
+    def test_exact_step_on_tagged_least_squares_calls_no_oracle(self):
         inst, _ = regression_problem(n=30, d=60, seed=0)
         assert inst.lower.quadratic.F is not None
         oracle, calls = _counted(inst.lower)
         out = standard_cg(oracle, inst.region, SolverConfig(eps_f=1e-9, max_iters=500), line_search="exact")
         assert out.stop_reason == "criterion_met" and len(out.trace) > 20
-        assert len(calls) == len(out.trace)
+        assert calls == []
+
+    def test_cg_bio_on_the_tagged_regression_never_calls_the_oracles(self):
+        inst, _ = regression_problem(n=30, d=60, seed=0)
+        upper, upper_calls = _counted(inst.upper)
+        lower, lower_calls = _counted(inst.lower)
+        counted = dataclasses.replace(inst, upper=upper, lower=lower)
+        x0, _, certified = initialize_lower(counted, 1e-5)
+        out = cg_bio(counted, x0, SolverConfig(eps_f=1e-5, eps_g=1e-5, max_iters=50))
+        assert certified and out.certified and len(out.trace) == 51
+        assert upper_calls == lower_calls == []
 
     @pytest.mark.parametrize("oracle, region, start", [
         (SHIFTED_EXP, L1Ball(1.0, 2), np.zeros(2)),
@@ -432,30 +448,82 @@ class TestOneEvaluationPerStep:
             dim = int(rng.integers(2, 30))
             F = rng.standard_normal((int(rng.integers(1, 40)), dim))
             q = rng.standard_normal(dim)
-            form = QuadraticForm(None, q, 0.3, F=F) if factored else QuadraticForm(F.T @ F, q, 0.3)
+            h = rng.standard_normal(F.shape[0])
+            form = QuadraticForm(None, F=F, h=h) if factored else QuadraticForm(F.T @ F, q, 0.3)
             tagged = SmoothOracle(dim, lambda x, form=form: (form.value(x), form.gradient(x)), quadratic=form)
             untagged = dataclasses.replace(tagged, quadratic=None)
             x, d = rng.standard_normal(dim), rng.standard_normal(dim)
             fx, grad = tagged(x)
             if grad @ d > 0:
                 d = -d  # a descent direction, as a pairwise one is
-            closed, none = solvers._cg_step_length(tagged, x, fx, grad, d, "exact", {}, np.inf)
+            image = F @ d if factored else None  # a factored tag's step reads F d
+            closed, none = solvers._cg_step_length(tagged, x, fx, grad, d, "exact", {}, np.inf, image)
             fitted, _ = solvers._cg_step_length(untagged, x, fx, grad, d, "exact", {}, np.inf)
             assert none is None and closed > 0.0
             assert closed == pytest.approx(fitted, rel=1e-8)
             # The closed form is the exact minimizer along d.
             assert closed == pytest.approx(-float(grad @ d) / float(F @ d @ (F @ d)), rel=1e-12)
 
-    @pytest.mark.parametrize("form", [
-        QuadraticForm(None, np.array([1.0, -2.0, 0.5]), 0.0, F=np.zeros((4, 3))),
-        QuadraticForm(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]), 0.0),
+    @pytest.mark.parametrize("form, image", [
+        (QuadraticForm(None, F=np.zeros((4, 3)), h=np.array([1.0, -2.0, 0.5, 0.0])), np.zeros(4)),
+        (QuadraticForm(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]), 0.0), None),
     ], ids=["factor-F", "dense-Q"])
-    def test_linear_tag_steps_with_the_away_weight(self, form):
-        assert form.curvature(np.array([1.0, 2.0, -3.0])) == 0.0
+    def test_linear_tag_steps_with_the_away_weight(self, form, image):
         oracle = SmoothOracle(3, lambda x: (form.value(x), form.gradient(x)), quadratic=form)
         x, d = np.zeros(3), np.array([0.0, 1.0, 0.0])
         fx, grad = oracle(x)
-        assert solvers._cg_step_length(oracle, x, fx, grad, d, "exact", {}, 0.375) == (0.375, None)
+        step = solvers._cg_step_length(oracle, x, fx, grad, d, "exact", {}, 0.375, image)
+        assert step == (0.375, None)
+
+
+def _last_carried(monkeypatch) -> dict:
+    """The last (value, gradient) each carried residual gave, keyed by the
+    id of its factor; filled as the solvers run."""
+    last, carried = {}, solvers._Residual.__call__
+
+    def record(residual):
+        last[id(residual.F)] = carried(residual)
+        return last[id(residual.F)]
+
+    monkeypatch.setattr(solvers._Residual, "__call__", record)
+    return last
+
+
+def _relative_errors(evaluation, oracle, x) -> tuple[float, float]:
+    """Relative errors of a carried (value, gradient) against a fresh oracle
+    call at x."""
+    (value, grad), (fresh_value, fresh_grad) = evaluation, oracle(x)
+    return (abs(value - fresh_value) / abs(fresh_value),
+            float(np.linalg.norm(grad - fresh_grad) / np.linalg.norm(fresh_grad)))
+
+
+class TestCarriedResidual:
+    """A carried residual drifts from F x - h by rounding only: at the last
+    row of long runs its value and gradient match a fresh oracle call to
+    1e-12, relative."""
+
+    def test_exact_standard_cg_after_2000_rows(self, monkeypatch):
+        # The planted point lies inside the unit ball, where g* = 0 and the
+        # residual shrinks to rounding noise with nothing to be relative to;
+        # at radius 0.5 the optimum is not 0.
+        data, _ = synthetic_regression_data(n=100, d=5000, seed=0)
+        inst, _ = regression_problem(data=data, l1_radius=0.5)
+        last = _last_carried(monkeypatch)
+        out = standard_cg(inst.lower, inst.region, SolverConfig(eps_f=1e-300, max_iters=2000),
+                          line_search="exact")
+        assert len(out.trace) == 2001 and out.trace[-1].f_val > 0.1
+        value_err, grad_err = _relative_errors(last[id(inst.lower.quadratic.F)], inst.lower, out.final_point)
+        assert value_err <= 1e-12 and grad_err <= 1e-12
+
+    def test_cg_bio_after_1000_iterations(self, monkeypatch):
+        inst, _ = regression_problem(n=100, d=5000, seed=0)
+        x0, _, _ = initialize_lower(inst, 1e-5)
+        last = _last_carried(monkeypatch)
+        out = cg_bio(inst, x0, SolverConfig(eps_f=1e-12, eps_g=1e-12, max_iters=1000))
+        assert len(out.trace) == 1001
+        for oracle in (inst.upper, inst.lower):
+            value_err, grad_err = _relative_errors(last[id(oracle.quadratic.F)], oracle, out.final_point)
+            assert value_err <= 1e-12 and grad_err <= 1e-12
 
 
 class TestInitializeLower:
@@ -599,7 +667,7 @@ class TestMng:
         A = data.validation[0]
         factored = inst.upper.quadratic
         np.testing.assert_array_equal(factored.F, A)
-        explicit = QuadraticForm(A.T @ A, factored.q, factored.c)
+        explicit = QuadraticForm(A.T @ A, factored.linear(), 0.5 * float(factored.h @ factored.h))
         dense = replace(inst, upper=replace(inst.upper, quadratic=explicit))
         config = MngConfig(M=inst.lower.lipschitz_grad)
         a, b = mng(inst, config, max_iters=30), mng(dense, config, max_iters=30)
