@@ -71,21 +71,10 @@ def _random_convex_candidate(seed: int, dim: int) -> BilevelInstance:
     # Zero one coefficient so the optimal face is an edge, not a vertex;
     # singleton faces make the bilevel run converge in one step.
     c[int(rng.integers(dim))] = 0.0
-    lower = SmoothOracle(
-        dim,
-        lambda x, c=c: (float(c @ x), c),
-        lipschitz_grad=0.0,
-        quadratic=QuadraticForm(np.zeros((dim, dim)), c, 0.0),
-    )
+    lower = SmoothOracle(dim, quadratic=QuadraticForm(np.zeros((dim, dim)), c, 0.0))
     B = rng.standard_normal((dim, dim))
     Q = B.T @ B + 0.1 * np.eye(dim)
-    q = rng.standard_normal(dim)
-    upper = SmoothOracle(
-        dim,
-        lambda x, Q=Q, q=q: (0.5 * float(x @ Q @ x) + float(q @ x), Q @ x + q),
-        lipschitz_grad=float(np.linalg.eigvalsh(Q).max()),
-        quadratic=QuadraticForm(Q, q, 0.0),
-    )
+    upper = SmoothOracle(dim, quadratic=QuadraticForm(Q, rng.standard_normal(dim), 0.0))
     verts = region.vertices()
     vals = np.array([lower.value(v) for v in verts])
     g_star = float(vals.min())

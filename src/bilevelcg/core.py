@@ -29,11 +29,24 @@ class ConfigurationError(ValueError):
 # Smooth objectives
 # ---------------------------------------------------------------------------
 
+def lambda_max_gram(A: np.ndarray) -> float:
+    """Largest eigenvalue of A'A, i.e. |A|_2^2: the Lipschitz constant of
+    the gradient of 0.5 |Ax - b|^2.  A'A and AA' share their nonzero
+    eigenvalues, so the symmetric eigensolver runs on the smaller of the
+    two (60 x 60 for a 60 x 5000 training block).  Exact up to rounding; a
+    power iteration's Rayleigh quotient would approach it from below and
+    give a Lipschitz constant that is too small."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Explicit representation f(x) = 0.5 x'Qx + q'x + c, or factored as
     f(x) = 0.5 |Fx - h|^2, for solvers that minimize f over small polyhedra
-    in closed form or follow it along their steps.
+    in closed form or follow it along their steps.  Calling it gives f's
+    value and gradient: it is the ``eval`` of the oracle it tags.
 
     A least-squares objective 0.5 |Ax - b|^2 is tagged with F = A and h = b:
     an n x d matrix instead of a d x d Gram, so value and gradient cost O(nd)
@@ -52,16 +65,19 @@ class QuadraticForm:
         if (self.q is None) != (self.Q is None) or (self.h is None) != (self.F is None):
             raise ValueError("a Hessian Q takes a linear term q, a factor F a shift h")
 
-    def value(self, x: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)); a factored form reads F for r = Fx - h and F'r."""
         if self.F is None:
-            return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.c
-        r = self.F @ x - self.h
-        return 0.5 * float(r @ r)
+            return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.c, self.Q @ x + self.q
+        return self.at_residual(self.F @ x - self.h)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.F is None:
-            return self.Q @ x + self.q
-        return self.F.T @ (self.F @ x - self.h)
+    def at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)) of a factored form at an x with Fx - h = r."""
+        return 0.5 * float(r @ r), self.F.T @ r
+
+    def lipschitz(self) -> float:
+        """The gradient's Lipschitz constant: Q's largest eigenvalue, or |F|_2^2."""
+        return float(np.linalg.eigvalsh(self.Q).max()) if self.F is None else lambda_max_gram(self.F)
 
     def hessian(self) -> np.ndarray:
         """The dense d x d Hessian: ``Q``, or F'F."""
@@ -109,7 +125,7 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Ha
             # multipliers are -sol[d:].
             if np.all(sol[d:] <= 1e-12 * scale):
                 return x
-            val = quad.value(x)
+            val = quad(x)[0]
             if val < best_val - 1e-12:
                 best, best_val = x, val
     if best is None:
@@ -124,16 +140,26 @@ class SmoothOracle:
     ``lipschitz_grad`` is a Lipschitz constant of the gradient in the l2
     norm, or None when unknown.  ``quadratic`` is set when the function is an
     explicit convex quadratic (enables closed-form subproblems and exact
-    line search) and must agree with ``eval``.  A factored tag
+    line search); the tag is then the ``eval`` and gives the constant,
+    unless given (a given ``eval`` must agree with it).  A factored tag
     (``QuadraticForm`` with ``F``) keeps an O(nd) least-squares oracle free
     of d x d arrays on every path but the exact QPs, which form the Hessian;
-    standard_cg's exact steps and cg_bio read it in place of ``eval``.
+    standard_cg's exact steps and cg_bio carry its residual instead.
     """
 
     dimension: int
-    eval: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    eval: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
     lipschitz_grad: Optional[float] = None
     quadratic: Optional[QuadraticForm] = None
+
+    def __post_init__(self):
+        quad = self.quadratic
+        if self.eval is None:
+            if quad is None:
+                raise ValueError("give an eval or a quadratic tag")
+            object.__setattr__(self, "eval", quad)
+        if self.lipschitz_grad is None and quad is not None:
+            object.__setattr__(self, "lipschitz_grad", quad.lipschitz())
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)

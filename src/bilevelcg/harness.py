@@ -117,7 +117,7 @@ def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max
         # v_n + B'u for B = P'V, and w >= 0 reads -u <= 0, 1'u <= 1.
         last, B = verts[-1], verts[:-1] - verts[-1]
         m = B.shape[0]
-        sub = QuadraticForm(B @ quad.hessian() @ B.T, B @ quad.gradient(last))
+        sub = QuadraticForm(B @ quad.hessian() @ B.T, B @ quad(last)[1])
         halfspaces = [Halfspace(-e, 0.0) for e in np.eye(m)] + [Halfspace(np.ones(m), 1.0)]
         return last + B.T @ minimize_quadratic_over_halfspaces(sub, halfspaces), True
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
@@ -175,10 +175,7 @@ def dist_to_hull(x: np.ndarray, verts: np.ndarray) -> float:
     conditional gradient stops uncertified after ``_HULL_ITERS`` steps, the
     distance to its last iterate over-estimates the true one."""
     x = np.asarray(x, dtype=float)
-    half_sq = SmoothOracle(
-        x.size, lambda p: (0.5 * float((p - x) @ (p - x)), p - x),
-        quadratic=QuadraticForm(np.eye(x.size), -x, 0.5 * float(x @ x)),
-    )
+    half_sq = SmoothOracle(x.size, quadratic=QuadraticForm(np.eye(x.size), -x, 0.5 * float(x @ x)))
     point, _ = _minimize_over_hull(half_sq, verts, 1e-16, _HULL_ITERS)
     return float(np.linalg.norm(point - x))
 
@@ -424,24 +421,30 @@ INSTANCE_OPTIONS = {
 _KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a real number"), str: (str, "a string")}
 
 
+def _checked(kinds: dict, options: dict, owner: str, prefix: str) -> dict:
+    """``options`` checked against their declared ``kinds`` and converted to
+    them; raises TypeError or ValueError, naming a key as ``prefix.key``."""
+    unknown = set(options) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown options {sorted(unknown)} for {owner}")
+    for key, value in options.items():
+        accepted, noun = _KINDS[kinds[key]]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"{prefix}.{key} must be {noun}, got {value!r}")
+    return {key: kinds[key](value) for key, value in options.items()}
+
+
 def _instance_options(name: str, options: dict) -> dict:
     """The options of a named instance, checked against ``INSTANCE_OPTIONS``
     and converted to their kinds; raises TypeError or ValueError."""
     if name not in INSTANCE_OPTIONS:
         raise ValueError(f"unknown instance {name!r}")
-    kinds = INSTANCE_OPTIONS[name]
-    unknown = set(options) - set(kinds)
-    if unknown:
-        raise ValueError(f"unknown options {sorted(unknown)} for instance {name!r}")
-    for key, value in options.items():
-        accepted, noun = _KINDS[kinds[key]]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise TypeError(f"options.{key} must be {noun}, got {value!r}")
+    converted = _checked(INSTANCE_OPTIONS[name], options, f"instance {name!r}", "options")
+    for key, value in converted.items():
         if key in _SIZES and not 0 < value < np.inf:
-            raise ValueError(f"options.{key} must be positive and finite, got {value!r}")
+            raise ValueError(f"options.{key} must be positive and finite, got {options[key]!r}")
     if "csv" in options and "target" not in options:
         raise ValueError("options.csv needs options.target, the target column")
-    converted = {key: kinds[key](value) for key, value in options.items()}
     if name == "dict":
         problems.DictLearnSpec(**converted)  # its own checks of the sizes
     return converted
@@ -468,8 +471,33 @@ def build_instance(name: str, seed: int = 0, options: Optional[dict] = None):
     return bundle.bilevel, bundle.initial_point
 
 
+# The options each solver accepts, with their kinds: cg-bio's start budget,
+# cg's line search, and a baseline's config fields, all real numbers.
+_BASELINE_CONFIGS = {"big-sam": BigSamConfig, "a-irg": AIrgConfig, "dbgd": DbgdConfig, "mng": MngConfig}
+SOLVER_OPTIONS = {
+    "cg-bio": {"init_iters": int},
+    "cg": {"line_search": str},
+    **{name: {f.name: float for f in fields(config)} for name, config in _BASELINE_CONFIGS.items()},
+}
 # The solver names run_solver dispatches; a suite cell must name one.
-SOLVERS = ("cg-bio", "cg", "big-sam", "a-irg", "dbgd", "mng")
+SOLVERS = tuple(SOLVER_OPTIONS)
+_LINE_SEARCHES = ("exact", "backtracking")
+
+
+def _solver_options(solver: str, options: dict) -> dict:
+    """The options of a named solver, checked against ``SOLVER_OPTIONS`` and
+    converted to their kinds; raises TypeError or ValueError."""
+    if solver not in SOLVER_OPTIONS:
+        raise ValueError(f"unknown solver {solver!r}")
+    converted = _checked(SOLVER_OPTIONS[solver], options, f"solver {solver!r}", "solver_options")
+    if converted.get("init_iters", 1) < 1:
+        raise ValueError(f"solver_options.init_iters must be positive, got {options['init_iters']!r}")
+    if converted.get("line_search", "exact") not in _LINE_SEARCHES:
+        got = options["line_search"]
+        raise ValueError(f"solver_options.line_search must be one of {_LINE_SEARCHES}, got {got!r}")
+    if solver in _BASELINE_CONFIGS and (solver != "mng" or "M" in converted):
+        _BASELINE_CONFIGS[solver](**converted)  # its own checks of the values
+    return converted
 
 
 def run_solver(
@@ -479,42 +507,31 @@ def run_solver(
     start: Optional[np.ndarray] = None,
     options: Optional[dict] = None,
 ) -> SolveOutcome:
-    """Dispatch a named solver on an instance.  ``options`` holds
-    ``init_iters`` for cg-bio, ``line_search`` for cg, and the fields of
-    the config dataclass for a baseline; an unknown option raises
-    ValueError (TypeError for a baseline).
+    """Dispatch a named solver on an instance.  ``options`` are the solver's
+    ``SOLVER_OPTIONS``: ``init_iters`` for cg-bio, ``line_search`` for cg,
+    and the fields of the config dataclass for a baseline; a malformed one
+    raises TypeError or ValueError.
 
     cg-bio starts from ``start`` or else from :func:`initialize_lower`'s
     point, whose CG steps and certificate the outcome records."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
-    opts = dict(options or {})
-    allowed = {"cg-bio": {"init_iters"}, "cg": {"line_search"}}.get(solver)
-    if allowed is not None and not set(opts) <= allowed:
-        raise ValueError(f"unknown {solver} options {sorted(set(opts) - allowed)}")
+    opts = _solver_options(solver, dict(options or {}))
     if solver == "cg-bio":
         if start is not None:
             return cg_bio(instance, start, config)
-        init = _start_run(instance, config.eps_g, max_iters=int(opts.get("init_iters", 10_000)))
+        init = _start_run(instance, config.eps_g, max_iters=opts.get("init_iters", 10_000))
         return replace(cg_bio(instance, init.final_point, config), init_iterations=init.iterations)
     if solver == "cg":
         return standard_cg(
             instance.upper, instance.region, config,
             line_search=opts.get("line_search"), start=start,
         )
-    # Built per call so that the module-level solver names are the ones run.
-    baselines = {
-        "big-sam": (BigSamConfig, big_sam),
-        "a-irg": (AIrgConfig, a_irg),
-        "dbgd": (DbgdConfig, dbgd),
-        "mng": (MngConfig, mng),
-    }
     if solver == "mng" and "M" not in opts:
         if not instance.lower.lipschitz_grad:
             raise ValueError("MNG needs solver_options.M: the lower Lipschitz constant is 0 or unknown")
         opts["M"] = instance.lower.lipschitz_grad
-    make_config, run = baselines[solver]
-    return run(instance, make_config(**opts), max_iters=config.max_iters,
+    # Looked up per call, so that the module-level solver names are the ones run.
+    run = {"big-sam": big_sam, "a-irg": a_irg, "dbgd": dbgd, "mng": mng}[solver]
+    return run(instance, _BASELINE_CONFIGS[solver](**opts), max_iters=config.max_iters,
                keep_iterates=config.keep_iterates, start=start)
 
 
@@ -531,8 +548,6 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     for key in ("instance", "solver"):
         if key not in cell:
             raise ValueError(f"missing {key!r}")
-    if cell["solver"] not in SOLVERS:
-        raise ValueError(f"unknown solver {cell['solver']!r}")
     seed = cell.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
@@ -542,10 +557,10 @@ def _cell_settings(cell) -> tuple[SolverConfig, int]:
     if not isinstance(options, dict):
         raise TypeError("options must be a JSON object")
     _instance_options(cell["instance"], options)
-    # run_solver would read a list of pairs as a dict and fail on a string
-    # only when the cell runs.
-    if not isinstance(cell.get("solver_options", {}), dict):
+    solver_options = cell.get("solver_options", {})
+    if not isinstance(solver_options, dict):
         raise TypeError("solver_options must be a JSON object")
+    _solver_options(cell["solver"], solver_options)
     # config_from_dict skips unknown keys, and parse_schedule needs a string.
     config = cell.get("config", {})
     if not isinstance(config, dict):

@@ -22,6 +22,7 @@ from .core import (
     SmoothOracle,
     SolverConfig,
     InvSqrt,
+    lambda_max_gram,
 )
 
 
@@ -40,18 +41,6 @@ PRETRAIN_GAP = 1e-6
 # ---------------------------------------------------------------------------
 # Shared numerics
 # ---------------------------------------------------------------------------
-
-def lambda_max_gram(A: np.ndarray) -> float:
-    """Largest eigenvalue of A'A, i.e. |A|_2^2: the Lipschitz constant of
-    the gradient of 0.5 |Ax - b|^2.  A'A and AA' share their nonzero
-    eigenvalues, so the symmetric eigensolver runs on the smaller of the
-    two (60 x 60 for a 60 x 5000 training block).  Exact up to rounding; a
-    power iteration's Rayleigh quotient would approach it from below and
-    give a Lipschitz constant that is too small."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
-    return float(np.linalg.eigvalsh(gram)[-1])
-
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
@@ -172,25 +161,8 @@ def load_csv(
 def toy_problem() -> BilevelInstance:
     """Two-variable instance with a linear lower level whose optimal set is
     the segment from (0.5, 0.5) to (1, 0); the bilevel optimum is (0.6, 0.4)."""
-
-    def f_eval(x):
-        return 0.5 * x[0] ** 2 - 0.5 * x[0] + 0.1 * x[1], np.array([x[0] - 0.5, 0.1])
-
-    def g_eval(x):
-        return -x[0] - x[1], np.array([-1.0, -1.0])
-
-    upper = SmoothOracle(
-        2,
-        f_eval,
-        lipschitz_grad=1.0,
-        quadratic=QuadraticForm(np.diag([1.0, 0.0]), np.array([-0.5, 0.1]), 0.0),
-    )
-    lower = SmoothOracle(
-        2,
-        g_eval,
-        lipschitz_grad=0.0,
-        quadratic=QuadraticForm(np.zeros((2, 2)), np.array([-1.0, -1.0]), 0.0),
-    )
+    upper = SmoothOracle(2, quadratic=QuadraticForm(np.diag([1.0, 0.0]), np.array([-0.5, 0.1]), 0.0))
+    lower = SmoothOracle(2, quadratic=QuadraticForm(np.zeros((2, 2)), np.array([-1.0, -1.0]), 0.0))
     region = Polytope(A=np.array([[1.0, 1.0], [4.0, 6.0]]), b=np.array([1.0, 5.0]))
     reference = ReferenceData(
         g_star=-1.0,
@@ -207,15 +179,8 @@ def toy_problem() -> BilevelInstance:
 def _least_squares_oracle(A: np.ndarray, b: np.ndarray) -> SmoothOracle:
     if not np.any(A):
         raise DataError("degenerate all-zero design matrix")
-    gram_lam = lambda_max_gram(A)
-
-    def evaluate(x):
-        r = A @ x - b
-        return 0.5 * float(r @ r), A.T @ r
-
     # Factored by A itself: no d x d Gram is formed or held.
-    quad = QuadraticForm(None, F=A, h=b)
-    return SmoothOracle(A.shape[1], evaluate, lipschitz_grad=gram_lam, quadratic=quad)
+    return SmoothOracle(A.shape[1], quadratic=QuadraticForm(None, F=A, h=b))
 
 
 def synthetic_regression_data(

@@ -104,19 +104,19 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max, image=None):
 
 class _Residual:
     """The residual r = F x - h of a factored tag, carried along the iterates
-    so that a row reads F once, for the value 0.5 |r|^2 and the gradient F'r.
+    so that a row reads F once, for the tag's value 0.5 |r|^2 and gradient F'r.
     A step's image F v is formed from the columns of F on v's support: at
     most 2 for the pairwise directions and cut vertices of an l1 ball."""
 
     def __init__(self, quad, x: np.ndarray):
-        self.F, self.h, self.r = quad.F, quad.h, quad.F @ x - quad.h
+        self.quad, self.F, self.h, self.r = quad, quad.F, quad.h, quad.F @ x - quad.h
 
-    def image(self, v: np.ndarray) -> np.ndarray:
-        on = v.nonzero()[0]
+    def image(self, v: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """F v, given v's support ``on = v.nonzero()[0]``."""
         return self.F.take(on, axis=1) @ v[on]
 
     def __call__(self) -> tuple[float, np.ndarray]:
-        return 0.5 * float(self.r @ self.r), self.F.T @ self.r
+        return self.quad.at_residual(self.r)
 
 
 def _carried(oracle: SmoothOracle, x: np.ndarray) -> Optional[_Residual]:
@@ -255,7 +255,7 @@ def standard_cg(
             gamma = config.schedule.step(k)
         else:
             away, d = atoms.away(grad, s)
-            image = None if residual is None else residual.image(d)
+            image = None if residual is None else residual.image(d, d.nonzero()[0])
             gamma, evaluation = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away], image)
             if gamma > 0.0:
                 atoms.move(away, s, gamma)
@@ -316,7 +316,7 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
 
     The test's guarantee needs g(x0) - g* <= eps_g / 2, e.g. a start from
     :func:`initialize_lower`.  The outcome records the start's
-    ``init_certificate`` and ``certified``, computed as
+    ``init_certificate`` and ``certified``, computed from row 0 as
     :func:`initialize_lower` computes them for its own point, and a row
     that passes the test from an uncertified start reports
     "uncertified_start" instead of "criterion_met".  An infeasible ``x0``
@@ -328,17 +328,18 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     if not region.contains(x, tol=1e-8):
         raise ConfigurationError("x0 is not feasible")
     upper, lower = _carried(instance.upper, x), _carried(instance.lower, x)
-    g0_val, g0_grad = instance.lower(x) if lower is None else lower()
-    certificate, certified = _start_certificate(
-        instance, g0_val, float(g0_grad @ (x - lmo(region, g0_grad))), config.eps_g
-    )
-    start = {"init_certificate": certificate, "certified": certified}
-    passed = "criterion_met" if certified else "uncertified_start"
+    carried = [residual for residual in (upper, lower) if residual is not None]
 
     tracer = _Tracer(config.keep_iterates)
     for k in range(config.max_iters + 1):
         f_val, f_grad = instance.upper(x) if upper is None else upper()
         g_val, g_grad = instance.lower(x) if lower is None else lower()
+        if k == 0:  # row 0 gives g(x0) and, with one plain LMO, the start's certificate
+            g0_val = g_val
+            plain = lmo(region, g_grad)
+            certificate, certified = _start_certificate(instance, g_val, float(g_grad @ (x - plain)), config.eps_g)
+            start = {"init_certificate": certificate, "certified": certified}
+            passed = "criterion_met" if certified else "uncertified_start"
         cut = cutting_plane(g_grad, x, g0_val, g_val)
         try:
             s = halfspace_lmo(region, cut, f_grad)
@@ -354,9 +355,10 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
             return tracer.outcome(x, "budget_exhausted", **start)
         gamma = config.schedule.step(k)
         x = (1.0 - gamma) * x + gamma * s
-        for carried in (upper, lower):
-            if carried is not None:
-                carried.r = (1.0 - gamma) * carried.r + gamma * (carried.image(s) - carried.h)
+        if carried:
+            on = s.nonzero()[0]
+            for residual in carried:
+                residual.r = (1.0 - gamma) * residual.r + gamma * (residual.image(s, on) - residual.h)
 
 
 # ---------------------------------------------------------------------------

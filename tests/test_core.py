@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +28,7 @@ from bilevelcg.core import (
 
 def quad_oracle(Q, q, c=0.0):
     form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), c)
-    return SmoothOracle(form.q.shape[0], lambda x: (form.value(x), form.gradient(x)), quadratic=form)
+    return SmoothOracle(form.q.shape[0], quadratic=form)
 
 
 class TestQuadraticForm:
@@ -38,8 +40,9 @@ class TestQuadraticForm:
         dense = QuadraticForm(F.T @ F, -(F.T @ h), 0.5 * float(h @ h))
         for _ in range(20):
             x = rng.standard_normal(30)
-            assert factored.value(x) == pytest.approx(dense.value(x), rel=1e-12)
-            np.testing.assert_allclose(factored.gradient(x), dense.gradient(x), rtol=1e-12, atol=1e-12)
+            (value, grad), (dense_value, dense_grad) = factored(x), dense(x)
+            assert value == pytest.approx(dense_value, rel=1e-12)
+            np.testing.assert_allclose(grad, dense_grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(factored.hessian(), F.T @ F)
         np.testing.assert_array_equal(factored.linear(), dense.q)
         assert dense.hessian() is dense.Q and dense.linear() is dense.q
@@ -62,12 +65,13 @@ class TestQuadraticForm:
     def test_value_and_gradient(self):
         form = QuadraticForm(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, -1.0]), 0.5)
         x = np.array([1.0, 2.0])
-        assert form.value(x) == pytest.approx(8.5)
-        np.testing.assert_allclose(form.gradient(x), [3.0, 7.0])
+        value, grad = form(x)
+        assert value == pytest.approx(8.5)
+        np.testing.assert_allclose(grad, [3.0, 7.0])
 
     def test_zero_form(self):
         form = QuadraticForm(np.zeros((3, 3)), np.zeros(3), 0.0)
-        assert form.value(np.ones(3)) == 0.0
+        assert form(np.ones(3))[0] == 0.0
 
 
 class TestSmoothOracle:
@@ -80,6 +84,29 @@ class TestSmoothOracle:
         bad = SmoothOracle(2, lambda x: (0.0, np.zeros(3)))
         with pytest.raises(OracleError):
             bad(np.zeros(2))
+
+    def test_needs_an_eval_or_a_tag(self):
+        with pytest.raises(ValueError, match="give an eval or a quadratic tag"):
+            SmoothOracle(2)
+
+    def test_a_tag_is_the_eval_and_gives_the_lipschitz_constant(self):
+        form = QuadraticForm(np.diag([3.0, 1.0]), np.array([1.0, 0.0]), 0.5)
+        oracle = SmoothOracle(2, quadratic=form)
+        assert oracle.eval is form and oracle.lipschitz_grad == 3.0
+        factored = QuadraticForm(None, F=np.array([[3.0, 4.0]]), h=np.zeros(1))
+        assert SmoothOracle(2, quadratic=factored).lipschitz_grad == pytest.approx(25.0, rel=1e-15)
+
+    def test_a_given_eval_and_constant_override_the_tag(self):
+        form = QuadraticForm(np.eye(2), np.zeros(2))
+
+        def evaluate(x):
+            return 0.5 * float(x @ x), x
+
+        given = SmoothOracle(2, evaluate, lipschitz_grad=5.0, quadratic=form)
+        assert given.eval is evaluate and given.lipschitz_grad == 5.0
+        # dataclasses.replace keeps the derived constant and takes the eval.
+        replaced = dataclasses.replace(SmoothOracle(2, quadratic=form), eval=evaluate)
+        assert replaced.eval is evaluate and replaced.lipschitz_grad == 1.0 and replaced.quadratic is form
 
     def test_value_and_gradient_accessors(self):
         oracle = quad_oracle(2.0 * np.eye(2), np.zeros(2))

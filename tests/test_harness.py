@@ -56,7 +56,7 @@ def quad_instance(Q, q, segment):
     """Convex quadratic upper level with a constant-zero lower level whose
     declared solution face is the given segment (or vertex list)."""
     form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), 0.0)
-    upper = SmoothOracle(form.q.shape[0], lambda x: (form.value(x), form.gradient(x)), quadratic=form)
+    upper = SmoothOracle(form.q.shape[0], quadratic=form)
     return face_instance(upper, segment)
 
 
@@ -483,15 +483,17 @@ class TestRunExperiment:
         assert stored == second
 
     def test_failed_rerun_leaves_no_stale_trace(self, tmp_path):
-        cell = {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 4}, "seed": 0}
+        cell = {"instance": "toy", "solver": "mng", "config": {"max_iters": 4}, "seed": 0,
+                "solver_options": {"M": 1.0}}
         run_experiment([cell], str(tmp_path))
-        trace = tmp_path / "000_toy_dbgd_seed0.csv"
+        trace = tmp_path / "000_toy_mng_seed0.csv"
         assert len(read_trace_csv(trace)) == 5
-        cell["solver_options"] = {"bogus": 1}
+        # The toy lower level is linear, so without M the run itself fails.
+        del cell["solver_options"]
         summary = run_experiment([cell], str(tmp_path))[0]
-        assert summary["stop_reason"].startswith("error:") and "bogus" in summary["stop_reason"]
+        assert summary["stop_reason"].startswith("error:") and "solver_options.M" in summary["stop_reason"]
         # The earlier config's trace must not sit beside the new summary.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["000_toy_dbgd_seed0.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["000_toy_mng_seed0.json"]
 
     def test_cell_failure_recorded_suite_continues(self, tmp_path):
         cells = [
@@ -504,12 +506,12 @@ class TestRunExperiment:
         assert summaries[0]["stop_reason"].startswith("error")
         assert summaries[1]["stop_reason"] == "criterion_met"
 
-    def test_unknown_solver_option_is_an_error_summary(self, tmp_path):
+    def test_unknown_solver_option_is_a_suite_error(self, tmp_path):
         cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5},
                   "seed": 0, "solver_options": {"stpe": 0.1}}]
-        summaries = run_experiment(cells, str(tmp_path))
-        assert summaries[0]["stop_reason"].startswith("error:")
-        assert "stpe" in summaries[0]["stop_reason"]
+        with pytest.raises(SuiteError, match=r"cell 0: unknown options \['stpe'\] for solver 'dbgd'"):
+            run_experiment(cells, str(tmp_path / "runs"))
+        assert not (tmp_path / "runs").exists()
 
     def test_default_mng_on_a_linear_lower_level_names_M(self, tmp_path):
         # The toy lower level is linear, so L_g = 0 gives no default M.
@@ -519,12 +521,19 @@ class TestRunExperiment:
         assert "solver_options.M" in summaries[0]["stop_reason"]
 
     @pytest.mark.parametrize("solver, typo", [("cg-bio", "init_iter"), ("cg", "line_serach")])
-    def test_unknown_option_of_cg_solvers_is_an_error_summary(self, tmp_path, solver, typo):
+    def test_unknown_option_of_cg_solvers_is_a_suite_error(self, tmp_path, solver, typo):
         cells = [{"instance": "toy", "solver": solver, "config": {"max_iters": 5},
                   "seed": 0, "solver_options": {typo: "exact"}}]
-        summaries = run_experiment(cells, str(tmp_path))
-        assert summaries[0]["stop_reason"].startswith("error:")
-        assert typo in summaries[0]["stop_reason"]
+        with pytest.raises(SuiteError, match=f"cell 0: unknown options .*{typo}"):
+            run_experiment(cells, str(tmp_path / "runs"))
+        assert not (tmp_path / "runs").exists()
+
+    def test_solver_options_take_their_declared_kinds(self):
+        config = SolverConfig(max_iters=2)
+        out = harness.run_solver(toy_problem(), "mng", config, options={"M": 2})
+        assert out.iterations == 2
+        with pytest.raises(TypeError, match="solver_options.init_iters must be an int"):
+            harness.run_solver(toy_problem(), "cg-bio", config, options={"init_iters": 2.7})
 
     @pytest.mark.parametrize("bad, reason", [
         ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": "bogus"}}, "unknown schedule"),
@@ -568,6 +577,14 @@ class TestRunExperiment:
         ({"instance": "dict", "solver": "cg-bio", "options": {"signal_dim": -1}}, "signal_dim must be at least 1"),
         ({"instance": "dict", "solver": "cg-bio", "options": {"shared": -1, "new_dict_size": 9}}, "shared must be nonnegative"),
         ({"instance": "dict", "solver": "cg-bio", "options": {"old_dict_size": 41}}, "must tile the true dictionary"),
+        ({"instance": "toy", "solver": "cg-bio", "solver_options": {"init_iters": True}}, "solver_options.init_iters must be an int"),
+        ({"instance": "toy", "solver": "cg-bio", "solver_options": {"init_iters": 2.7}}, "solver_options.init_iters must be an int"),
+        ({"instance": "toy", "solver": "cg-bio", "solver_options": {"init_iters": "3"}}, "solver_options.init_iters must be an int"),
+        ({"instance": "toy", "solver": "cg-bio", "solver_options": {"init_iters": 0}}, "solver_options.init_iters must be positive"),
+        ({"instance": "toy", "solver": "cg", "solver_options": {"line_search": "exactt"}}, "solver_options.line_search must be one of"),
+        ({"instance": "toy", "solver": "big-sam", "solver_options": {"gama": 10.0}}, r"unknown options \['gama'\] for solver 'big-sam'"),
+        ({"instance": "toy", "solver": "dbgd", "solver_options": {"step": False}}, "solver_options.step must be a real number"),
+        ({"instance": "toy", "solver": "a-irg", "solver_options": {"gamma0": -1.0}}, "a-IRG rates must be positive"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bilevelcg.core import BallProduct, L1Ball, Polytope, ProductRegion, SolverConfig
+from bilevelcg import harness
+from bilevelcg.checks import random_convex_instance
 from bilevelcg.harness import _is_linear, run_solver
 from bilevelcg.problems import (
     DataError,
@@ -131,8 +133,11 @@ class TestFactoredLeastSquaresTag:
             inst, _ = regression_problem(data=load_csv(path, target_column="y"), l1_radius=3.0)
         region = inst.region
         for oracle in (inst.upper, inst.lower):
+            # The tag is the oracle's eval, and it gives the bits of the
+            # least-squares closure 0.5 |Ax - b|^2 written out here.
             tag = oracle.quadratic
-            assert tag.F is not None
+            assert oracle.eval is tag and tag.F is not None
+            A, b = tag.F, tag.h
             for density in (1, 2, 10, region.dimension):
                 # A point of the ball on ``density`` random coordinates.
                 x = np.zeros(region.dimension)
@@ -141,13 +146,48 @@ class TestFactoredLeastSquaresTag:
                 x *= rng.uniform(0.0, region.radius) / np.abs(x).sum()
                 assert region.contains(x)
                 value, grad = oracle(x)
-                assert tag.value(x) == pytest.approx(value, rel=1e-12, abs=0.0)
-                assert np.linalg.norm(tag.gradient(x) - grad) <= 1e-12 * np.linalg.norm(grad)
+                r = A @ x - b
+                assert value.hex() == (0.5 * float(r @ r)).hex()
+                assert [g.hex() for g in grad] == [float(g).hex() for g in A.T @ r]
 
     def test_lipschitz_constants_are_exact(self):
         inst, data = regression_problem(n=self.N, d=self.D, seed=0)
         for oracle, (A, _) in ((inst.lower, data.train), (inst.upper, data.validation)):
             assert oracle.lipschitz_grad == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
+
+
+class TestTagIsTheOracle:
+    """Every tagged objective is stated once, by its QuadraticForm: the tag
+    is the oracle's eval and gives its Lipschitz constant."""
+
+    def test_every_tagged_oracle_evaluates_through_its_tag(self, monkeypatch):
+        instances = [toy_problem(), regression_problem(n=30, d=40, seed=0)[0], random_convex_instance(100, 2)]
+        oracles = [oracle for inst in instances for oracle in (inst.upper, inst.lower)]
+        hull_oracles = []
+        minimize = harness._minimize_over_hull
+
+        def spy(oracle, *args):
+            hull_oracles.append(oracle)
+            return minimize(oracle, *args)
+
+        monkeypatch.setattr(harness, "_minimize_over_hull", spy)
+        assert harness.dist_to_hull(np.array([2.0, 2.0]), np.eye(2)) == pytest.approx(1.5 * np.sqrt(2.0))
+        assert len(hull_oracles) == 1
+        for oracle in oracles + hull_oracles:
+            assert oracle.quadratic is not None and oracle.eval is oracle.quadratic
+
+    def test_lipschitz_constants_come_from_the_tags(self):
+        toy = toy_problem()
+        assert (toy.upper.lipschitz_grad, toy.lower.lipschitz_grad) == (1.0, 0.0)
+        inst, data = regression_problem(n=30, d=40, seed=0)
+        for oracle, (A, _) in ((inst.lower, data.train), (inst.upper, data.validation)):
+            np.testing.assert_array_equal(oracle.quadratic.F, A)
+            assert oracle.lipschitz_grad.hex() == lambda_max_gram(oracle.quadratic.F).hex()
+        for i in range(4):
+            inst = random_convex_instance(300 + i, 2 + i % 2)
+            Q = inst.upper.quadratic.Q
+            assert inst.upper.lipschitz_grad.hex() == float(np.linalg.eigvalsh(Q).max()).hex()
+            assert inst.lower.lipschitz_grad == 0.0
 
 
 class TestRegressionProblem:

@@ -41,12 +41,7 @@ from bilevelcg.solvers import (
 
 def quad_oracle(Q, q, L=None):
     form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), 0.0)
-    return SmoothOracle(
-        form.q.shape[0],
-        lambda x: (form.value(x), form.gradient(x)),
-        lipschitz_grad=L,
-        quadratic=form,
-    )
+    return SmoothOracle(form.q.shape[0], lipschitz_grad=L, quadratic=form)
 
 
 class TestStandardCg:
@@ -450,7 +445,7 @@ class TestOneEvaluationPerStep:
             q = rng.standard_normal(dim)
             h = rng.standard_normal(F.shape[0])
             form = QuadraticForm(None, F=F, h=h) if factored else QuadraticForm(F.T @ F, q, 0.3)
-            tagged = SmoothOracle(dim, lambda x, form=form: (form.value(x), form.gradient(x)), quadratic=form)
+            tagged = SmoothOracle(dim, quadratic=form)
             untagged = dataclasses.replace(tagged, quadratic=None)
             x, d = rng.standard_normal(dim), rng.standard_normal(dim)
             fx, grad = tagged(x)
@@ -469,7 +464,7 @@ class TestOneEvaluationPerStep:
         (QuadraticForm(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]), 0.0), None),
     ], ids=["factor-F", "dense-Q"])
     def test_linear_tag_steps_with_the_away_weight(self, form, image):
-        oracle = SmoothOracle(3, lambda x: (form.value(x), form.gradient(x)), quadratic=form)
+        oracle = SmoothOracle(3, quadratic=form)
         x, d = np.zeros(3), np.array([0.0, 1.0, 0.0])
         fx, grad = oracle(x)
         step = solvers._cg_step_length(oracle, x, fx, grad, d, "exact", {}, 0.375, image)
@@ -565,6 +560,16 @@ class TestCgBio:
         assert out.stop_reason == "criterion_met"
         assert out.iterations <= 40
         np.testing.assert_allclose(out.final_point, [0.6, 0.4], atol=1e-9)
+
+    @pytest.mark.parametrize("max_iters", [1, 7])
+    def test_lower_level_is_evaluated_once_per_row(self, max_iters):
+        # The start certificate comes from row 0's evaluation.
+        lower, calls = _counted(FAIR.lower)
+        counted = dataclasses.replace(FAIR, lower=lower)
+        config = SolverConfig(eps_f=1e-300, eps_g=1e-300, max_iters=max_iters)
+        out = cg_bio(counted, FAIR.region.feasible_point(), config)
+        assert len(out.trace) == max_iters + 1
+        assert len(calls) == len(out.trace)
 
     def test_infeasible_start_rejected(self):
         inst = toy_problem()
