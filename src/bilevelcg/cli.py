@@ -11,6 +11,15 @@ from typing import Optional
 from .harness import INSTANCE_OPTIONS, SOLVERS, SuiteError, run_experiment
 
 
+def _solver_list(text: str) -> list[str]:
+    """The solver names of a comma-separated list; naming none is a usage
+    error."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no solver named in {text!r}")
+    return names
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps-f", type=float, default=1e-5)
     sub.add_argument("--eps-g", type=float, default=1e-5)
@@ -21,7 +30,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="runs", help="output directory")
     sub.add_argument("--record-timing", action="store_true",
                      help="keep wall-clock columns (breaks byte-identical reruns)")
-    sub.add_argument("--solvers", default="cg-bio",
+    sub.add_argument("--solvers", type=_solver_list, default="cg-bio",
                      help="comma-separated: " + ",".join(SOLVERS))
 
 
@@ -77,13 +86,12 @@ def _family_cells(args) -> list[dict]:
     return [
         {
             "instance": args.command,
-            "solver": solver.strip(),
+            "solver": solver,
             "config": config,
             "seed": args.seed,
             "options": options,
         }
-        for solver in args.solvers.split(",")
-        if solver.strip()
+        for solver in args.solvers
     ]
 
 

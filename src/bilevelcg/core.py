@@ -100,6 +100,11 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Ha
     feasible candidate of least value is returned.  Raises OracleError when
     no active set yields a feasible point.  The worst case visits all 2^m
     active sets.  The dense Hessian and linear term are formed once per call.
+
+    Every caller has few halfspaces, where this enumeration is the simplest
+    exact method: MNG's step (at most 2), :meth:`Polytope.project` (the
+    polytope's rows plus its d sign constraints) and
+    ``harness._least_upper_excess`` (the same plus one).
     """
     q = quad.linear()
     d = q.shape[0]
@@ -143,7 +148,7 @@ class SmoothOracle:
     line search); the tag is then the ``eval`` and gives the constant,
     unless given (a given ``eval`` must agree with it).  A factored tag
     (``QuadraticForm`` with ``F``) keeps an O(nd) least-squares oracle free
-    of d x d arrays on every path but the exact QPs, which form the Hessian;
+    of d x d arrays on every path but the exact QP, which forms the Hessian;
     standard_cg's exact steps and cg_bio carry its residual instead.
     """
 
@@ -771,8 +776,8 @@ class InvSqrt:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("inv-sqrt scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError("inv-sqrt scale must be positive and finite")
 
     def step(self, k: int) -> float:
         return min(1.0, self.scale / np.sqrt(k + 1.0))
@@ -802,8 +807,8 @@ class SolverConfig:
         for eps in (self.eps_f, self.eps_g):
             if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
                 raise TypeError(f"tolerances must be real numbers, got {eps!r}")
-        if not (self.eps_f > 0 and self.eps_g > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.eps_f < np.inf and 0.0 < self.eps_g < np.inf):  # NaN fails too
+            raise ValueError("tolerances must be positive and finite")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise TypeError(f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters <= 0:

@@ -73,7 +73,7 @@ def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int
 
 
 # Lower-level gap under which a vertex of a polytope counts as optimal, and
-# the conditional-gradient steps of dist_to_hull over more than 16 vertices.
+# the budget of dist_to_hull's pairwise conditional-gradient steps.
 _FACE_TOL = 1e-9
 _HULL_ITERS = 500
 
@@ -106,20 +106,10 @@ class _Hull(Region):
 
 
 def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max_iters: int):
-    """Minimize a convex objective over the hull of the vertex rows.  Returns
-    (point, certified): certified means the point is exact or its FW gap is
-    at most ``tol``.  A tagged quadratic over at most 16 vertices is solved
-    exactly by the active-set QP in barycentric weights; otherwise pairwise
-    conditional gradient runs from the barycenter over the vertex rows."""
-    quad = oracle.quadratic
-    if quad is not None and verts.shape[0] <= 16:
-        # Weights w = e_n + P u with P = [I; -1'], so the point is
-        # v_n + B'u for B = P'V, and w >= 0 reads -u <= 0, 1'u <= 1.
-        last, B = verts[-1], verts[:-1] - verts[-1]
-        m = B.shape[0]
-        sub = QuadraticForm(B @ quad.hessian() @ B.T, B @ quad(last)[1])
-        halfspaces = [Halfspace(-e, 0.0) for e in np.eye(m)] + [Halfspace(np.ones(m), 1.0)]
-        return last + B.T @ minimize_quadratic_over_halfspaces(sub, halfspaces), True
+    """Minimize a convex objective over the hull of the vertex rows by
+    pairwise conditional gradient from the barycenter (Lacoste-Julien &
+    Jaggi 2015), for every objective and every vertex count.  Returns
+    (point, certified): certified means its FW gap is at most ``tol``."""
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
     out = standard_cg(oracle, _Hull(verts), cfg, line_search=_line_search(oracle), start=verts.mean(axis=0))
     return out.final_point, out.stop_reason == "criterion_met"

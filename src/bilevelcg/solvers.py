@@ -373,6 +373,12 @@ class BigSamConfig:
     eta_g: Optional[float] = None
     gamma: float = 10.0
 
+    def __post_init__(self):
+        # Given steps are checked here; derived ones in resolve().
+        for value in (self.eta_f, self.eta_g, self.gamma):
+            if value is not None and not 0.0 < value < np.inf:
+                raise ConfigurationError("BiG-SAM steps must be positive and finite")
+
     def resolve(self, instance: BilevelInstance) -> tuple[float, float]:
         eta_f, eta_g = self.eta_f, self.eta_g
         if eta_f is None:
@@ -387,8 +393,8 @@ class BigSamConfig:
                     "eta_g not given and not derivable from the lower Lipschitz constant"
                 )
             eta_g = 1.0 / instance.lower.lipschitz_grad
-        if eta_f <= 0 or eta_g <= 0 or self.gamma <= 0:
-            raise ConfigurationError("BiG-SAM steps must be positive")
+        if not (0.0 < eta_f < np.inf and 0.0 < eta_g < np.inf):
+            raise ConfigurationError("BiG-SAM steps must be positive and finite")
         return eta_f, eta_g
 
 
@@ -401,8 +407,8 @@ class AIrgConfig:
     eta0: float = 1.0
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.eta0 < 0:
-            raise ConfigurationError("a-IRG rates must be positive")
+        if not (0.0 < self.gamma0 < np.inf and 0.0 <= self.eta0 < np.inf):
+            raise ConfigurationError("a-IRG rates must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -416,8 +422,9 @@ class DbgdConfig:
     grad_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0 or self.step <= 0 or self.grad_floor <= 0:
-            raise ConfigurationError("DBGD parameters must be positive")
+        positive = (self.alpha, self.beta, self.step, self.grad_floor)
+        if not all(0.0 < value < np.inf for value in positive) or not np.isfinite(self.g_hat):
+            raise ConfigurationError("DBGD parameters must be finite, and all but g_hat positive")
 
 
 @dataclass(frozen=True)
@@ -428,8 +435,8 @@ class MngConfig:
     M: float
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ConfigurationError("MNG smoothing constant must be positive")
+        if not 0.0 < self.M < np.inf:
+            raise ConfigurationError("MNG smoothing constant must be positive and finite")
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,20 @@ class TestToyCommand:
         for name in ("000_toy_cg-bio_seed0.csv", "000_toy_cg-bio_seed0.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @pytest.mark.parametrize("solvers", [",", "", " , "])
+    def test_no_solver_exits_2_before_any_cell_runs(self, tmp_path, capsys, solvers):
+        out = tmp_path / "runs"
+        assert main(["toy", "--solvers", solvers, "--out", str(out)]) == 2
+        assert "no solver named" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("schedule", ["inv-sqrt:nan", "inv-sqrt:inf"])
+    def test_non_finite_schedule_exits_2_before_any_cell_runs(self, tmp_path, capsys, schedule):
+        out = tmp_path / "runs"
+        assert main(["toy", "--schedule", schedule, "--out", str(out)]) == 2
+        assert "cell 0: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multiple_solvers(self, tmp_path, capsys):
         code = main([
             "toy", "--out", str(tmp_path), "--solvers", "cg-bio,dbgd", "--max-iters", "50",
@@ -207,6 +221,23 @@ class TestSuiteCommand:
         out = tmp_path / "runs"
         assert main(["suite", str(suite), "--out", str(out)]) == 2
         assert "cell 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"instance": "toy", "solver": "dbgd", "solver_options": {"alpha": float("nan")}},
+        {"instance": "toy", "solver": "dbgd", "solver_options": {"g_hat": float("inf")}},
+        {"instance": "toy", "solver": "big-sam", "solver_options": {"gamma": -1.0}},
+        {"instance": "toy", "solver": "mng", "solver_options": {"M": float("nan")}},
+        {"instance": "toy", "solver": "a-irg", "solver_options": {"gamma0": float("nan")}},
+        {"instance": "toy", "solver": "cg-bio", "config": {"eps_g": float("inf")}},
+    ])
+    def test_non_finite_or_negative_value_exits_2_naming_the_cell(self, tmp_path, capsys, bad):
+        # json writes NaN and Infinity, and Python's json reads them back.
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([{"instance": "toy", "solver": "cg-bio"}, bad]))
+        out = tmp_path / "runs"
+        assert main(["suite", str(suite), "--out", str(out)]) == 2
+        assert "error: cell 1: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("content, reason", [

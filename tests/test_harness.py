@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bilevelcg import harness, solvers
+from bilevelcg.checks import random_convex_instance
 from bilevelcg.core import (
     BilevelInstance,
     ConstantStep,
@@ -64,8 +65,32 @@ def quad_instance(Q, q, segment):
 # tag, so the hull minimizer runs backtracking conditional gradient.
 EXP_SUM = SmoothOracle(2, lambda x: (float(np.sum(np.exp(x) - x)), np.exp(x) - 1.0))
 TRIANGLE = [[-1.0, -1.0], [3.0, -1.0], [-1.0, 3.0]]
-ANGLES = 2.0 * np.pi * np.arange(20) / 20.0
-POLYGON_20 = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])  # regular 20-gon, unit circumradius
+
+
+def regular_polygon(n):
+    """The vertices of the regular n-gon of unit circumradius."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+POLYGON_20 = regular_polygon(20)
+# The 28 random instances of the cut, descent and convex-rate checks; each
+# solution face is an edge of the unit box.
+CHECK_INSTANCES = (
+    [(100 + i, 2 + i % 2) for i in range(4)]
+    + [(200 + i, 2 + i % 2) for i in range(4)]
+    + [(300 + i, 2 + i % 2) for i in range(20)]
+)
+
+
+def segment_point(a, b, t):
+    """The point of the segment [a, b] at parameter t clipped to [0, 1]."""
+    return a + min(1.0, max(0.0, t)) * (b - a)
+
+
+def point_to_segment(x, a, b):
+    e = b - a
+    return float(np.linalg.norm(x - segment_point(a, b, float((x - a) @ e) / float(e @ e))))
 
 
 class TestReferenceLower:
@@ -181,13 +206,33 @@ class TestReferenceBilevel:
             reference_bilevel(inst, tol=1e-12, max_iters=50)
 
     def test_quadratic_over_twenty_gon(self):
-        # More than 16 vertices: exact line-search conditional gradient, not
-        # the simplex QP; the minimum (0.2, -0.1) is interior.
+        # Pairwise conditional gradient with exact line search; the minimum
+        # (0.2, -0.1) is interior.
         Q = np.diag([1.0, 3.0])
         x_min = np.array([0.2, -0.1])
         inst = quad_instance(Q, -Q @ x_min, POLYGON_20)
         expected = -0.5 * float(x_min @ Q @ x_min)
         assert reference_bilevel(inst, tol=1e-12) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("seed, dim", CHECK_INSTANCES)
+    def test_check_instances_match_the_closed_form_edge_minimum(self, seed, dim):
+        # f(a + t e) is a parabola in t: its minimum over [0, 1] is at
+        # t = -<grad f(a), e> / e'Qe, clipped.
+        inst = random_convex_instance(seed, dim)
+        a, b = inst.reference.lower_solution_set
+        e = b - a
+        t = -float(inst.upper.gradient(a) @ e) / float(e @ inst.upper.quadratic.Q @ e)
+        expected = inst.upper.value(segment_point(a, b, t))
+        assert reference_bilevel(inst, tol=1e-10) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_hull_minimization_solves_no_least_squares(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+        reference_bilevel(quad_instance(np.eye(2), np.array([-1.0, -1.0]), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        reference_bilevel(random_convex_instance(300, 2), tol=1e-10)
+        dist_to_hull(np.array([2.0, 0.3]), regular_polygon(16))
+        assert calls == []
 
     def test_missing_face_rejected(self):
         oracle = SmoothOracle(5, lambda x: (0.0, np.zeros(5)))
@@ -222,6 +267,15 @@ class TestDistToHull:
     def test_twenty_gon(self):
         assert dist_to_hull(np.array([2.0, 0.3]), POLYGON_20) == pytest.approx(1.034618680107207, abs=1e-9)
         assert dist_to_hull(np.array([0.1, -0.2]), POLYGON_20) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [16, 200])
+    @pytest.mark.parametrize("x", [[2.0, 0.3], [0.0, -1.5], [1.2, 1.2], [0.3, 0.1]])
+    def test_regular_polygon_matches_the_nearest_edge(self, n, x):
+        verts, x = regular_polygon(n), np.array(x)
+        nearest = min(point_to_segment(x, verts[i], verts[(i + 1) % n]) for i in range(n))
+        if x @ x < 0.5:  # inside the polygon
+            nearest = 0.0
+        assert dist_to_hull(x, verts) == pytest.approx(nearest, abs=1e-12)
 
     def test_twenty_gon_certified_in_few_steps(self, monkeypatch):
         runs = []
@@ -585,6 +639,17 @@ class TestRunExperiment:
         ({"instance": "toy", "solver": "big-sam", "solver_options": {"gama": 10.0}}, r"unknown options \['gama'\] for solver 'big-sam'"),
         ({"instance": "toy", "solver": "dbgd", "solver_options": {"step": False}}, "solver_options.step must be a real number"),
         ({"instance": "toy", "solver": "a-irg", "solver_options": {"gamma0": -1.0}}, "a-IRG rates must be positive"),
+        ({"instance": "toy", "solver": "a-irg", "solver_options": {"eta0": float("inf")}}, "a-IRG rates must be positive and finite"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": "inv-sqrt:nan"}}, "inv-sqrt scale must be positive and finite"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": "inv-sqrt:inf"}}, "inv-sqrt scale must be positive and finite"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": float("inf")}}, "tolerances must be positive and finite"),
+        ({"instance": "toy", "solver": "dbgd", "solver_options": {"alpha": float("nan")}}, "DBGD parameters must be finite"),
+        ({"instance": "toy", "solver": "dbgd", "solver_options": {"g_hat": float("-inf")}}, "DBGD parameters must be finite"),
+        ({"instance": "toy", "solver": "dbgd", "solver_options": {"step": float("inf")}}, "DBGD parameters must be finite"),
+        ({"instance": "toy", "solver": "mng", "solver_options": {"M": float("nan")}}, "MNG smoothing constant must be positive and finite"),
+        ({"instance": "toy", "solver": "big-sam", "solver_options": {"gamma": -1.0}}, "BiG-SAM steps must be positive and finite"),
+        ({"instance": "toy", "solver": "big-sam", "solver_options": {"eta_f": float("nan")}}, "BiG-SAM steps must be positive and finite"),
+        ({"instance": "toy", "solver": "big-sam", "solver_options": {"eta_g": float("inf")}}, "BiG-SAM steps must be positive and finite"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}
