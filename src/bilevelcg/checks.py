@@ -71,10 +71,10 @@ def _random_convex_candidate(seed: int, dim: int) -> BilevelInstance:
     # Zero one coefficient so the optimal face is an edge, not a vertex;
     # singleton faces make the bilevel run converge in one step.
     c[int(rng.integers(dim))] = 0.0
-    lower = SmoothOracle(dim, quadratic=QuadraticForm(np.zeros((dim, dim)), c, 0.0))
-    B = rng.standard_normal((dim, dim))
-    Q = B.T @ B + 0.1 * np.eye(dim)
-    upper = SmoothOracle(dim, quadratic=QuadraticForm(Q, rng.standard_normal(dim), 0.0))
+    lower = SmoothOracle(dim, quadratic=QuadraticForm(np.zeros((0, dim)), np.zeros(0), c))
+    # Hessian B'B + 0.1 I, factored as [B; sqrt(0.1) I].
+    F = np.vstack([rng.standard_normal((dim, dim)), np.sqrt(0.1) * np.eye(dim)])
+    upper = SmoothOracle(dim, quadratic=QuadraticForm(F, np.zeros(2 * dim), rng.standard_normal(dim)))
     verts = region.vertices()
     vals = np.array([lower.value(v) for v in verts])
     g_star = float(vals.min())

@@ -37,59 +37,48 @@ def lambda_max_gram(A: np.ndarray) -> float:
     power iteration's Rayleigh quotient would approach it from below and
     give a Lipschitz constant that is too small."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    if not A.size:
+        return 0.0  # no rows (a linear tag's factor) or no columns
     gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Explicit representation f(x) = 0.5 x'Qx + q'x + c, or factored as
-    f(x) = 0.5 |Fx - h|^2, for solvers that minimize f over small polyhedra
-    in closed form or follow it along their steps.  Calling it gives f's
-    value and gradient: it is the ``eval`` of the oracle it tags.
+    """f(x) = 0.5 |Fx - h|^2 + q'x, where q None means no linear term and a
+    linear f has an F with no rows, for solvers that minimize f over small
+    polyhedra in closed form or follow it along their steps.  Calling it
+    gives f's value and gradient: it is the ``eval`` of the oracle it tags.
 
     A least-squares objective 0.5 |Ax - b|^2 is tagged with F = A and h = b:
-    an n x d matrix instead of a d x d Gram, so value and gradient cost O(nd)
-    and the value is not taken by cancellation against 0.5 |b|^2.
-    :meth:`hessian` and :meth:`linear` form F'F and -F'h on every call."""
+    an n x d matrix instead of a d x d Hessian, so value and gradient cost
+    O(nd) and the value is not taken by cancellation against 0.5 |b|^2."""
 
-    Q: Optional[np.ndarray]
+    F: np.ndarray
+    h: np.ndarray
     q: Optional[np.ndarray] = None
-    c: float = 0.0
-    F: Optional[np.ndarray] = None
-    h: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if (self.Q is None) == (self.F is None):
-            raise ValueError("give exactly one of the Hessian Q and its factor F")
-        if (self.q is None) != (self.Q is None) or (self.h is None) != (self.F is None):
-            raise ValueError("a Hessian Q takes a linear term q, a factor F a shift h")
+        F, h = np.shape(self.F), np.shape(self.h)
+        if len(F) != 2 or h != F[:1]:
+            raise ValueError(f"F must be a matrix and h a vector of its rows, got shapes {F} and {h}")
+        if self.q is not None and np.shape(self.q) != F[1:]:
+            raise ValueError(f"q must be a vector of F's columns, got shape {np.shape(self.q)} for F {F}")
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(x), grad f(x)); a factored form reads F for r = Fx - h and F'r."""
-        if self.F is None:
-            return 0.5 * float(x @ self.Q @ x) + float(self.q @ x) + self.c, self.Q @ x + self.q
-        return self.at_residual(self.F @ x - self.h)
+        """(f(x), grad f(x)), reading F for r = Fx - h and F'r."""
+        return self.at_residual(self.F @ x - self.h, x)
 
-    def at_residual(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(x), grad f(x)) of a factored form at an x with Fx - h = r."""
-        return 0.5 * float(r @ r), self.F.T @ r
-
-    def lipschitz(self) -> float:
-        """The gradient's Lipschitz constant: Q's largest eigenvalue, or |F|_2^2."""
-        return float(np.linalg.eigvalsh(self.Q).max()) if self.F is None else lambda_max_gram(self.F)
-
-    def hessian(self) -> np.ndarray:
-        """The dense d x d Hessian: ``Q``, or F'F."""
-        return self.Q if self.F is None else self.F.T @ self.F
-
-    def linear(self) -> np.ndarray:
-        """The linear term: ``q``, or -F'h."""
-        return self.q if self.F is None else -(self.F.T @ self.h)
+    def at_residual(self, r: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)) at an x with Fx - h = r."""
+        value, grad = 0.5 * float(r @ r), self.F.T @ r
+        if self.q is None:
+            return value, grad
+        return value + float(self.q @ x), grad + self.q
 
 
 def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Halfspace]) -> np.ndarray:
-    """Minimize the convex 0.5 x'Qx + q'x + c over the intersection of the
+    """Minimize the convex quadratic ``quad`` over the intersection of the
     :class:`Halfspace` list ``constraints``.
 
     Active sets are visited in order of size, and each one's KKT system is
@@ -99,16 +88,17 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Ha
     singular KKT system can give multipliers of the wrong sign), the
     feasible candidate of least value is returned.  Raises OracleError when
     no active set yields a feasible point.  The worst case visits all 2^m
-    active sets.  The dense Hessian and linear term are formed once per call.
+    active sets.  The Hessian F'F and linear term q - F'h are formed once.
 
     Every caller has few halfspaces, where this enumeration is the simplest
     exact method: MNG's step (at most 2), :meth:`Polytope.project` (the
     polytope's rows plus its d sign constraints) and
     ``harness._least_upper_excess`` (the same plus one).
     """
-    q = quad.linear()
+    F = quad.F
+    hessian = F.T @ F
+    q = -(F.T @ quad.h) if quad.q is None else quad.q - F.T @ quad.h
     d = q.shape[0]
-    hessian = quad.hessian()
     best, best_val = None, np.inf
     for size in range(len(constraints) + 1):
         for active in combinations(range(len(constraints)), size):
@@ -126,7 +116,7 @@ def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Ha
             x = sol[:d]
             if not all(h.contains(x, tol=1e-9) for h in constraints):
                 continue
-            # The KKT rows read Qx + q = sum_j sol[d + j] a_active[j]: the
+            # The KKT rows read F'F x + q = sum_j sol[d + j] a_active[j]: the
             # multipliers are -sol[d:].
             if np.all(sol[d:] <= 1e-12 * scale):
                 return x
@@ -145,11 +135,11 @@ class SmoothOracle:
     ``lipschitz_grad`` is a Lipschitz constant of the gradient in the l2
     norm, or None when unknown.  ``quadratic`` is set when the function is an
     explicit convex quadratic (enables closed-form subproblems and exact
-    line search); the tag is then the ``eval`` and gives the constant,
-    unless given (a given ``eval`` must agree with it).  A factored tag
-    (``QuadraticForm`` with ``F``) keeps an O(nd) least-squares oracle free
-    of d x d arrays on every path but the exact QP, which forms the Hessian;
-    standard_cg's exact steps and cg_bio carry its residual instead.
+    line search); the tag is then the ``eval`` and gives the constant
+    |F|_2^2, unless given (a given ``eval`` must agree with it).  A tag
+    keeps an O(nd) least-squares oracle free of d x d arrays on every path
+    but the exact QP, which forms F'F; standard_cg's exact steps and cg_bio
+    carry its residual Fx - h instead of calling it.
     """
 
     dimension: int
@@ -164,7 +154,7 @@ class SmoothOracle:
                 raise ValueError("give an eval or a quadratic tag")
             object.__setattr__(self, "eval", quad)
         if self.lipschitz_grad is None and quad is not None:
-            object.__setattr__(self, "lipschitz_grad", quad.lipschitz())
+            object.__setattr__(self, "lipschitz_grad", lambda_max_gram(quad.F))
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -595,8 +585,7 @@ class Polytope(Region):
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """The exact QP min 0.5 |x - v|^2 over the defining halfspaces."""
-        quad = QuadraticForm(np.eye(v.size), -v, 0.5 * float(v @ v))
-        return minimize_quadratic_over_halfspaces(quad, self.halfspaces())
+        return minimize_quadratic_over_halfspaces(QuadraticForm(np.eye(v.size), v), self.halfspaces())
 
     def feasible_point(self) -> np.ndarray:
         origin = np.zeros(self.dimension)

@@ -53,9 +53,8 @@ from .solvers import (
 # ---------------------------------------------------------------------------
 
 def _is_linear(oracle: SmoothOracle) -> bool:
-    q = oracle.quadratic
-    # A factored tag is tested by its factor: F = 0 iff F'F = 0.
-    return q is not None and not np.any(q.Q if q.F is None else q.F)
+    """Whether the oracle is tagged linear: its factor F has no rows."""
+    return oracle.quadratic is not None and not oracle.quadratic.F.shape[0]
 
 
 def reference_lower(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
@@ -105,24 +104,23 @@ class _Hull(Region):
         return self.verts[int(np.argmin(self.verts @ c))]  # lowest index on ties
 
 
-def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max_iters: int):
+def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max_iters: int) -> SolveOutcome:
     """Minimize a convex objective over the hull of the vertex rows by
     pairwise conditional gradient from the barycenter (Lacoste-Julien &
-    Jaggi 2015), for every objective and every vertex count.  Returns
-    (point, certified): certified means its FW gap is at most ``tol``."""
+    Jaggi 2015), for every objective and every vertex count.  The run is
+    certified ("criterion_met") when its FW gap is at most ``tol``."""
     cfg = SolverConfig(eps_f=tol, eps_g=tol, max_iters=max_iters)
-    out = standard_cg(oracle, _Hull(verts), cfg, line_search=_line_search(oracle), start=verts.mean(axis=0))
-    return out.final_point, out.stop_reason == "criterion_met"
+    return standard_cg(oracle, _Hull(verts), cfg, line_search=_line_search(oracle), start=verts.mean(axis=0))
 
 
 def reference_bilevel(instance: BilevelInstance, tol: float = 1e-9, max_iters: int = 200_000) -> float:
     """Estimate of the optimal upper-level value over the lower-level
     solution set, which must be available as a vertex list (or derivable
     for a linear lower level over a small polytope)."""
-    point, certified = _minimize_over_hull(instance.upper, _solution_face(instance), tol, max_iters)
-    if not certified:
+    out = _minimize_over_hull(instance.upper, _solution_face(instance), tol, max_iters)
+    if out.stop_reason != "criterion_met":
         raise RuntimeError("upper-level reference budget exhausted over the solution face")
-    return instance.upper.value(point)
+    return instance.upper.value(out.final_point)
 
 
 def true_fw_gap(instance: BilevelInstance, x: np.ndarray) -> float:
@@ -165,8 +163,8 @@ def dist_to_hull(x: np.ndarray, verts: np.ndarray) -> float:
     conditional gradient stops uncertified after ``_HULL_ITERS`` steps, the
     distance to its last iterate over-estimates the true one."""
     x = np.asarray(x, dtype=float)
-    half_sq = SmoothOracle(x.size, quadratic=QuadraticForm(np.eye(x.size), -x, 0.5 * float(x @ x)))
-    point, _ = _minimize_over_hull(half_sq, verts, 1e-16, _HULL_ITERS)
+    half_sq = SmoothOracle(x.size, quadratic=QuadraticForm(np.eye(x.size), x))
+    point = _minimize_over_hull(half_sq, verts, 1e-16, _HULL_ITERS).final_point
     return float(np.linalg.norm(point - x))
 
 
@@ -222,13 +220,13 @@ def hoelder_estimate(instance: BilevelInstance) -> HoelderParams:
 def _least_upper_excess(instance: BilevelInstance, eps_g: float) -> float:
     """min f - f* over the eps_g-optimal points of the lower level, exact:
     one QP of f over P and the halfspace g <= g* + eps_g, for the instances
-    :func:`hoelder_estimate` accepts."""
+    :func:`hoelder_estimate` accepts, where g is q'x (0 when q is None)."""
     region = _closed_form_case(instance)
-    g = instance.lower.quadratic
     f_star = instance.reference.f_star
     if f_star is None:
         f_star = reference_bilevel(instance)
-    near_optimal = Halfspace(g.q, _g_star(instance) + eps_g - g.c)
+    q = instance.lower.quadratic.q
+    near_optimal = Halfspace(np.zeros(region.dimension) if q is None else q, _g_star(instance) + eps_g)
     x = minimize_quadratic_over_halfspaces(instance.upper.quadratic, region.halfspaces() + [near_optimal])
     return instance.upper.value(x) - f_star
 
@@ -657,7 +655,8 @@ def run_experiment(
     present, the summary's ``cell_sha256`` matching the cell) are read
     back, not run, making reruns resumable, and fixed seeds reproduce
     output files byte-for-byte.  Every cell and ``jobs`` are validated
-    before the first cell runs (SuiteError names a malformed cell).
+    before the first cell runs (SuiteError names a malformed cell, or an
+    ``out_dir`` that cannot be made, such as a path through a file).
 
     ``jobs`` counts the processes that run cells, the calling one included;
     None means the usable CPUs.  The caller starts on the pending cells at
@@ -676,7 +675,10 @@ def run_experiment(
             _cell_settings(cell)
         except (TypeError, ValueError) as exc:
             raise SuiteError(f"cell {index}: {exc}") from exc
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SuiteError(f"cannot make the output directory {out_dir!r}: {exc}") from exc
     summaries = [_stored_summary(cell, index, out_dir) for index, cell in enumerate(suite)]
     pending = [index for index, summary in enumerate(summaries) if summary is None]
     workers = min(jobs, len(pending)) - 1

@@ -5,6 +5,7 @@ dictionary learning, and generic CSV ingestion."""
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -113,6 +114,9 @@ def load_csv(
         except StopIteration:
             raise DataError("empty dataset: file has no header row")
         header = [h.strip() for h in header]
+        duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
+        if duplicates:
+            raise DataError(f"duplicate column names {duplicates}")
         if target_column not in header:
             raise DataError(f"missing column {target_column!r}")
         if sensitive_column is not None and sensitive_column not in header:
@@ -161,8 +165,8 @@ def load_csv(
 def toy_problem() -> BilevelInstance:
     """Two-variable instance with a linear lower level whose optimal set is
     the segment from (0.5, 0.5) to (1, 0); the bilevel optimum is (0.6, 0.4)."""
-    upper = SmoothOracle(2, quadratic=QuadraticForm(np.diag([1.0, 0.0]), np.array([-0.5, 0.1]), 0.0))
-    lower = SmoothOracle(2, quadratic=QuadraticForm(np.zeros((2, 2)), np.array([-1.0, -1.0]), 0.0))
+    upper = SmoothOracle(2, quadratic=QuadraticForm(np.array([[1.0, 0.0]]), np.zeros(1), np.array([-0.5, 0.1])))
+    lower = SmoothOracle(2, quadratic=QuadraticForm(np.zeros((0, 2)), np.zeros(0), np.array([-1.0, -1.0])))
     region = Polytope(A=np.array([[1.0, 1.0], [4.0, 6.0]]), b=np.array([1.0, 5.0]))
     reference = ReferenceData(
         g_star=-1.0,
@@ -180,7 +184,7 @@ def _least_squares_oracle(A: np.ndarray, b: np.ndarray) -> SmoothOracle:
     if not np.any(A):
         raise DataError("degenerate all-zero design matrix")
     # Factored by A itself: no d x d Gram is formed or held.
-    return SmoothOracle(A.shape[1], quadratic=QuadraticForm(None, F=A, h=b))
+    return SmoothOracle(A.shape[1], quadratic=QuadraticForm(A, b))
 
 
 def synthetic_regression_data(
@@ -222,6 +226,9 @@ def regression_problem(
         g_star = 0.0
     A_tr, b_tr = data.train
     A_val, b_val = data.validation
+    for split, rows in (("training", A_tr), ("validation", A_val)):
+        if not rows.shape[0]:
+            raise DataError(f"empty {split} split: {data.features.shape[0]} rows are too few to split")
     lower = _least_squares_oracle(A_tr, b_tr)
     upper = _least_squares_oracle(A_val, b_val)
     region = L1Ball(radius=l1_radius, dimension=A_tr.shape[1])

@@ -64,14 +64,12 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max, image=None):
     there, else None.  ``image`` is F d for a carried :class:`_Residual`."""
     gap = float(-(grad @ d))  # <grad, v_away - s>
     if mode == "exact":
-        # f(x + t d) = fx - t gap + t^2 curv for a quadratic: F d or a dense
-        # tag's Q gives curv in closed form.  Otherwise f is fitted by a
-        # parabola through t = 0 and t = 1; fitting over [0, gamma_max]
-        # instead would divide the rounding error of f1 - fx by gamma_max**2.
+        # f(x + t d) = fx - t gap + t^2 curv for a quadratic: a tag's F d
+        # gives curv in closed form.  Otherwise f is fitted by a parabola
+        # through t = 0 and t = 1; fitting over [0, gamma_max] instead
+        # would divide the rounding error of f1 - fx by gamma_max**2.
         if image is not None:
             curv = 0.5 * float(image @ image)
-        elif oracle.quadratic is not None:
-            curv = 0.5 * float(d @ (oracle.quadratic.Q @ d))
         else:
             curv = oracle.value(x + d) - fx + gap
         if curv <= 0.0:
@@ -103,10 +101,11 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max, image=None):
 
 
 class _Residual:
-    """The residual r = F x - h of a factored tag, carried along the iterates
-    so that a row reads F once, for the tag's value 0.5 |r|^2 and gradient F'r.
-    A step's image F v is formed from the columns of F on v's support: at
-    most 2 for the pairwise directions and cut vertices of an l1 ball."""
+    """The residual r = F x - h of a tag, carried along the iterates so that
+    a row reads F once, for the tag's value 0.5 |r|^2 + q'x and gradient
+    F'r + q.  A step's image F v is formed from the columns of F on v's
+    support: at most 2 for the pairwise directions and cut vertices of an
+    l1 ball."""
 
     def __init__(self, quad, x: np.ndarray):
         self.quad, self.F, self.h, self.r = quad, quad.F, quad.h, quad.F @ x - quad.h
@@ -115,13 +114,12 @@ class _Residual:
         """F v, given v's support ``on = v.nonzero()[0]``."""
         return self.F.take(on, axis=1) @ v[on]
 
-    def __call__(self) -> tuple[float, np.ndarray]:
-        return self.quad.at_residual(self.r)
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.quad.at_residual(self.r, x)
 
 
 def _carried(oracle: SmoothOracle, x: np.ndarray) -> Optional[_Residual]:
-    quad = oracle.quadratic
-    return _Residual(quad, x) if quad is not None and quad.F is not None else None
+    return None if oracle.quadratic is None else _Residual(oracle.quadratic, x)
 
 
 class _Atoms:
@@ -217,7 +215,7 @@ def standard_cg(
     ``surrogate_f_gap`` trace column.
 
     A row costs one oracle call, and none when the exact step carries a
-    factored tag's :class:`_Residual`.  A backtracking step hands on its
+    tag's :class:`_Residual`.  A backtracking step hands on its
     evaluation at the point it moves to, so only rejected backtracking
     trials, and the parabola fit of the exact step on an untagged
     objective, add calls.
@@ -238,7 +236,7 @@ def standard_cg(
     residual = _carried(oracle, x) if line_search == "exact" else None
     evaluation = None  # the line search's (value, gradient) at x
     for k in range(config.max_iters + 1):
-        fx, grad = residual() if residual is not None else evaluation or oracle(x)
+        fx, grad = residual(x) if residual is not None else evaluation or oracle(x)
         try:
             s = lmo(region, grad)
         except OracleError as exc:
@@ -320,7 +318,7 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     :func:`initialize_lower` computes them for its own point, and a row
     that passes the test from an uncertified start reports
     "uncertified_start" instead of "criterion_met".  An infeasible ``x0``
-    raises ConfigurationError.  A factored tag's :class:`_Residual` is
+    raises ConfigurationError.  A tagged level's :class:`_Residual` is
     carried in place of its oracle.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -332,8 +330,8 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
 
     tracer = _Tracer(config.keep_iterates)
     for k in range(config.max_iters + 1):
-        f_val, f_grad = instance.upper(x) if upper is None else upper()
-        g_val, g_grad = instance.lower(x) if lower is None else lower()
+        f_val, f_grad = instance.upper(x) if upper is None else upper(x)
+        g_val, g_grad = instance.lower(x) if lower is None else lower(x)
         if k == 0:  # row 0 gives g(x0) and, with one plain LMO, the start's certificate
             g0_val = g_val
             plain = lmo(region, g_grad)

@@ -54,6 +54,13 @@ class TestToyCommand:
         assert "cell 0: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["toy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot make the output directory {str(out)!r}")
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_multiple_solvers(self, tmp_path, capsys):
         code = main([
             "toy", "--out", str(tmp_path), "--solvers", "cg-bio,dbgd", "--max-iters", "50",
@@ -86,6 +93,17 @@ class TestRegressionCommand:
         assert main(["regression", "--csv", str(data), "--out", str(out)]) == 2
         assert "options.csv needs options.target" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_too_few_rows_report_the_empty_validation_split(self, tmp_path, capsys, source):
+        if source == "synthetic":
+            args = ["--n", "2", "--d", "5"]
+        else:
+            data = tmp_path / "data.csv"
+            data.write_text("a,b,y\n1,2,3\n", encoding="utf-8")  # one data row
+            args = ["--csv", str(data), "--target", "y"]
+        assert main(["regression", *args, "--out", str(tmp_path / "runs")]) == 1
+        assert "error: empty validation split" in capsys.readouterr().out
 
     def test_readme_command(self, tmp_path, capsys):
         code = main([
@@ -253,6 +271,13 @@ class TestSuiteCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {suite}: ") and reason in err
         assert not (tmp_path / "runs").exists()
+
+    def test_output_path_under_a_file_exits_2_before_any_cell_runs(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([{"instance": "toy", "solver": "cg-bio"}]))
+        out = suite / "x"  # a path through a file
+        assert main(["suite", str(suite), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot make the output directory {str(out)!r}")
 
     def test_failed_cell_exits_1(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"

@@ -23,60 +23,67 @@ from bilevelcg.core import (
     SolverConfig,
     TraceRow,
     cutting_plane,
+    lambda_max_gram,
 )
 
 
-def quad_oracle(Q, q, c=0.0):
-    form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), c)
-    return SmoothOracle(form.q.shape[0], quadratic=form)
+def quad_oracle(F, h=None, q=None):
+    """The tagged oracle of 0.5 |Fx - h|^2 + q'x; h defaults to 0 and q to
+    no linear term."""
+    F = np.asarray(F, float)
+    h = np.zeros(F.shape[0]) if h is None else np.asarray(h, float)
+    form = QuadraticForm(F, h, None if q is None else np.asarray(q, float))
+    return SmoothOracle(F.shape[1], quadratic=form)
 
 
 class TestQuadraticForm:
-    def test_factored_form_agrees_with_its_gram(self):
-        rng = np.random.default_rng(4)
-        F = rng.standard_normal((7, 30))
-        h = rng.standard_normal(7)
-        factored = QuadraticForm(None, F=F, h=h)
-        dense = QuadraticForm(F.T @ F, -(F.T @ h), 0.5 * float(h @ h))
-        for _ in range(20):
-            x = rng.standard_normal(30)
-            (value, grad), (dense_value, dense_grad) = factored(x), dense(x)
-            assert value == pytest.approx(dense_value, rel=1e-12)
-            np.testing.assert_allclose(grad, dense_grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(factored.hessian(), F.T @ F)
-        np.testing.assert_array_equal(factored.linear(), dense.q)
-        assert dense.hessian() is dense.Q and dense.linear() is dense.q
-
-    @pytest.mark.parametrize("Q, F", [(None, None), (np.eye(2), np.eye(2))])
-    def test_exactly_one_of_hessian_and_factor(self, Q, F):
-        with pytest.raises(ValueError, match="exactly one"):
-            QuadraticForm(Q, np.zeros(2), F=F)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"Q": np.eye(2)},
-        {"Q": np.eye(2), "q": np.zeros(2), "h": np.zeros(2)},
-        {"Q": None, "F": np.eye(2)},
-        {"Q": None, "F": np.eye(2), "h": np.zeros(2), "q": np.zeros(2)},
-    ], ids=["Q-without-q", "Q-with-h", "F-without-h", "F-with-q"])
-    def test_a_hessian_takes_q_and_a_factor_h(self, kwargs):
-        with pytest.raises(ValueError, match="a factor F a shift h"):
-            QuadraticForm(**kwargs)
-
     def test_value_and_gradient(self):
-        form = QuadraticForm(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, -1.0]), 0.5)
+        # r = Fx - h = (0, 4): 0.5 |r|^2 + q'x = 8 - 1, F'r + q = (0, 8) + q.
+        form = QuadraticForm(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), np.array([1.0, -1.0]))
         x = np.array([1.0, 2.0])
         value, grad = form(x)
-        assert value == pytest.approx(8.5)
-        np.testing.assert_allclose(grad, [3.0, 7.0])
+        assert value == 7.0
+        np.testing.assert_array_equal(grad, [1.0, 7.0])
+        assert form.at_residual(np.array([0.0, 4.0]), x)[0] == 7.0
+
+    def test_no_linear_term_is_least_squares(self):
+        form = QuadraticForm(np.array([[3.0, 4.0]]), np.array([2.0]))
+        value, grad = form(np.array([1.0, 1.0]))
+        assert value == 12.5
+        np.testing.assert_array_equal(grad, [15.0, 20.0])
+
+    def test_a_factor_with_no_rows_is_linear(self):
+        form = QuadraticForm(np.zeros((0, 3)), np.zeros(0), np.array([1.0, -2.0, 0.5]))
+        value, grad = form(np.ones(3))
+        assert value == -0.5
+        np.testing.assert_array_equal(grad, [1.0, -2.0, 0.5])
 
     def test_zero_form(self):
-        form = QuadraticForm(np.zeros((3, 3)), np.zeros(3), 0.0)
-        assert form(np.ones(3))[0] == 0.0
+        form = QuadraticForm(np.zeros((0, 3)), np.zeros(0))
+        value, grad = form(np.ones(3))
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
+    @pytest.mark.parametrize("F, h, q", [
+        (np.eye(2), np.zeros(3), None),  # h longer than F's rows
+        (np.zeros((0, 2)), np.zeros(1), None),  # h for a factor with no rows
+        (np.eye(2), np.zeros((2, 1)), None),  # h not a vector
+        (np.ones(2), np.zeros(1), None),  # F not a matrix
+        (np.eye(2), np.zeros(2), np.zeros(3)),  # q longer than F's columns
+        (np.zeros((0, 2)), np.zeros(0), np.zeros((2, 1))),  # q not a vector
+    ], ids=["h-long", "h-for-no-rows", "h-matrix", "F-vector", "q-long", "q-matrix"])
+    def test_shapes_are_checked(self, F, h, q):
+        with pytest.raises(ValueError, match="must be"):
+            QuadraticForm(F, h, q)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 0), (3, 0)], ids=["no-rows", "empty", "no-columns"])
+    def test_lambda_max_gram_of_an_empty_matrix_is_zero(self, shape):
+        assert lambda_max_gram(np.zeros(shape)) == 0.0
 
 
 class TestSmoothOracle:
     def test_shape_validation_on_input(self):
-        oracle = quad_oracle(np.eye(2), np.zeros(2))
+        oracle = quad_oracle(np.eye(2))
         with pytest.raises(ValueError):
             oracle(np.zeros(3))
 
@@ -90,11 +97,14 @@ class TestSmoothOracle:
             SmoothOracle(2)
 
     def test_a_tag_is_the_eval_and_gives_the_lipschitz_constant(self):
-        form = QuadraticForm(np.diag([3.0, 1.0]), np.array([1.0, 0.0]), 0.5)
+        form = QuadraticForm(np.diag([2.0, 1.0]), np.zeros(2), np.array([1.0, 0.0]))
         oracle = SmoothOracle(2, quadratic=form)
-        assert oracle.eval is form and oracle.lipschitz_grad == 3.0
-        factored = QuadraticForm(None, F=np.array([[3.0, 4.0]]), h=np.zeros(1))
-        assert SmoothOracle(2, quadratic=factored).lipschitz_grad == pytest.approx(25.0, rel=1e-15)
+        assert oracle.eval is form and oracle.lipschitz_grad == 4.0
+        row = QuadraticForm(np.array([[3.0, 4.0]]), np.zeros(1))
+        assert SmoothOracle(2, quadratic=row).lipschitz_grad == pytest.approx(25.0, rel=1e-15)
+        # A linear tag's gradient is constant.
+        linear = QuadraticForm(np.zeros((0, 2)), np.zeros(0), np.array([1.0, 0.0]))
+        assert SmoothOracle(2, quadratic=linear).lipschitz_grad == 0.0
 
     def test_a_given_eval_and_constant_override_the_tag(self):
         form = QuadraticForm(np.eye(2), np.zeros(2))
@@ -109,7 +119,7 @@ class TestSmoothOracle:
         assert replaced.eval is evaluate and replaced.lipschitz_grad == 1.0 and replaced.quadratic is form
 
     def test_value_and_gradient_accessors(self):
-        oracle = quad_oracle(2.0 * np.eye(2), np.zeros(2))
+        oracle = quad_oracle(np.sqrt(2.0) * np.eye(2))
         assert oracle.value(np.array([1.0, 1.0])) == pytest.approx(2.0)
         np.testing.assert_allclose(oracle.gradient(np.array([1.0, 1.0])), [2.0, 2.0])
 
@@ -325,7 +335,7 @@ class TestHalfspace:
 
 class TestCuttingPlane:
     def test_matches_hand_computation(self):
-        g = quad_oracle(np.zeros((2, 2)), np.array([-1.0, -1.0]))
+        g = quad_oracle(np.zeros((0, 2)), q=[-1.0, -1.0])
         xk = np.array([0.25, 0.25])
         gk, grad = g(xk)
         cut = cutting_plane(grad, xk, g.value(np.array([1.0, 0.0])), gk)
@@ -334,7 +344,7 @@ class TestCuttingPlane:
 
     def test_keeps_all_lower_optima(self):
         # Points with g-value equal to g(x0) lie exactly on the cut boundary.
-        g = quad_oracle(np.zeros((2, 2)), np.array([-1.0, -1.0]))
+        g = quad_oracle(np.zeros((0, 2)), q=[-1.0, -1.0])
         xk = np.array([0.3, 0.3])
         gk, grad = g(xk)
         cut = cutting_plane(grad, xk, g.value(np.array([1.0, 0.0])), gk)
@@ -417,13 +427,13 @@ class TestSolveOutcome:
 
 class TestBilevelInstance:
     def test_dimension_consistency(self):
-        upper = quad_oracle(np.eye(2), np.zeros(2))
-        lower = quad_oracle(np.eye(3), np.zeros(3))
+        upper = quad_oracle(np.eye(2))
+        lower = quad_oracle(np.eye(3))
         with pytest.raises(ValueError):
             BilevelInstance(upper, lower, L1Ball(1.0, 2))
 
     def test_reference_is_optional(self):
-        upper = quad_oracle(np.eye(2), np.zeros(2))
+        upper = quad_oracle(np.eye(2))
         inst = BilevelInstance(upper, upper, L1Ball(1.0, 2), ReferenceData(g_star=0.0))
         assert inst.dimension == 2
         assert BilevelInstance(upper, upper, L1Ball(1.0, 2)).reference == ReferenceData()

@@ -53,12 +53,12 @@ def face_instance(upper, verts):
     )
 
 
-def quad_instance(Q, q, segment):
-    """Convex quadratic upper level with a constant-zero lower level whose
-    declared solution face is the given segment (or vertex list)."""
-    form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), 0.0)
-    upper = SmoothOracle(form.q.shape[0], quadratic=form)
-    return face_instance(upper, segment)
+def quad_instance(F, h, segment, q=None):
+    """Convex quadratic upper level 0.5 |Fx - h|^2 + q'x with a
+    constant-zero lower level whose declared solution face is the given
+    segment (or vertex list)."""
+    form = QuadraticForm(np.asarray(F, float), np.asarray(h, float), None if q is None else np.asarray(q, float))
+    return face_instance(SmoothOracle(form.F.shape[1], quadratic=form), segment)
 
 
 # sum(exp(x_i) - x_i), minimized at the origin with value 2: no quadratic
@@ -137,7 +137,7 @@ class TestReferenceLower:
             b=np.concatenate([np.ones(5), [1.5, 2.0]]),
         )
         c = rng.standard_normal(5)
-        form = QuadraticForm(np.zeros((5, 5)), c, 0.0)
+        form = QuadraticForm(np.zeros((0, 5)), np.zeros(0), c)
         oracle = SmoothOracle(5, lambda x: (float(c @ x), c), lipschitz_grad=0.0, quadratic=form)
         inst = BilevelInstance(oracle, oracle, region)
         vertex_min = min(float(c @ v) for v in region.vertices())
@@ -164,11 +164,10 @@ class TestReferenceBilevel:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_quadratic_over_segment_matches_grid(self, seed):
         rng = np.random.default_rng(seed)
-        B = rng.standard_normal((2, 2))
-        Q = B.T @ B + 0.1 * np.eye(2)
+        F = np.vstack([rng.standard_normal((2, 2)), np.sqrt(0.1) * np.eye(2)])  # F'F = B'B + 0.1 I
         q = rng.standard_normal(2)
         a, b = rng.standard_normal(2), rng.standard_normal(2)
-        inst = quad_instance(Q, q, [a, b])
+        inst = quad_instance(F, np.zeros(4), [a, b], q=q)
         t = np.linspace(0.0, 1.0, 100_001)
         pts = np.outer(1 - t, a) + np.outer(t, b)
         grid_min = min(inst.upper.value(p) for p in pts)
@@ -176,7 +175,7 @@ class TestReferenceBilevel:
 
     def test_hull_minimization_over_triangle(self):
         verts = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]
-        inst = quad_instance(np.eye(2), np.array([-0.5, -0.5]), verts)
+        inst = quad_instance(np.eye(2), np.zeros(2), verts, q=[-0.5, -0.5])
         # unconstrained minimum (0.5, 0.5) lies inside the triangle
         assert reference_bilevel(inst, tol=1e-10) == pytest.approx(-0.25, abs=1e-8)
 
@@ -186,7 +185,7 @@ class TestReferenceBilevel:
         ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [-0.5, -1.0], -0.125),  # duplicate vertex
     ])
     def test_quadratic_over_unit_triangle(self, verts, q, expected):
-        inst = quad_instance(np.eye(2), np.array(q), verts)
+        inst = quad_instance(np.eye(2), np.zeros(2), verts, q=q)
         assert reference_bilevel(inst) == pytest.approx(expected, abs=1e-12)
 
     def test_smooth_objective_over_triangle(self):
@@ -210,18 +209,19 @@ class TestReferenceBilevel:
         # (0.2, -0.1) is interior.
         Q = np.diag([1.0, 3.0])
         x_min = np.array([0.2, -0.1])
-        inst = quad_instance(Q, -Q @ x_min, POLYGON_20)
+        inst = quad_instance(np.sqrt(Q), np.zeros(2), POLYGON_20, q=-Q @ x_min)
         expected = -0.5 * float(x_min @ Q @ x_min)
         assert reference_bilevel(inst, tol=1e-12) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("seed, dim", CHECK_INSTANCES)
     def test_check_instances_match_the_closed_form_edge_minimum(self, seed, dim):
         # f(a + t e) is a parabola in t: its minimum over [0, 1] is at
-        # t = -<grad f(a), e> / e'Qe, clipped.
+        # t = -<grad f(a), e> / |F e|^2, clipped.
         inst = random_convex_instance(seed, dim)
         a, b = inst.reference.lower_solution_set
         e = b - a
-        t = -float(inst.upper.gradient(a) @ e) / float(e @ inst.upper.quadratic.Q @ e)
+        image = inst.upper.quadratic.F @ e
+        t = -float(inst.upper.gradient(a) @ e) / float(image @ image)
         expected = inst.upper.value(segment_point(a, b, t))
         assert reference_bilevel(inst, tol=1e-10) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
@@ -229,7 +229,7 @@ class TestReferenceBilevel:
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
-        reference_bilevel(quad_instance(np.eye(2), np.array([-1.0, -1.0]), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        reference_bilevel(quad_instance(np.eye(2), np.zeros(2), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], q=[-1.0, -1.0]))
         reference_bilevel(random_convex_instance(300, 2), tol=1e-10)
         dist_to_hull(np.array([2.0, 0.3]), regular_polygon(16))
         assert calls == []
@@ -318,10 +318,10 @@ class TestHoelder:
         reg = Polytope(A=np.eye(2), b=np.ones(2))
         lower = SmoothOracle(
             2, lambda x: (0.0, np.zeros(2)), lipschitz_grad=0.0,
-            quadratic=QuadraticForm(np.zeros((2, 2)), np.zeros(2)),
+            quadratic=QuadraticForm(np.zeros((0, 2)), np.zeros(0)),
         )
         upper = SmoothOracle(
-            2, lambda x: (float(x @ x), 2 * x), quadratic=QuadraticForm(2 * np.eye(2), np.zeros(2)),
+            2, lambda x: (float(x @ x), 2 * x), quadratic=QuadraticForm(np.sqrt(2.0) * np.eye(2), np.zeros(2)),
         )
         inst = BilevelInstance(
             upper, lower, reg,
@@ -329,6 +329,16 @@ class TestHoelder:
         )
         with pytest.raises(ValueError, match="no vertex"):
             hoelder_estimate(inst)
+
+    def test_value_transfer_over_a_zero_lower_level(self):
+        # g = 0 (a tag with no rows and no linear term): every point of the
+        # box is optimal, and min |x|^2 over it is f* = 0, at the origin.
+        reg = Polytope(A=np.eye(2), b=np.ones(2))
+        lower = SmoothOracle(2, quadratic=QuadraticForm(np.zeros((0, 2)), np.zeros(0)))
+        upper = SmoothOracle(2, quadratic=QuadraticForm(np.sqrt(2.0) * np.eye(2), np.zeros(2)))
+        inst = BilevelInstance(upper, lower, reg, ReferenceData(g_star=0.0, lower_solution_set=reg.vertices()))
+        assert harness._least_upper_excess(inst, 1e-3) == pytest.approx(0.0, abs=1e-12)
+        assert value_transfer_check(inst, HoelderParams(1.0, 1.0, M=1.0), eps_g=1e-3)
 
     def test_value_transfer_bound_holds_on_toy(self):
         inst = toy_problem()
@@ -489,6 +499,18 @@ class _Spawn:
 class TestRunExperiment:
     def test_empty_suite(self, tmp_path):
         assert run_experiment([], str(tmp_path)) == []
+
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_unmakeable_output_directory_is_a_suite_error(self, tmp_path, monkeypatch, where):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken if where == "file" else taken / "runs"
+        ran = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: ran.append(args))
+        cells = [{"instance": "toy", "solver": "cg-bio"}]
+        with pytest.raises(SuiteError, match="cannot make the output directory"):
+            run_experiment(cells, str(out), jobs=1)
+        assert ran == []
 
     def test_toy_cell_produces_files(self, tmp_path):
         cells = [{"instance": "toy", "solver": "cg-bio",

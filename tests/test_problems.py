@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bilevelcg.core import BallProduct, L1Ball, Polytope, ProductRegion, SolverConfig
+from bilevelcg.core import BallProduct, L1Ball, Polytope, ProductRegion, QuadraticForm, SolverConfig
 from bilevelcg import harness
 from bilevelcg.checks import random_convex_instance
-from bilevelcg.harness import _is_linear, run_solver
+from bilevelcg.harness import _is_linear, reference_bilevel, reference_lower, run_solver
 from bilevelcg.problems import (
     DataError,
     DatasetSplit,
@@ -89,7 +89,6 @@ class TestFactoredLeastSquaresTag:
 
     def assert_no_large_array(self, inst):
         for quad in self.quads(inst):
-            assert quad.Q is None
             for value in vars(quad).values():
                 if isinstance(value, np.ndarray):
                     assert value.size <= self.N * self.D
@@ -136,7 +135,7 @@ class TestFactoredLeastSquaresTag:
             # The tag is the oracle's eval, and it gives the bits of the
             # least-squares closure 0.5 |Ax - b|^2 written out here.
             tag = oracle.quadratic
-            assert oracle.eval is tag and tag.F is not None
+            assert oracle.eval is tag and tag.q is None
             A, b = tag.F, tag.h
             for density in (1, 2, 10, region.dimension):
                 # A point of the ball on ``density`` random coordinates.
@@ -185,9 +184,32 @@ class TestTagIsTheOracle:
             assert oracle.lipschitz_grad.hex() == lambda_max_gram(oracle.quadratic.F).hex()
         for i in range(4):
             inst = random_convex_instance(300 + i, 2 + i % 2)
-            Q = inst.upper.quadratic.Q
-            assert inst.upper.lipschitz_grad.hex() == float(np.linalg.eigvalsh(Q).max()).hex()
+            assert inst.upper.lipschitz_grad.hex() == lambda_max_gram(inst.upper.quadratic.F).hex()
             assert inst.lower.lipschitz_grad == 0.0
+
+    def test_toy_solves_carry_the_tags_and_call_none(self, monkeypatch):
+        # standard_cg's exact steps and cg_bio carry every tag's residual,
+        # so the toy's reference solves, its hull distance and its cg_bio
+        # run never call a tag; reference_bilevel evaluates f once, afresh,
+        # at the point it returns.
+        calls = []
+        call = QuadraticForm.__call__
+
+        def spy(form, x):
+            calls.append(form)
+            return call(form, x)
+
+        monkeypatch.setattr(QuadraticForm, "__call__", spy)
+        toy = toy_problem()
+        face = toy.reference.lower_solution_set
+        assert reference_lower(toy) == -1.0
+        assert harness.dist_to_hull(np.zeros(2), face) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        x0, _, certified = initialize_lower(toy, 1e-5)
+        out = cg_bio(toy, x0, SolverConfig(eps_f=1e-5, eps_g=1e-5, max_iters=100))
+        assert certified and out.stop_reason == "criterion_met" and len(out.trace) > 2
+        assert calls == []
+        assert reference_bilevel(toy) == pytest.approx(-0.08, abs=1e-9)
+        assert calls == [toy.upper.quadratic]
 
 
 class TestRegressionProblem:
@@ -209,6 +231,18 @@ class TestRegressionProblem:
     def test_over_parameterization_required(self):
         with pytest.raises(DataError):
             regression_problem(n=100, d=10, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_validation_split_named(self, n):
+        # round(0.2 n) = 0 validation rows; a factor with no rows would be a
+        # legal linear tag, so the split is checked by name.
+        with pytest.raises(DataError, match="empty validation split"):
+            regression_problem(n=n, d=5, seed=0)
+
+    def test_empty_training_split_named(self):
+        data = DatasetSplit(np.ones((3, 4)), np.zeros(3), np.array([], dtype=int), np.array([0, 1]), np.array([2]))
+        with pytest.raises(DataError, match="empty training split"):
+            regression_problem(data=data)
 
     def test_region_is_l1_ball(self):
         inst, _ = regression_problem(n=30, d=40, seed=0, l1_radius=2.5)
@@ -369,6 +403,18 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,b,y\n" + "\n".join(rows) + "\n")
         with pytest.raises(DataError, match="row 5, column 'b': non-finite"):
             load_csv(path, target_column="y")
+
+    @pytest.mark.parametrize("header, target, sensitive, duplicate", [
+        ("a,a,y", "a", None, "a"),  # the target's name twice
+        ("a,s,s,y", "y", "s", "s"),  # the sensitive attribute's name twice
+        ("a,b,b,y", "y", None, "b"),  # a feature's name twice
+    ])
+    def test_duplicate_column_names_rejected(self, tmp_path, header, target, sensitive, duplicate):
+        width = header.count(",") + 1
+        rows = "\n".join(",".join(str((i + j) % 2) for j in range(width)) for i in range(10))
+        path = self.write(tmp_path, header + "\n" + rows + "\n")
+        with pytest.raises(DataError, match=rf"duplicate column names \['{duplicate}'\]"):
+            load_csv(path, target_column=target, sensitive_column=sensitive)
 
     def test_missing_target_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")

@@ -39,41 +39,45 @@ from bilevelcg.solvers import (
 )
 
 
-def quad_oracle(Q, q, L=None):
-    form = QuadraticForm(np.asarray(Q, float), np.asarray(q, float), 0.0)
-    return SmoothOracle(form.q.shape[0], lipschitz_grad=L, quadratic=form)
+def quad_oracle(F, h=None, q=None, L=None):
+    """The tagged oracle of 0.5 |Fx - h|^2 + q'x; h defaults to 0 and q to
+    no linear term."""
+    F = np.asarray(F, float)
+    h = np.zeros(F.shape[0]) if h is None else np.asarray(h, float)
+    form = QuadraticForm(F, h, None if q is None else np.asarray(q, float))
+    return SmoothOracle(F.shape[1], lipschitz_grad=L, quadratic=form)
 
 
 class TestStandardCg:
     def test_converges_on_quadratic_over_l1_ball(self):
         # minimizer at a vertex: one step lands exactly on it
-        oracle = quad_oracle(np.eye(2), np.array([-5.0, 0.0]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-5.0, 0.0]), L=1.0)
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-8, max_iters=100))
         assert out.stop_reason == "criterion_met"
         np.testing.assert_allclose(out.final_point, [1.0, 0.0], atol=1e-9)
 
     def test_interior_optimum_approached_with_schedule(self):
-        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.2]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-0.3, -0.2]), L=1.0)
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-3, max_iters=20_000))
         assert out.stop_reason == "criterion_met"
         np.testing.assert_allclose(out.final_point, [0.3, 0.2], atol=0.05)
 
     def test_exact_line_search_is_faster_on_quadratics(self):
-        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.2]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-0.3, -0.2]), L=1.0)
         cfg = SolverConfig(eps_f=1e-8, max_iters=5000)
         schedule_iters = standard_cg(oracle, L1Ball(1.0, 2), cfg).iterations
         exact_iters = standard_cg(oracle, L1Ball(1.0, 2), cfg, line_search="exact").iterations
         assert exact_iters <= schedule_iters
 
     def test_gap_recorded_in_trace(self):
-        oracle = quad_oracle(np.eye(2), np.zeros(2), L=1.0)
+        oracle = quad_oracle(np.eye(2), L=1.0)
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-10, max_iters=10))
         assert out.trace[0].surrogate_f_gap >= 0.0
         assert out.stop_reason == "criterion_met"  # minimum at the center
 
     def test_budget_exhaustion_records_final_row(self):
         # interior optimum: the gap cannot close in three schedule steps
-        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.2]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-0.3, -0.2]), L=1.0)
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-14, max_iters=3))
         assert out.stop_reason == "budget_exhausted"
         assert out.trace[-1].k == 3
@@ -98,7 +102,7 @@ class TestLastAllowedRow:
 
     def test_standard_cg_oracle_failure_on_the_last_row(self, monkeypatch):
         max_iters = 3
-        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.2]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-0.3, -0.2]), L=1.0)
         monkeypatch.setattr(solvers, "lmo", _failing_on_call(solvers.lmo, max_iters + 1))
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-14, max_iters=max_iters))
         assert out.stop_reason == "oracle_failure: injected failure"
@@ -135,9 +139,8 @@ class TestLastAllowedRow:
 def random_quadratic_oracle(dim=5, seed=0):
     """Convex quadratic with an interior minimizer in the unit l1 ball."""
     rng = np.random.default_rng(seed)
-    B = rng.standard_normal((dim, dim))
-    Q = B.T @ B + 0.1 * np.eye(dim)
-    return quad_oracle(Q, -Q @ rng.uniform(-0.1, 0.1, dim))
+    F = np.vstack([rng.standard_normal((dim, dim)), np.sqrt(0.1) * np.eye(dim)])  # F'F = B'B + 0.1 I
+    return quad_oracle(F, F @ rng.uniform(-0.1, 0.1, dim))
 
 
 # sum(exp(x - c) - (x - c)), minimized at the interior point c; no quadratic tag.
@@ -168,7 +171,7 @@ class TestPairwiseCg:
         # start's weight to (1, 0).  At (1, 0) the origin would be the away
         # atom with weight 0 and stall the run, so step 2 must take weight
         # from (1, 0) toward (0, 1).
-        oracle = quad_oracle(np.eye(2), np.array([-3.0, -2.5]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-3.0, -2.5]), L=1.0)
         region, start = L1Ball(1.0, 2), np.zeros(2)
         one = standard_cg(oracle, region, SolverConfig(eps_f=1e-12, max_iters=1), line_search="exact", start=start)
         np.testing.assert_array_equal(one.final_point, [1.0, 0.0])
@@ -180,7 +183,7 @@ class TestPairwiseCg:
         # (0, 1), where the gradient (-0.3, 0) is orthogonal to both active
         # atoms.  Taking step 2's away weight from the origin reaches
         # (0.3, 0.5); taking it from (0, 1) would lower x2, to (0.15, 0.35).
-        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.5]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-0.3, -0.5]), L=1.0)
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-12, max_iters=2),
                           line_search="exact", start=np.zeros(2))
         np.testing.assert_allclose(out.final_point, [0.3, 0.5], rtol=0.0, atol=1e-12)
@@ -191,7 +194,7 @@ class TestPairwiseCg:
         # that weight as its away atom and drops it; the optimum
         # (0.75 - 2^-31, 0.25 + 2^-31) is on the face x1 + x2 = 1.
         a = 1.0 - 2.0**-30
-        oracle = quad_oracle(np.eye(2), np.array([-a, -0.5]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-a, -0.5]), L=1.0)
         region, start = L1Ball(1.0, 2), np.zeros(2)
         step2 = standard_cg(oracle, region, SolverConfig(eps_f=1e-14, max_iters=2), line_search="exact", start=start)
         np.testing.assert_array_equal(step2.final_point, [a, 2.0**-30])
@@ -203,7 +206,7 @@ class TestPairwiseCg:
         # Steps of 0.5 from the origin: step 1 reaches (0.5, 0); step 2 moves
         # toward (0, 1) from the iterate, to (0.25, 0.5).  A pairwise step
         # from the away atom (1, 0) would reach (0, 0.5).
-        oracle = quad_oracle(np.eye(2), np.array([-0.3, -0.25]), L=1.0)
+        oracle = quad_oracle(np.eye(2), q=np.array([-0.3, -0.25]), L=1.0)
         cfg = SolverConfig(eps_f=1e-14, max_iters=2, schedule=ConstantStep(0.5))
         out = standard_cg(oracle, L1Ball(1.0, 2), cfg, start=np.zeros(2))
         np.testing.assert_array_equal(out.final_point, [0.25, 0.5])
@@ -225,14 +228,16 @@ def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
     """Pairwise CG with the active set standard_cg kept before its atom
     store, the reference for it: a dict from each atom's bytes to
     [atom, weight], in insertion order, whose away atom is a Python max over
-    one dot product per atom.  Returns the rows (f, FW gap), the final
+    one dot product per atom.  A tagged oracle's exact steps carry its
+    residual, as standard_cg's do.  Returns the rows (f, FW gap), the final
     point, the largest active set and the number of atoms added again after
     a drop step."""
     x = np.array(start, dtype=float)
+    residual = solvers._carried(oracle, x) if line_search == "exact" else None
     active = {x.tobytes(): [x, 1.0]}
     rows, dropped, again, largest, state = [], set(), 0, 1, {}
     for k in range(max_iters + 1):
-        fx, grad = oracle(x)
+        fx, grad = oracle(x) if residual is None else residual(x)
         s = solvers.lmo(region, grad)
         gap = float(grad @ (x - s))
         rows.append((float(fx), gap))
@@ -240,8 +245,11 @@ def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
             return rows, x, largest, again
         away = max(active.values(), key=lambda atom: float(grad @ atom[0]))
         d = s - away[0]
-        gamma, _ = solvers._cg_step_length(oracle, x, fx, grad, d, line_search, state, away[1])
+        image = None if residual is None else residual.image(d, d.nonzero()[0])
+        gamma, _ = solvers._cg_step_length(oracle, x, fx, grad, d, line_search, state, away[1], image)
         if gamma > 0.0:
+            if residual is not None:
+                residual.r += gamma * image
             away[1] -= gamma
             if away[1] == 0.0:
                 del active[away[0].tobytes()]
@@ -255,7 +263,7 @@ def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
 def _least_squares_oracle(rows, dim, seed):
     rng = np.random.default_rng(seed)
     A, b = rng.standard_normal((rows, dim)), rng.standard_normal(rows)
-    return quad_oracle(A.T @ A, -A.T @ b, L=float(np.linalg.eigvalsh(A.T @ A).max()))
+    return quad_oracle(A, b)
 
 
 def _interior_quadratic(dim, seed):
@@ -264,9 +272,8 @@ def _interior_quadratic(dim, seed):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(dim)
     y *= rng.uniform(0.3, 1.5) / np.abs(y).sum()
-    B = rng.standard_normal((dim, dim))
-    Q = B.T @ B + 0.05 * np.eye(dim)
-    return quad_oracle(Q, -Q @ y, L=float(np.linalg.eigvalsh(Q).max()))
+    F = np.vstack([rng.standard_normal((dim, dim)), np.sqrt(0.05) * np.eye(dim)])  # F'F = B'B + 0.05 I
+    return quad_oracle(F, F @ y)
 
 
 # (oracle, region, start, line search, max_iters) of the atom-store runs.
@@ -290,9 +297,9 @@ class TestAtomStore:
         (FAIR.lower, FAIR.region, FAIR.region.feasible_point(), "backtracking", 200),
     ], ids=["l1-grows", "l1-readds", "l1-backtracking", "ball-product", "fair-backtracking"])
     def test_steps_equal_the_dict_active_set(self, oracle, region, start, line_search, max_iters):
-        # The reference evaluates the oracle afresh at every row, where a
-        # backtracking run takes the row's value and gradient from its
-        # accepted trial: the two are one expression, so the bits agree.
+        # The reference evaluates an untagged oracle afresh at every row,
+        # where a backtracking run takes the row's value and gradient from
+        # its accepted trial: the two are one expression, so the bits agree.
         eps_f = 1e-13
         rows, final, _, _ = _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start)
         out = standard_cg(oracle, region, SolverConfig(eps_f=eps_f, max_iters=max_iters),
@@ -378,13 +385,11 @@ def _counted(oracle):
 
 class TestOneEvaluationPerStep:
     """A line-search row of standard_cg costs at most one oracle call: the
-    exact step on a factored tag carries its residual and calls none, the
-    exact step on a dense tag reads Q's curvature, and a backtracking step
-    hands on its evaluation at the point it moves to."""
+    exact step on a tag carries its residual and calls none, and a
+    backtracking step hands on its evaluation at the point it moves to."""
 
     def test_exact_step_on_tagged_least_squares_calls_no_oracle(self):
         inst, _ = regression_problem(n=30, d=60, seed=0)
-        assert inst.lower.quadratic.F is not None
         oracle, calls = _counted(inst.lower)
         out = standard_cg(oracle, inst.region, SolverConfig(eps_f=1e-9, max_iters=500), line_search="exact")
         assert out.stop_reason == "criterion_met" and len(out.trace) > 20
@@ -436,23 +441,22 @@ class TestOneEvaluationPerStep:
                     line_search="backtracking", start=FAIR.region.feasible_point())
         assert len(points) == len(set(points)) > 20
 
-    @pytest.mark.parametrize("factored", [False, True], ids=["dense-Q", "factor-F"])
-    def test_closed_form_step_agrees_with_the_parabola_fit(self, factored):
+    @pytest.mark.parametrize("linear", [False, True], ids=["factor-F", "factor-F-and-q"])
+    def test_closed_form_step_agrees_with_the_parabola_fit(self, linear):
         rng = np.random.default_rng(5)
         for _ in range(50):
             dim = int(rng.integers(2, 30))
             F = rng.standard_normal((int(rng.integers(1, 40)), dim))
             q = rng.standard_normal(dim)
             h = rng.standard_normal(F.shape[0])
-            form = QuadraticForm(None, F=F, h=h) if factored else QuadraticForm(F.T @ F, q, 0.3)
-            tagged = SmoothOracle(dim, quadratic=form)
+            tagged = SmoothOracle(dim, quadratic=QuadraticForm(F, h, q if linear else None))
             untagged = dataclasses.replace(tagged, quadratic=None)
             x, d = rng.standard_normal(dim), rng.standard_normal(dim)
             fx, grad = tagged(x)
             if grad @ d > 0:
                 d = -d  # a descent direction, as a pairwise one is
-            image = F @ d if factored else None  # a factored tag's step reads F d
-            closed, none = solvers._cg_step_length(tagged, x, fx, grad, d, "exact", {}, np.inf, image)
+            # A tag's step reads F d.
+            closed, none = solvers._cg_step_length(tagged, x, fx, grad, d, "exact", {}, np.inf, F @ d)
             fitted, _ = solvers._cg_step_length(untagged, x, fx, grad, d, "exact", {}, np.inf)
             assert none is None and closed > 0.0
             assert closed == pytest.approx(fitted, rel=1e-8)
@@ -460,9 +464,9 @@ class TestOneEvaluationPerStep:
             assert closed == pytest.approx(-float(grad @ d) / float(F @ d @ (F @ d)), rel=1e-12)
 
     @pytest.mark.parametrize("form, image", [
-        (QuadraticForm(None, F=np.zeros((4, 3)), h=np.array([1.0, -2.0, 0.5, 0.0])), np.zeros(4)),
-        (QuadraticForm(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]), 0.0), None),
-    ], ids=["factor-F", "dense-Q"])
+        (QuadraticForm(np.zeros((4, 3)), np.array([1.0, -2.0, 0.5, 0.0])), np.zeros(4)),
+        (QuadraticForm(np.zeros((0, 3)), np.zeros(0), np.array([1.0, -2.0, 0.5])), np.zeros(0)),
+    ], ids=["factor-F", "no-rows"])
     def test_linear_tag_steps_with_the_away_weight(self, form, image):
         oracle = SmoothOracle(3, quadratic=form)
         x, d = np.zeros(3), np.array([0.0, 1.0, 0.0])
@@ -476,8 +480,8 @@ def _last_carried(monkeypatch) -> dict:
     id of its factor; filled as the solvers run."""
     last, carried = {}, solvers._Residual.__call__
 
-    def record(residual):
-        last[id(residual.F)] = carried(residual)
+    def record(residual, x):
+        last[id(residual.F)] = carried(residual, x)
         return last[id(residual.F)]
 
     monkeypatch.setattr(solvers._Residual, "__call__", record)
@@ -665,55 +669,39 @@ class TestMng:
         assert out.stop_reason == "budget_exhausted"
         assert inst.lower.value(out.final_point) <= -0.9
 
-    def test_factored_tag_gives_the_bits_of_the_explicit_gram(self):
-        from dataclasses import replace
-
-        inst, data = regression_problem(n=100, d=150, seed=0)
-        A = data.validation[0]
-        factored = inst.upper.quadratic
-        np.testing.assert_array_equal(factored.F, A)
-        explicit = QuadraticForm(A.T @ A, factored.linear(), 0.5 * float(factored.h @ factored.h))
-        dense = replace(inst, upper=replace(inst.upper, quadratic=explicit))
-        config = MngConfig(M=inst.lower.lipschitz_grad)
-        a, b = mng(inst, config, max_iters=30), mng(dense, config, max_iters=30)
-        assert a.stop_reason == b.stop_reason
-        np.testing.assert_array_equal(a.final_point, b.final_point)
-        for ra, rb in zip(a.trace, b.trace, strict=True):
-            assert (ra.f_val, ra.g_val) == (rb.f_val, rb.g_val)
-
 
 class TestQuadraticSubproblem:
     def test_unconstrained_minimum_when_no_constraints(self):
-        quad = QuadraticForm(np.eye(2), np.array([-1.0, -2.0]), 0.0)
+        quad = QuadraticForm(np.eye(2), np.zeros(2), np.array([-1.0, -2.0]))
         x = minimize_quadratic_over_halfspaces(quad, [])
         np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-10)
 
     def test_active_constraint_binds(self):
-        quad = QuadraticForm(np.eye(2), np.zeros(2), 0.0)
+        quad = QuadraticForm(np.eye(2), np.zeros(2))
         # require x1 >= 1 (written <(-1,0), x> <= -1)
         x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0, 0.0]), -1.0)])
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-10)
 
     def test_inactive_constraint_ignored(self):
-        quad = QuadraticForm(np.eye(2), np.array([-2.0, 0.0]), 0.0)
+        quad = QuadraticForm(np.eye(2), np.zeros(2), np.array([-2.0, 0.0]))
         x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0, 0.0]), -1.0)])
         np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-10)
 
     def test_two_constraints_intersect(self):
-        quad = QuadraticForm(np.eye(2), np.zeros(2), 0.0)
+        quad = QuadraticForm(np.eye(2), np.zeros(2))
         cons = [Halfspace(np.array([-1.0, 0.0]), -1.0), Halfspace(np.array([0.0, -1.0]), -2.0)]
         x = minimize_quadratic_over_halfspaces(quad, cons)
         np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-10)
 
     def test_infeasible_constraints_raise(self):
-        quad = QuadraticForm(np.eye(1), np.zeros(1), 0.0)
+        quad = QuadraticForm(np.eye(1), np.zeros(1))
         # x >= 1 and x <= 0 have no common point.
         with pytest.raises(OracleError):
             minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0]), -1.0), Halfspace(np.array([1.0]), 0.0)])
 
     def test_singular_hessian_picks_a_point_on_the_minimizing_line(self):
         # 0.5 (x1 + x2)^2 - (x1 + x2) is minimized on the line x1 + x2 = 1.
-        quad = QuadraticForm(np.ones((2, 2)), np.array([-1.0, -1.0]), 0.0)
+        quad = QuadraticForm(np.ones((1, 2)), np.zeros(1), np.array([-1.0, -1.0]))
         x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0, 0.0]), -2.0)])
         assert x[0] >= 2.0 - 1e-9
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
@@ -721,7 +709,7 @@ class TestQuadraticSubproblem:
     def test_feasible_candidate_with_a_negative_multiplier_is_passed_over(self):
         # 0.5 (x - 5)^2 over 0 <= x <= 3: the active set {x >= 0} gives the
         # first feasible candidate x = 0, with multiplier -5.
-        quad = QuadraticForm(np.eye(1), np.array([-5.0]), 12.5)
+        quad = QuadraticForm(np.eye(1), np.array([5.0]))
         x = minimize_quadratic_over_halfspaces(quad, [Halfspace(np.array([-1.0]), 0.0), Halfspace(np.array([1.0]), 3.0)])
         np.testing.assert_allclose(x, [3.0], atol=1e-10)
 
