@@ -8,7 +8,8 @@ import json
 import sys
 from typing import Optional
 
-from .harness import INSTANCE_OPTIONS, SOLVERS, SuiteError, run_experiment
+from .core import SolverConfig
+from .harness import CONFIG_KEYS, INSTANCE_OPTIONS, SOLVERS, SuiteError, config_to_dict, run_experiment
 
 
 def _solver_list(text: str) -> list[str]:
@@ -21,11 +22,11 @@ def _solver_list(text: str) -> list[str]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--eps-f", type=float, default=1e-5)
-    sub.add_argument("--eps-g", type=float, default=1e-5)
-    sub.add_argument("--max-iters", type=int, default=1000)
-    sub.add_argument("--schedule", default="harmonic:2",
-                     help="harmonic:c | constant:g | inv-sqrt:c0")
+    # One flag per config key, with the kind and default SolverConfig gives.
+    defaults = config_to_dict(SolverConfig())
+    for key, kind in CONFIG_KEYS.items():
+        sub.add_argument("--" + key.replace("_", "-"), type=kind, default=defaults[key],
+                         help="harmonic:c | constant:g | inv-sqrt:c0" if key == "schedule" else None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default="runs", help="output directory")
     sub.add_argument("--record-timing", action="store_true",
@@ -74,12 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _family_cells(args) -> list[dict]:
-    config = {
-        "eps_f": args.eps_f,
-        "eps_g": args.eps_g,
-        "max_iters": args.max_iters,
-        "schedule": args.schedule,
-    }
+    config = {key: getattr(args, key) for key in CONFIG_KEYS}
     # The family's options that the command line sets.
     options = {key: getattr(args, key) for key in INSTANCE_OPTIONS[args.command]
                if getattr(args, key, None) is not None}

@@ -59,6 +59,9 @@ class QuadraticForm:
     q: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # Arrays, as the methods need; a float array is kept, not copied.
+        for name in ("F", "h") if self.q is None else ("F", "h", "q"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         F, h = np.shape(self.F), np.shape(self.h)
         if len(F) != 2 or h != F[:1]:
             raise ValueError(f"F must be a matrix and h a vector of its rows, got shapes {F} and {h}")

@@ -345,18 +345,15 @@ def parse_schedule(text: str) -> Schedule:
 
 
 def config_to_dict(config: SolverConfig) -> dict:
-    return {
-        "eps_f": config.eps_f,
-        "eps_g": config.eps_g,
-        "max_iters": config.max_iters,
-        "schedule": str(config.schedule),
-    }
+    return {key: getattr(config, key) for key in CONFIG_KEYS} | {"schedule": str(config.schedule)}
 
 
 def config_from_dict(data: dict) -> SolverConfig:
-    values = {key: data[key] for key in ("eps_f", "eps_g", "max_iters") if key in data}
-    if "schedule" in data:
-        values["schedule"] = parse_schedule(data["schedule"])
+    """The solver config of a dict holding some of ``CONFIG_KEYS``, checked
+    and converted to their kinds; raises TypeError or ValueError."""
+    values = _checked(CONFIG_KEYS, data, "config", "config.")
+    if "schedule" in values:
+        values["schedule"] = parse_schedule(values["schedule"])
     return SolverConfig(**values)
 
 
@@ -406,19 +403,24 @@ INSTANCE_OPTIONS = {
     "dict": {f.name: type(f.default) for f in fields(problems.DictLearnSpec) if f.name != "seed"},
 }
 # The values each kind accepts (JSON's true is not a number), and its name.
-_KINDS = {int: (numbers.Integral, "an int"), float: (numbers.Real, "a real number"), str: (str, "a string")}
+_KINDS = {
+    int: (numbers.Integral, "an int"),
+    float: (numbers.Real, "a real number"),
+    str: (str, "a string"),
+    dict: (dict, "a JSON object"),
+}
 
 
 def _checked(kinds: dict, options: dict, owner: str, prefix: str) -> dict:
     """``options`` checked against their declared ``kinds`` and converted to
-    them; raises TypeError or ValueError, naming a key as ``prefix.key``."""
+    them; raises TypeError or ValueError, naming a key as ``prefix + key``."""
     unknown = set(options) - set(kinds)
     if unknown:
         raise ValueError(f"unknown options {sorted(unknown)} for {owner}")
     for key, value in options.items():
         accepted, noun = _KINDS[kinds[key]]
         if isinstance(value, bool) or not isinstance(value, accepted):
-            raise TypeError(f"{prefix}.{key} must be {noun}, got {value!r}")
+            raise TypeError(f"{prefix}{key} must be {noun}, got {value!r}")
     return {key: kinds[key](value) for key, value in options.items()}
 
 
@@ -427,7 +429,7 @@ def _instance_options(name: str, options: dict) -> dict:
     and converted to their kinds; raises TypeError or ValueError."""
     if name not in INSTANCE_OPTIONS:
         raise ValueError(f"unknown instance {name!r}")
-    converted = _checked(INSTANCE_OPTIONS[name], options, f"instance {name!r}", "options")
+    converted = _checked(INSTANCE_OPTIONS[name], options, f"instance {name!r}", "options.")
     for key, value in converted.items():
         if key in _SIZES and not 0 < value < np.inf:
             raise ValueError(f"options.{key} must be positive and finite, got {options[key]!r}")
@@ -469,6 +471,10 @@ SOLVER_OPTIONS = {
 }
 # The solver names run_solver dispatches; a suite cell must name one.
 SOLVERS = tuple(SOLVER_OPTIONS)
+# The keys a suite cell accepts and those of its config, with their kinds;
+# instance and solver are required.
+CELL_KEYS = {"instance": str, "solver": str, "seed": int, "config": dict, "options": dict, "solver_options": dict}
+CONFIG_KEYS = {"eps_f": float, "eps_g": float, "max_iters": int, "schedule": str}
 _LINE_SEARCHES = ("exact", "backtracking")
 
 
@@ -477,13 +483,13 @@ def _solver_options(solver: str, options: dict) -> dict:
     converted to their kinds; raises TypeError or ValueError."""
     if solver not in SOLVER_OPTIONS:
         raise ValueError(f"unknown solver {solver!r}")
-    converted = _checked(SOLVER_OPTIONS[solver], options, f"solver {solver!r}", "solver_options")
+    converted = _checked(SOLVER_OPTIONS[solver], options, f"solver {solver!r}", "solver_options.")
     if converted.get("init_iters", 1) < 1:
         raise ValueError(f"solver_options.init_iters must be positive, got {options['init_iters']!r}")
     if converted.get("line_search", "exact") not in _LINE_SEARCHES:
         got = options["line_search"]
         raise ValueError(f"solver_options.line_search must be one of {_LINE_SEARCHES}, got {got!r}")
-    if solver in _BASELINE_CONFIGS and (solver != "mng" or "M" in converted):
+    if solver in _BASELINE_CONFIGS:
         _BASELINE_CONFIGS[solver](**converted)  # its own checks of the values
     return converted
 
@@ -513,10 +519,6 @@ def run_solver(
             instance.upper, instance.region, config,
             line_search=opts.get("line_search"), start=start,
         )
-    if solver == "mng" and "M" not in opts:
-        if not instance.lower.lipschitz_grad:
-            raise ValueError("MNG needs solver_options.M: the lower Lipschitz constant is 0 or unknown")
-        opts["M"] = instance.lower.lipschitz_grad
     # Looked up per call, so that the module-level solver names are the ones run.
     run = {"big-sam": big_sam, "a-irg": a_irg, "dbgd": dbgd, "mng": mng}[solver]
     return run(instance, _BASELINE_CONFIGS[solver](**opts), max_iters=config.max_iters,
@@ -529,36 +531,20 @@ class SuiteError(ValueError):
 
 
 def _cell_settings(cell) -> tuple[SolverConfig, int]:
-    """The solver config and seed of a suite cell; raises TypeError or
-    ValueError when the cell is malformed."""
+    """The solver config and seed of a suite cell checked against
+    ``CELL_KEYS``; raises TypeError or ValueError when it is malformed."""
     if not isinstance(cell, dict):
         raise TypeError("a cell must be a JSON object")
     for key in ("instance", "solver"):
         if key not in cell:
             raise ValueError(f"missing {key!r}")
-    seed = cell.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, got {seed!r}")
+    checked = _checked(CELL_KEYS, cell, "a cell", "")
+    seed = checked.get("seed", 0)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    options = cell.get("options") or {}
-    if not isinstance(options, dict):
-        raise TypeError("options must be a JSON object")
-    _instance_options(cell["instance"], options)
-    solver_options = cell.get("solver_options", {})
-    if not isinstance(solver_options, dict):
-        raise TypeError("solver_options must be a JSON object")
-    _solver_options(cell["solver"], solver_options)
-    # config_from_dict skips unknown keys, and parse_schedule needs a string.
-    config = cell.get("config", {})
-    if not isinstance(config, dict):
-        raise TypeError("config must be a JSON object")
-    unknown = set(config) - {"eps_f", "eps_g", "max_iters", "schedule"}
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
-    if not isinstance(config.get("schedule", ""), str):
-        raise TypeError(f"config.schedule must be a string, got {config['schedule']!r}")
-    return config_from_dict(config), seed
+    _instance_options(checked["instance"], checked.get("options", {}))
+    _solver_options(checked["solver"], checked.get("solver_options", {}))
+    return config_from_dict(checked.get("config", {})), seed
 
 
 def _cell_paths(cell: dict, index: int, out_dir: str) -> tuple[str, str]:
@@ -579,12 +565,16 @@ def _read_summary(path: str) -> dict:
 def _stored_summary(cell: dict, index: int, out_dir: str) -> Optional[dict]:
     """The summary of a completed cell, else None.  A cell is completed when
     its trace and summary exist and the summary's ``cell_sha256`` matches
-    the cell: one written for another cell config is stale."""
+    the cell: one written for another cell config is stale, and one that is
+    not a JSON object (a truncated file) is unfinished."""
     trace_path, summary_path = _cell_paths(cell, index, out_dir)
     if not (os.path.exists(trace_path) and os.path.exists(summary_path)):
         return None
-    stored = _read_summary(summary_path)
-    return stored if stored.get("cell_sha256") == _cell_hash(cell) else None
+    try:
+        stored = _read_summary(summary_path)
+    except ValueError:  # not JSON, or not UTF-8
+        return None
+    return stored if isinstance(stored, dict) and stored.get("cell_sha256") == _cell_hash(cell) else None
 
 
 def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> None:

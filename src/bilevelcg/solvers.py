@@ -428,12 +428,12 @@ class DbgdConfig:
 @dataclass(frozen=True)
 class MngConfig:
     """Minimal-norm-gradient baseline; M must dominate the lower-level
-    gradient Lipschitz constant."""
+    gradient Lipschitz constant L_g, which it defaults to."""
 
-    M: float
+    M: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 < self.M < np.inf:
+        if self.M is not None and not 0.0 < self.M < np.inf:
             raise ConfigurationError("MNG smoothing constant must be positive and finite")
 
 
@@ -519,7 +519,7 @@ def dbgd(
 
 def mng(
     instance: BilevelInstance,
-    config: MngConfig,
+    config: MngConfig = MngConfig(),
     max_iters: int = 1000,
     keep_iterates: bool = False,
     start: Optional[np.ndarray] = None,
@@ -534,9 +534,13 @@ def mng(
     if quad is None:
         raise ConfigurationError("MNG needs an explicit quadratic upper-level objective")
     L_g = instance.lower.lipschitz_grad
-    if L_g is not None and config.M < L_g:
-        raise ConfigurationError("MNG smoothing constant must satisfy M >= L_g")
     M = config.M
+    if M is None:
+        if not L_g:
+            raise ConfigurationError("MNG needs solver_options.M: the lower Lipschitz constant is 0 or unknown")
+        M = L_g
+    elif L_g is not None and M < L_g:
+        raise ConfigurationError("MNG smoothing constant must satisfy M >= L_g")
     region = instance.region
 
     def update(k, x, f_grad, g_grad, g_val):

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from bilevelcg.cli import main
+from bilevelcg.cli import _family_cells, build_parser, main
+from bilevelcg.core import SolverConfig
+from bilevelcg.harness import config_to_dict
 
 
 class TestUsage:
@@ -60,6 +62,14 @@ class TestToyCommand:
         assert main(["toy", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot make the output directory {str(out)!r}")
         assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_config_without_flags_is_the_default_solver_config(self, tmp_path, capsys):
+        default = config_to_dict(SolverConfig())
+        for family in ("toy", "regression", "fair", "dict"):
+            assert _family_cells(build_parser().parse_args([family]))[0]["config"] == default
+        assert main(["toy", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "000_toy_cg-bio_seed0.json").read_text())
+        assert summary["config"] == default
 
     def test_multiple_solvers(self, tmp_path, capsys):
         code = main([

@@ -76,6 +76,16 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="must be"):
             QuadraticForm(F, h, q)
 
+    def test_lists_become_float_arrays_and_a_float_array_is_kept(self):
+        form = QuadraticForm([[1.0, 0.0]], [0], [1, 2])
+        assert all(isinstance(a, np.ndarray) and a.dtype == float for a in (form.F, form.h, form.q))
+        oracle = SmoothOracle(2, quadratic=form)
+        value, grad = oracle(np.array([3.0, 1.0]))
+        assert value == 4.5 + 5.0
+        np.testing.assert_array_equal(grad, [4.0, 2.0])
+        F = np.ones((2, 3))
+        assert QuadraticForm(F, np.zeros(2)).F is F
+
     @pytest.mark.parametrize("shape", [(0, 4), (0, 0), (3, 0)], ids=["no-rows", "empty", "no-columns"])
     def test_lambda_max_gram_of_an_empty_matrix_is_zero(self, shape):
         assert lambda_max_gram(np.zeros(shape)) == 0.0

@@ -558,6 +558,16 @@ class TestRunExperiment:
         stored = json.loads((tmp_path / "000_toy_cg-bio_seed0.json").read_text())
         assert stored == second
 
+    @pytest.mark.parametrize("stored", ['{"instance": "to', "[]", "\xff"], ids=["truncated", "a-list", "not-utf8"])
+    def test_resume_reruns_a_cell_whose_summary_is_unreadable(self, tmp_path, stored):
+        cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}}]
+        first = run_experiment(cells, str(tmp_path), jobs=1)
+        summary_path = tmp_path / "000_toy_dbgd_seed0.json"
+        expected = summary_path.read_bytes()
+        summary_path.write_bytes(stored.encode("latin-1"))
+        assert run_experiment(cells, str(tmp_path), jobs=1) == first
+        assert summary_path.read_bytes() == expected
+
     def test_failed_rerun_leaves_no_stale_trace(self, tmp_path):
         cell = {"instance": "toy", "solver": "mng", "config": {"max_iters": 4}, "seed": 0,
                 "solver_options": {"M": 1.0}}
@@ -617,7 +627,7 @@ class TestRunExperiment:
         ({"solver": "cg-bio"}, "missing 'instance'"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"max_iters": 10.5}}, "max_iters must be an int"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"max_iters": True}}, "max_iters must be an int"),
-        ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": True}}, "tolerances must be real"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"eps_f": True}}, "config.eps_f must be a real number"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"eps_g": float("nan")}}, "tolerances must be positive"),
         ({"instance": "toy", "solver": "cg-bio", "seed": 1.5}, "seed must be an int"),
         ({"instance": "regression", "solver": "cg-bio", "options": {"n": 10.5}}, "options.n must be an int"),
@@ -626,7 +636,7 @@ class TestRunExperiment:
         ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": False}}, "options.l1_radius must be a real"),
         ({"instance": "fair", "solver": "cg-bio", "options": {"l1_radius": "2"}}, "options.l1_radius must be a real"),
         ({"instance": "toy", "solver": "cg-bio", "options": [10]}, "options must be a JSON object"),
-        ({"instance": "toy", "solver": "cg-bio", "config": {"max_iter": 5}}, "unknown config keys"),
+        ({"instance": "toy", "solver": "cg-bio", "config": {"max_iter": 5}}, r"unknown options \['max_iter'\] for config"),
         ({"instance": "toy", "solver": "cg-bio", "config": {"schedule": 5}}, "config.schedule must be a string"),
         ({"instance": "toy", "solver": "cg-bio", "config": "fast"}, "config must be a JSON object"),
         ({"instance": "toy", "solver": "mng", "solver_options": "fast"}, "solver_options must be a JSON object"),
@@ -672,6 +682,12 @@ class TestRunExperiment:
         ({"instance": "toy", "solver": "big-sam", "solver_options": {"gamma": -1.0}}, "BiG-SAM steps must be positive and finite"),
         ({"instance": "toy", "solver": "big-sam", "solver_options": {"eta_f": float("nan")}}, "BiG-SAM steps must be positive and finite"),
         ({"instance": "toy", "solver": "big-sam", "solver_options": {"eta_g": float("inf")}}, "BiG-SAM steps must be positive and finite"),
+        ({"instance": "toy", "solver": "cg-bio", "sed": 3}, r"unknown options \['sed'\] for a cell"),
+        ({"instance": "toy", "solver": "cg-bio", "solver_opts": {}}, r"unknown options \['solver_opts'\] for a cell"),
+        ({"instance": "toy", "solver": "cg-bio", "options": None}, "options must be a JSON object, got None"),
+        ({"instance": "toy", "solver": "cg-bio", "options": []}, r"options must be a JSON object, got \[\]"),
+        ({"instance": "toy", "solver": "cg-bio", "options": 0}, "options must be a JSON object, got 0"),
+        ({"instance": 1, "solver": "cg-bio"}, "instance must be a string, got 1"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, tmp_path, bad, reason):
         good = {"instance": "toy", "solver": "cg-bio", "config": {}, "seed": 0}

@@ -669,6 +669,22 @@ class TestMng:
         assert out.stop_reason == "budget_exhausted"
         assert inst.lower.value(out.final_point) <= -0.9
 
+    def test_default_M_is_the_lower_lipschitz_constant(self):
+        inst, _ = regression_problem(n=100, d=150, seed=0)
+        default = mng(inst, MngConfig(), max_iters=20)
+        given = mng(inst, MngConfig(M=inst.lower.lipschitz_grad), max_iters=20)
+
+        def bits(out):
+            return [tuple(float.hex(float(v)) for v in (r.f_val, r.g_val)) for r in out.trace]
+
+        assert len(default.trace) == 21 and bits(default) == bits(given)
+        assert default.final_point.tobytes() == given.final_point.tobytes()
+
+    def test_no_default_M_without_a_lower_lipschitz_constant(self):
+        # The toy lower level is linear: L_g = 0.
+        with pytest.raises(ConfigurationError, match="MNG needs solver_options.M"):
+            mng(toy_problem(), max_iters=5)
+
 
 class TestQuadraticSubproblem:
     def test_unconstrained_minimum_when_no_constraints(self):
