@@ -3,6 +3,7 @@ smooth upper-level objective over the solution set of a convex lower-level
 problem on a compact convex region, using only linear minimization oracles."""
 
 from .core import (
+    Answer,
     BallProduct,
     BilevelInstance,
     ConfigurationError,

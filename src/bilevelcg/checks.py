@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    Answer,
     BilevelInstance,
     ConstantStep,
     Halfspace,
@@ -101,7 +102,7 @@ def _cuts_from_trace(instance, x0, trace) -> list[Halfspace]:
         if row.iterate is None:
             continue
         g_val, g_grad = instance.lower(row.iterate)
-        cuts.append(cutting_plane(g_grad, row.iterate, g0, g_val))
+        cuts.append(cutting_plane(g_grad, float(g_grad @ row.iterate), g0, g_val))
     return cuts
 
 
@@ -292,9 +293,9 @@ def cut_certificate_gap(
     region, h: Optional[Halfspace], c: np.ndarray, s: np.ndarray, mu: float = 0.0, tol: float = 1e-9
 ) -> float:
     """Duality gap <c, s> - (min_{s' in region} <c + mu a, s'> - mu beta) of
-    an answer (s, mu) of ``region.cut_lmo(h, c, plain)``; inf when s leaves
-    the region or the halfspace by more than ``tol`` or mu is not a finite
-    nonnegative number.  By weak duality the gap of a feasible s is at least
+    an answer (s, mu) of ``region.cut_lmo(h, c, plain)``, s given as its
+    point; inf when s leaves the region or the halfspace by more than
+    ``tol`` or mu is not a finite nonnegative number.  By weak duality the gap of a feasible s is at least
     the gap of s to the cut-restricted minimum, so gap <= tol certifies
     that s is tol-optimal without any search.
 
@@ -309,7 +310,7 @@ def cut_certificate_gap(
     if not (0.0 <= mu < np.inf and region.contains(s, tol) and h.contains(s, tol)):
         return np.inf
     shifted = c + mu * h.normal
-    return float(c @ s) - (float(shifted @ lmo(region, shifted)) - mu * h.offset)
+    return float(c @ s) - (float(shifted @ lmo(region, shifted).point) - mu * h.offset)
 
 
 def l1_cut_lp_value(region: L1Ball, h: Halfspace, c: np.ndarray) -> float:
@@ -345,7 +346,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         reg.rows(tied)[int(cols_rng.integers(reg.num_cols))] = 0.0
         for region, c in ((ball, rng.standard_normal(d)), (reg, tied)):
             exact = np.concatenate([brute_lmo_l1(region.radius, col) for col in region.rows(c)])
-            differ += not np.array_equal(lmo(region, c), exact)
+            differ += not np.array_equal(lmo(region, c).point, exact)
     results.append(("l1 LMO vs vertex enumeration", differ == 0, f"{differ} of {2 * count} differ"))
 
     # Ball-product LMO against the support function: s lies in the region
@@ -354,7 +355,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
     for _ in range(count):
         reg = BallProduct(int(rng.integers(1, 4)), int(rng.integers(2, 4)), float(rng.uniform(0.5, 2.0)))
         c = rng.standard_normal(reg.dimension)
-        s = lmo(reg, c)
+        s = lmo(reg, c).point
         support = float(reg.radii @ np.linalg.norm(reg.columns(c), axis=0))
         worst = max(worst, float(c @ s) + support if reg.contains(s, tol=1e-9) else np.inf)
     results.append(("ball-product LMO support certificate", worst <= 1e-8, f"worst gap {worst:.2e}"))
@@ -367,7 +368,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         reg = _random_polytope(rng)
         for c in (rng.standard_normal(reg.dimension), rng.integers(-1, 2, size=reg.dimension).astype(float)):
             point = simplex_solve(LpProblem(c, reg.A, reg.b)).point
-            worst = max(worst, float(np.abs(lmo(reg, c) - point).max()))
+            worst = max(worst, float(np.abs(lmo(reg, c).point - point).max()))
     results.append(("polytope LMO vs simplex", worst <= 1e-9, f"worst {worst:.2e}"))
 
     # Every certificate below minimizes with these plain LMOs, and the cuts
@@ -383,7 +384,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         anchor = verts.mean(axis=0)
         normal = rng.standard_normal(reg.dimension)
         h = Halfspace(normal, float(normal @ anchor))
-        s = halfspace_lmo(reg, h, c)
+        s = halfspace_lmo(reg, h, c).point
         cut_poly = Polytope(
             A=np.vstack([reg.A, h.normal]), b=np.append(reg.b, h.offset),
         )
@@ -459,7 +460,7 @@ def check_oracles(count: int = 100, seed: int = 0) -> list:
         worst = 0.0
         for _ in range(count):
             for reg, c, h, plain in draw():
-                s, mu = reg.cut_lmo(h, c, plain)
+                (s, _), mu = reg.cut_lmo(h, c, plain)
                 worst = max(worst, cut_certificate_gap(reg, h, c, s, mu))
                 if isinstance(reg, L1Ball):
                     lp_worst = max(lp_worst, abs(float(c @ s) - l1_cut_lp_value(reg, h, c)))
@@ -494,9 +495,9 @@ def _zero_column_cut(rng, top_radius: float = 2.0) -> tuple:
     return reg, c, h, lmo(reg, c)
 
 
-def _active_cut(region, c: np.ndarray, rng, blocks=None) -> tuple[Halfspace, np.ndarray]:
+def _active_cut(region, c: np.ndarray, rng, blocks=None) -> tuple[Halfspace, Answer]:
     """A random halfspace that cuts off the plain LMO point of ``c`` yet
-    meets the region, and that point.  Given ``blocks``, a list of (lo, hi)
+    meets the region, and that point's answer.  Given ``blocks``, a list of (lo, hi)
     bounds, the normal lives in one random block of it."""
     plain = lmo(region, c)
     while True:
@@ -506,7 +507,7 @@ def _active_cut(region, c: np.ndarray, rng, blocks=None) -> tuple[Halfspace, np.
             lo, hi = blocks[int(rng.integers(len(blocks)))]
             keep[lo:hi] = 1.0
             normal *= keep
-        low, high = float(normal @ lmo(region, normal)), float(normal @ plain)
+        low, high = float(normal @ lmo(region, normal).point), float(normal @ plain.point)
         if high > low + 1e-6:
             return Halfspace(normal, low + float(rng.uniform(0.05, 0.95)) * (high - low)), plain
 

@@ -9,7 +9,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -190,18 +190,33 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 200
 NEAR_ZERO_RTOL = 1e-8
 
+# The support of an answer whose point is taken as dense: indexing with it
+# gives the whole vector, as a view.
+DENSE = slice(None)
+
+
+class Answer(NamedTuple):
+    """An LMO answer: the point, and its support.  The support is the
+    increasing indices of the point's nonzeros, for the l1 regions, whose
+    answers have one or two nonzeros per column; or ``DENSE`` for the
+    regions whose vertices are dense (ball product, polytope, a product
+    holding one of them).  ``point[support]`` is then the whole point."""
+
+    point: np.ndarray
+    support: Union[np.ndarray, slice]
+
 
 class Region:
     """Operations every feasible region carries, on float vectors of length
     ``dimension`` (the checked entry points live in :mod:`oracles`):
 
-    - ``lmo(c)``: argmin of <c, s> over the region;
+    - ``lmo(c)``: the :class:`Answer` argmin of <c, s> over the region;
     - ``cut_lmo(h, c, plain)``: the same over the region cut by the
-      halfspace ``h``, given ``plain = lmo(c)``, which violates ``h``.  It
-      returns ``(s, mu)``: the minimizer and a multiplier mu >= 0 of the cut
-      with <c, s> = min_{s' in region} <c + mu a, s'> - mu beta up to
-      rounding, a certificate of optimality that
-      :func:`bilevelcg.checks.cut_certificate_gap` verifies; it raises
+      halfspace ``h``, given the answer ``plain = lmo(c)``, which violates
+      ``h``.  It returns ``(s, mu)``: the minimizer's :class:`Answer` and a
+      multiplier mu >= 0 of the cut with <c, s> = min_{s' in region}
+      <c + mu a, s'> - mu beta up to rounding, a certificate of optimality
+      that :func:`bilevelcg.checks.cut_certificate_gap` verifies; it raises
       :class:`OracleError` when the cut excludes the whole region;
     - ``project(v)``: Euclidean projection;
     - ``feasible_point()``: a deterministic feasible point.
@@ -244,15 +259,18 @@ class L1Ball(Region):
         tol = DEFAULT_MEMBERSHIP_TOL if tol is None else tol
         return bool(np.all(np.abs(self.rows(x)).sum(axis=1) <= self.radius + tol))
 
-    def lmo(self, c: np.ndarray) -> np.ndarray:
+    def lmo(self, c: np.ndarray) -> Answer:
         rows = self.rows(c)
-        # The flat index of each column's first largest |c_i|.
-        at = np.argmax(np.abs(rows), axis=1) + np.arange(0, self.dimension, rows.shape[1])
+        # The flat index of each column's first largest |c_i|: the support.
+        at = np.abs(rows).argmax(axis=1)
+        if self.num_cols > 1:
+            at += np.arange(0, self.dimension, rows.shape[1])
         s = np.zeros(self.dimension)
-        s[at] = np.where(rows.reshape(-1)[at] >= 0, -self.radius, self.radius)
-        return s
+        s[at] = -self.radius
+        s[at[rows.reshape(-1)[at] < 0]] = self.radius  # -0.0 takes -radius, as 0.0 does
+        return Answer(s, at)
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
         """The envelope walk of :func:`_l1_cut_walk` on the one column the
         cut's normal lives in; the other columns keep their plain LMO
         columns.  A normal on several columns raises OracleError: no caller
@@ -265,9 +283,8 @@ class L1Ball(Region):
         width = self.dimension // self.num_cols
         lo = int(active[0]) * width if active.size else 0
         hi = lo + width
-        s = plain.copy()
-        s[lo:hi], mu = _l1_cut_walk(self.radius, h.normal[lo:hi], h.offset, c[lo:hi])
-        return s, mu
+        part, mu = _l1_cut_walk(self.radius, h.normal[lo:hi], h.offset, c[lo:hi])
+        return _spliced(plain, lo, hi, part), mu
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Sort-based soft-thresholding (Duchi et al. 2008; Condat 2016) of
@@ -290,49 +307,91 @@ class L1Ball(Region):
         return np.zeros(self.dimension)
 
 
-def _l1_cut_walk(r: float, a: np.ndarray, beta: float, c: np.ndarray) -> tuple[np.ndarray, float]:
+def _l1_cut_walk(r: float, a: np.ndarray, beta: float, c: np.ndarray) -> tuple[Answer, float]:
     """Minimize <c, s> over the l1 ball of radius r cut by <a, s> <= beta,
     whose plain LMO point violates the cut: :func:`_envelope_walk` over the
     generated lines sigma * (-c_i, -a_i) of the signed vertices
-    -sigma * r * e_i.  Returns the minimizer and the multiplier mu."""
+    -sigma * r * e_i.  Returns the minimizer, on at most two coordinates,
+    and the multiplier mu."""
     # Line 2i + (sigma < 0), so the lowest line index is the lowest
     # coordinate, + before -, as in L1Ball.lmo().
-    values = np.stack([-c, c], axis=1).ravel()
-    slopes = np.stack([-a, a], axis=1).ravel()
     i = int(np.argmax(np.abs(c)))
-    j, k, theta, mu = _envelope_walk(values, slopes, r, beta, 2 * i + int(c[i] < 0), "l1 ball")
+    j, k, theta, mu = _envelope_walk(((-c, -a), (c, a)), r, beta, 2 * i + int(c[i] < 0), "l1 ball")
     s = np.zeros_like(c)
     s[j // 2] += theta * (r if j % 2 else -r)
     s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
-    return s, mu
+    # A vertex of weight 0, or a +-r e_i pair that cancels, leaves an exact 0.
+    return Answer(s, np.array([i for i in sorted({j // 2, k // 2}) if s[i] != 0.0], dtype=np.intp)), mu
 
 
-def _envelope_walk(values: np.ndarray, slopes: np.ndarray, r: float, beta: float, k: int,
-                   what: str) -> tuple[int, int, float, float]:
+def _envelope_walk(lines: tuple, r: float, beta: float, k: int, what: str) -> tuple[int, int, float, float]:
     """Minimize <c, s> over the hull of vertices v_k cut by <a, s> <= beta,
     given their lines (values_k, slopes_k) = (<c, v_k>, <a, v_k>) / r, r > 0,
     and a vertex k minimizing <c, .> that violates the cut: maximize the dual
     r * min_k (values_k + mu * slopes_k) - mu * beta over mu >= 0 by walking
     the lower envelope from line k at mu = 0 to the first line whose vertex
     satisfies the cut.  Returns (j, k, theta, mu): theta * v_j +
-    (1 - theta) * v_k is the minimizer, on the cut, and mu the multiplier."""
+    (1 - theta) * v_k is the minimizer, on the cut, and mu the multiplier.
+
+    ``lines`` holds families (values, slopes) of equal length, read in
+    place: line k is entry k // f of family k % f, for f families."""
+    f = len(lines)
+
+    def line(k: int) -> tuple[float, float]:
+        values, slopes = lines[k % f]
+        return values[k // f], slopes[k // f]
+
     j, mu = k, 0.0
-    while r * slopes[k] > beta:
-        # Only a flatter line can undercut line k as mu grows.
-        flatter = np.flatnonzero(slopes < slopes[k])
-        if not flatter.size:
+    value, slope = line(k)
+    while r * slope > beta:
+        # Line i crosses line k at (values_i - value) / (slope - slopes_i),
+        # and only a flatter one, with slope - slopes_i > 0, can undercut it
+        # as mu grows.  Rounding can put a crossing a hair before mu, and
+        # the envelope only moves right, so the crossings up to mu tie
+        # there.  Both differences are clamped at 0, without a branch per
+        # line: a crossing before 0 reads 0, and a line that is not flatter
+        # crosses at inf, or at NaN (0 / 0), which the minimum skips.  The
+        # slope gets +0.0, so that no difference is -0.0.
+        crosses = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for values, slopes in lines:
+                steeper = np.maximum(np.subtract(slope + 0.0, slopes), 0.0)
+                cross = np.maximum(np.subtract(values, value), 0.0)
+                crosses.append(np.divide(cross, steeper, out=cross))
+        firsts = [float(np.fmin.reduce(cross, initial=np.inf)) for cross in crosses]
+        if not min(firsts) < np.inf and not any((slopes < slope).any() for _, slopes in lines):
             raise OracleError(f"the cut excludes the whole {what}")
-        cross = (values[flatter] - values[k]) / (slopes[k] - slopes[flatter])
-        # Rounding can put a crossing a hair before mu; the envelope only
-        # moves right.  Of the lines crossing first, the flattest continues
-        # the envelope (argmin keeps the lowest index on ties).
-        cross = np.maximum(cross, mu)
-        mu = float(cross.min())
-        first = flatter[cross == mu]
-        j, k = k, int(first[np.argmin(slopes[first])])
-    cut_j, cut_k = r * slopes[j], r * slopes[k]
+        mu = max(mu, min(firsts))
+        # Of the lines crossing first, the flattest continues the envelope,
+        # and the lowest line index on ties.
+        best = (np.inf, 0)
+        for family, ((_, slopes), cross, first) in enumerate(zip(lines, crosses, firsts)):
+            if first <= mu:
+                i = int(np.where(cross <= mu, slopes, np.inf).argmin())
+                best = min(best, (slopes[i], i * f + family))
+        j, k = k, best[1]
+        value, slope = line(k)
+    cut_j, cut_k = r * line(j)[1], r * slope
     theta = (beta - cut_k) / (cut_j - cut_k) if j != k else 0.0
     return j, k, theta, mu
+
+
+def _block(answer: Answer, lo: int, hi: int) -> Answer:
+    """The answer's entries lo..hi-1, as an answer of their own."""
+    on = answer.support
+    if on is not DENSE:
+        on = on[(lo <= on) & (on < hi)] - lo
+    return Answer(answer.point[lo:hi], on)
+
+
+def _spliced(answer: Answer, lo: int, hi: int, part: Answer) -> Answer:
+    """The answer with its entries lo..hi-1 replaced by the answer ``part``."""
+    if hi - lo == answer.point.size:
+        return part
+    on = answer.support
+    if on is not DENSE:
+        on = np.concatenate([on[on < lo], part.support + lo, on[on >= hi]])
+    return Answer(np.concatenate([answer.point[:lo], part.point, answer.point[hi:]]), on)
 
 
 @dataclass(frozen=True)
@@ -388,10 +447,10 @@ class BallProduct(Region):
         out[0, zero] = -self.radii[zero]
         return out, norms
 
-    def lmo(self, c: np.ndarray) -> np.ndarray:
-        return self.flatten(self._column_lmo(self.columns(c))[0])
+    def lmo(self, c: np.ndarray) -> Answer:
+        return Answer(self.flatten(self._column_lmo(self.columns(c))[0]), DENSE)
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
         """Root of the derivative of the smooth concave dual, which is the
         cut residual res(mu) = <a, lmo(c + mu a)> - beta and falls from
         res(0) > 0: Newton steps inside a bracket [lo, hi] with
@@ -405,7 +464,7 @@ class BallProduct(Region):
         <a_j, u_j> = |a_j| x_j: a step costs O(num_cols), and the LMO runs on
         the full columns only at the answer, or at both ends of a bracket
         that closes without one."""
-        if h.contains(plain, tol=0.0):
+        if h.admits(plain):
             return plain, 0.0
         a_cols = self.columns(h.normal)
         a_norms = np.linalg.norm(a_cols, axis=0)
@@ -418,9 +477,9 @@ class BallProduct(Region):
             # The cut touches the region in one face, and no finite multiplier
             # attains the dual: columns with a_j != 0 are pinned to
             # -r_j a_j / |a_j|, the others keep their plain LMO columns.
-            cols = self.columns(plain).copy()
+            cols = self.columns(plain.point).copy()
             cols[:, pinned] = -self.radii[pinned] * a_cols[:, pinned] / a_norms[pinned]
-            return self.flatten(cols), np.inf
+            return Answer(self.flatten(cols), DENSE), np.inf
 
         # The steps run on c scaled by a power of two to a largest entry in
         # [0.5, 1), and mu is scaled back: exact, where at tiny objective
@@ -459,7 +518,7 @@ class BallProduct(Region):
                 along[j] = a_cols[:, j] @ u / size if size > 0.0 else a_cols[0, j]
             res = float((-self.radii * along).sum()) - h.offset
             if abs(res) <= NEWTON_TOL:
-                return self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), math.ldexp(mu, exponent)
+                return Answer(self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), DENSE), math.ldexp(mu, exponent)
             if res > 0.0:
                 lo = mu
             else:
@@ -481,7 +540,7 @@ class BallProduct(Region):
         lo_cols, hi_cols = (self._column_lmo(c_cols + end * a_cols)[0] for end in (lo, hi))
         lo_res, hi_res = (h.violation(self.flatten(cols)) for cols in (lo_cols, hi_cols))
         theta = lo_res / (lo_res - hi_res)
-        return self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), math.ldexp(hi, exponent)
+        return Answer(self.flatten((1.0 - theta) * lo_cols + theta * hi_cols), DENSE), math.ldexp(hi, exponent)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         cols = self.columns(v).copy()
@@ -576,15 +635,15 @@ class Polytope(Region):
         verts = self.vertices()
         return float(np.linalg.norm(verts[:, None] - verts[None], axis=-1).max())
 
-    def lmo(self, c: np.ndarray) -> np.ndarray:
+    def lmo(self, c: np.ndarray) -> Answer:
         verts = self.vertices()
-        return verts[_last_argmin(verts @ c)].copy()
+        return Answer(verts[_last_argmin(verts @ c)].copy(), DENSE)
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
         verts = self.vertices()
         values = verts @ c
-        j, k, theta, mu = _envelope_walk(values, verts @ h.normal, 1.0, h.offset, _last_argmin(values), "polytope")
-        return theta * verts[j] + (1.0 - theta) * verts[k], mu
+        j, k, theta, mu = _envelope_walk(((values, verts @ h.normal),), 1.0, h.offset, _last_argmin(values), "polytope")
+        return Answer(theta * verts[j] + (1.0 - theta) * verts[k], DENSE), mu
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """The exact QP min 0.5 |x - v|^2 over the defining halfspaces."""
@@ -592,7 +651,7 @@ class Polytope(Region):
 
     def feasible_point(self) -> np.ndarray:
         origin = np.zeros(self.dimension)
-        return origin if self.contains(origin) else self.lmo(origin)
+        return origin if self.contains(origin) else self.lmo(origin).point
 
 
 @dataclass(frozen=True)
@@ -632,10 +691,14 @@ class ProductRegion(Region):
     def contains(self, x: np.ndarray, tol: Optional[float] = None) -> bool:
         return all(b.contains(part, tol) for b, part in zip(self.blocks, self.split(x)))
 
-    def lmo(self, c: np.ndarray) -> np.ndarray:
-        return np.concatenate([b.lmo(part) for b, part in zip(self.blocks, self.split(c))])
+    def lmo(self, c: np.ndarray) -> Answer:
+        answers = [b.lmo(part) for b, part in zip(self.blocks, self.split(c))]
+        point = np.concatenate([answer.point for answer in answers])
+        if any(answer.support is DENSE for answer in answers):
+            return Answer(point, DENSE)
+        return Answer(point, np.concatenate([answer.support + lo for answer, (lo, _) in zip(answers, self._offsets)]))
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
         normals = self.split(h.normal)
         active = [i for i, n in enumerate(normals) if np.any(n != 0.0)]
         # ``plain`` violates the cut, so a zero normal excludes every point.
@@ -647,10 +710,10 @@ class ProductRegion(Region):
         lo, hi = self._offsets[i]
         # The halfspace offset is absorbed into the active block: the other
         # blocks contribute zero to it, and keep their slices of ``plain``.
-        cut, part, mu = Halfspace(normals[i], h.offset), plain[lo:hi], 0.0
-        if not cut.contains(part, tol=0.0):
+        cut, part, mu = Halfspace(normals[i], h.offset), _block(plain, lo, hi), 0.0
+        if not cut.admits(part):
             part, mu = self.blocks[i].cut_lmo(cut, c[lo:hi], part)
-        return np.concatenate([plain[:lo], part, plain[hi:]]), mu
+        return _spliced(plain, lo, hi, part), mu
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate([b.project(part) for b, part in zip(self.blocks, self.split(v))])
@@ -715,14 +778,21 @@ class Halfspace:
     def violation(self, x: np.ndarray) -> float:
         return float(self.normal @ x) - self.offset
 
+    def admits(self, answer: Answer) -> bool:
+        """``contains(s, tol=0.0)`` for the answer's point s, read on its
+        support."""
+        s, on = answer
+        return float(self.normal[on] @ s[on]) <= self.offset
 
-def cutting_plane(grad: np.ndarray, xk: np.ndarray, g0: float, gk: float) -> Halfspace:
+
+def cutting_plane(grad: np.ndarray, grad_xk: float, g0: float, gk: float) -> Halfspace:
     """Halfspace {s : gk + <grad, s - xk> <= g0} from the lower-level values
-    g0 = g(x0), gk = g(xk) and gradient grad = grad g(xk): it keeps every
-    point whose linearized value at ``xk`` does not exceed g(x0), so by
-    convexity of g it contains the whole lower-level solution set whenever
-    g(x0) >= min g."""
-    return Halfspace(normal=grad, offset=float(grad @ xk) + (g0 - gk))
+    g0 = g(x0), gk = g(xk), gradient grad = grad g(xk) and its product
+    ``grad_xk`` = <grad, xk>, which a carried residual gives in O(n): it
+    keeps every point whose linearized value at xk does not exceed g(x0),
+    so by convexity of g it contains the whole lower-level solution set
+    whenever g(x0) >= min g."""
+    return Halfspace(normal=grad, offset=grad_xk + (g0 - gk))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ import numpy as np
 
 from . import problems
 from .core import (
+    DENSE,
+    Answer,
     BilevelInstance,
     ConstantStep,
     Halfspace,
@@ -33,6 +35,7 @@ from .core import (
     minimize_quadratic_over_halfspaces,
 )
 from .solvers import (
+    LINE_SEARCHES,
     AIrgConfig,
     BigSamConfig,
     DbgdConfig,
@@ -100,8 +103,8 @@ class _Hull(Region):
     def dimension(self) -> int:
         return self.verts.shape[1]
 
-    def lmo(self, c: np.ndarray) -> np.ndarray:
-        return self.verts[int(np.argmin(self.verts @ c))]  # lowest index on ties
+    def lmo(self, c: np.ndarray) -> Answer:
+        return Answer(self.verts[int(np.argmin(self.verts @ c))], DENSE)  # lowest index on ties
 
 
 def _minimize_over_hull(oracle: SmoothOracle, verts: np.ndarray, tol: float, max_iters: int) -> SolveOutcome:
@@ -475,7 +478,6 @@ SOLVERS = tuple(SOLVER_OPTIONS)
 # instance and solver are required.
 CELL_KEYS = {"instance": str, "solver": str, "seed": int, "config": dict, "options": dict, "solver_options": dict}
 CONFIG_KEYS = {"eps_f": float, "eps_g": float, "max_iters": int, "schedule": str}
-_LINE_SEARCHES = ("exact", "backtracking")
 
 
 def _solver_options(solver: str, options: dict) -> dict:
@@ -486,9 +488,9 @@ def _solver_options(solver: str, options: dict) -> dict:
     converted = _checked(SOLVER_OPTIONS[solver], options, f"solver {solver!r}", "solver_options.")
     if converted.get("init_iters", 1) < 1:
         raise ValueError(f"solver_options.init_iters must be positive, got {options['init_iters']!r}")
-    if converted.get("line_search", "exact") not in _LINE_SEARCHES:
+    if converted.get("line_search", "exact") not in LINE_SEARCHES:
         got = options["line_search"]
-        raise ValueError(f"solver_options.line_search must be one of {_LINE_SEARCHES}, got {got!r}")
+        raise ValueError(f"solver_options.line_search must be one of {LINE_SEARCHES}, got {got!r}")
     if solver in _BASELINE_CONFIGS:
         _BASELINE_CONFIGS[solver](**converted)  # its own checks of the values
     return converted

@@ -3,10 +3,12 @@ oracles, and a dense two-phase simplex LP solver.
 
 Each region class in :mod:`core` carries its own linear minimization oracle
 (plain and restricted to a halfspace cut) and projection; the functions
-here validate the input vector and call them.  No region reaches the
-simplex: every cut LMO solves its one-dimensional dual directly.  The
-simplex is the independent LP reference of :mod:`bilevelcg.checks`.  Its
-tie-breaking is lowest-index deterministic (Bland's rule).
+here validate the input vector and call them.  An LMO answer is a
+:class:`~bilevelcg.core.Answer`: the point and its support.  No region
+reaches the simplex: every cut LMO solves its one-dimensional dual
+directly.  The simplex is the independent LP reference of
+:mod:`bilevelcg.checks`.  Its tie-breaking is lowest-index deterministic
+(Bland's rule).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import Answer
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
@@ -163,24 +167,25 @@ def _checked(region, v: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (region.dimension,):
         raise ValueError(f"{what} has shape {v.shape}, expected ({region.dimension},)")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
     return v
 
 
-def lmo(region, c: np.ndarray) -> np.ndarray:
-    """argmin_{s in region} <c, s>."""
+def lmo(region, c: np.ndarray) -> Answer:
+    """argmin_{s in region} <c, s>, with its support."""
     return region.lmo(_checked(region, c, "objective"))
 
 
-def halfspace_lmo(region, h, c: np.ndarray) -> np.ndarray:
-    """argmin_{s in region, <h.normal, s> <= h.offset} <c, s>."""
+def halfspace_lmo(region, h, c: np.ndarray) -> Answer:
+    """argmin_{s in region, <h.normal, s> <= h.offset} <c, s>, with its
+    support."""
     c = np.asarray(c, dtype=float)
     # When the plain LMO point already satisfies the halfspace it solves the
-    # constrained problem too, and it is returned itself: an inactive cut
-    # follows the exact same tie-break path as lmo().
+    # constrained problem too, and its answer is returned itself: an
+    # inactive cut follows the exact same tie-break path as lmo().
     plain = lmo(region, c)
-    if h.contains(plain, tol=0.0):
+    if h.admits(plain):
         return plain
     return region.cut_lmo(h, c, plain)[0]
 

@@ -11,6 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    DENSE,
+    Answer,
     BilevelInstance,
     ConfigurationError,
     Halfspace,
@@ -57,12 +59,26 @@ class _Tracer:
 # Conditional-gradient methods
 # ---------------------------------------------------------------------------
 
+LINE_SEARCHES = ("exact", "backtracking")
+
+
+def _moved(x: np.ndarray, d: tuple, gamma: float) -> np.ndarray:
+    """x + gamma * d as a new array, for a direction d = (on, values)."""
+    on, values = d
+    y = x.copy()
+    y[on] += gamma * values
+    return y
+
+
 def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max, image=None):
     """Stepsize in [0, gamma_max] along the pairwise direction d = s - v_away
     of standard CG, where gamma_max is the away atom's weight, and the
-    oracle's (value, gradient) at x + gamma * d when the step evaluated it
-    there, else None.  ``image`` is F d for a carried :class:`_Residual`."""
-    gap = float(-(grad @ d))  # <grad, v_away - s>
+    point x + gamma * d with the oracle's (value, gradient) there when the
+    step evaluated it, else None.  The direction is the pair (on, values) of
+    :meth:`_Atoms.away`, and ``image`` is F d for a carried
+    :class:`_Residual`."""
+    on, values = d
+    gap = float(-(grad[on] @ values))  # <grad, v_away - s>
     if mode == "exact":
         # f(x + t d) = fx - t gap + t^2 curv for a quadratic: a tag's F d
         # gives curv in closed form.  Otherwise f is fitted by a parabola
@@ -71,48 +87,78 @@ def _cg_step_length(oracle, x, fx, grad, d, mode, state, gamma_max, image=None):
         if image is not None:
             curv = 0.5 * float(image @ image)
         else:
-            curv = oracle.value(x + d) - fx + gap
+            curv = oracle.value(_moved(x, d, 1.0)) - fx + gap
         if curv <= 0.0:
             return gamma_max, None
         return min(max(gap / (2.0 * curv), 0.0), gamma_max), None
-    if mode == "backtracking":
-        dd = float(d @ d)
-        if dd == 0.0:
+    dd = float(values @ values)
+    if dd == 0.0:
+        return 0.0, None
+    L = state.setdefault("L", oracle.lipschitz_grad or 1.0)
+    tried = None
+    for _ in range(60):
+        gamma = min(max(gap / (L * dd), 0.0), gamma_max)
+        if gamma == 0.0:
             return 0.0, None
-        L = state.setdefault("L", oracle.lipschitz_grad or 1.0)
-        tried = None
-        for _ in range(60):
-            gamma = min(max(gap / (L * dd), 0.0), gamma_max)
-            if gamma == 0.0:
-                return 0.0, None
-            # Clipped to gamma_max, gamma repeats as L doubles: so does the
-            # trial point, whose evaluation is kept.
-            if gamma != tried:
-                trial, tried = oracle(x + gamma * d), gamma
-            # No absolute slack: near the optimum the predicted decrease is
-            # below 1e-14, and a slack there accepts steps that raise f.
-            if trial[0] <= fx - gamma * gap + 0.5 * L * gamma**2 * dd:
-                state["L"] = max(L / 2.0, 1e-12)
-                return gamma, trial
-            L *= 2.0
-        state["L"] = L
-        return gamma, trial  # the last trial is where the step goes
-    raise ValueError(f"unknown line search mode {mode!r}")
+        # Clipped to gamma_max, gamma repeats as L doubles: so does the
+        # trial point, whose evaluation is kept.
+        if gamma != tried:
+            point = _moved(x, d, gamma)
+            trial, tried = (point, oracle(point)), gamma
+        # No absolute slack: near the optimum the predicted decrease is
+        # below 1e-14, and a slack there accepts steps that raise f.
+        if trial[1][0] <= fx - gamma * gap + 0.5 * L * gamma**2 * dd:
+            state["L"] = max(L / 2.0, 1e-12)
+            return gamma, trial
+        L *= 2.0
+    state["L"] = L
+    return gamma, trial  # the last trial is where the step goes
+
+
+def _gap(grad: np.ndarray, x: np.ndarray, answer: Answer, residual, grad_x: Optional[float] = None) -> float:
+    """The FW gap <grad, x - s> at the LMO answer s: for a dense answer the
+    dense product, else <grad, x> - <grad, s>, the latter read on s's
+    support.  <grad, x> is ``grad_x`` when given, else :func:`_inner`'s."""
+    s, on = answer
+    if on is DENSE:
+        return float(grad @ (x - s))
+    if grad_x is None:
+        grad_x = _inner(grad, x, residual)
+    return grad_x - float(grad[on] @ s[on])
+
+
+def _inner(grad: np.ndarray, x: np.ndarray, residual) -> float:
+    """<grad, x>: O(n) from a carried :class:`_Residual`, O(d) otherwise."""
+    return float(grad @ x) if residual is None else residual.inner(x)
+
+
+def _toward(x: np.ndarray, answer: Answer, gamma: float) -> None:
+    """x <- (1 - gamma) x + gamma s in place, s written on its support."""
+    s, on = answer
+    x *= 1.0 - gamma
+    x[on] += gamma * s[on]
 
 
 class _Residual:
     """The residual r = F x - h of a tag, carried along the iterates so that
     a row reads F once, for the tag's value 0.5 |r|^2 + q'x and gradient
     F'r + q.  A step's image F v is formed from the columns of F on v's
-    support: at most 2 for the pairwise directions and cut vertices of an
+    support: at most 2 for the pairwise directions and cut answers of an
     l1 ball."""
 
     def __init__(self, quad, x: np.ndarray):
         self.quad, self.F, self.h, self.r = quad, quad.F, quad.h, quad.F @ x - quad.h
 
-    def image(self, v: np.ndarray, on: np.ndarray) -> np.ndarray:
-        """F v, given v's support ``on = v.nonzero()[0]``."""
-        return self.F.take(on, axis=1) @ v[on]
+    def image(self, on, values: np.ndarray) -> np.ndarray:
+        """F v for the vector v with ``values`` on its support ``on`` (an
+        index array or ``DENSE``)."""
+        return self.F[:, on] @ values
+
+    def inner(self, x: np.ndarray) -> float:
+        """<grad, x> for the gradient F'r + q at x: <r, F x> = <r, r + h>
+        costs O(n), and a linear term q'x adds O(d)."""
+        value = float(self.r @ (self.r + self.h))
+        return value if self.quad.q is None else value + float(self.quad.q @ x)
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return self.quad.at_residual(self.r, x)
@@ -127,11 +173,12 @@ class _Atoms:
     support.
 
     Atom i is row i of ``V``, in insertion order, with weight ``w[i]``.
-    V's columns are the support: every coordinate on which some atom has
-    been nonzero, in the order each first appeared, so an atom is zero off
-    them and the store takes O(atoms x support) memory.  The +-r e_i
-    vertices of an l1 ball give about as many columns as atoms; dense
-    vertices give the coordinates 0..d-1 in index order.
+    V's columns are the support: every coordinate on which some atom or LMO
+    answer has been nonzero, in the order each first appeared (``column``
+    maps a coordinate to its column), so an atom is zero off them and the
+    store takes O(atoms x support) memory.  The +-r e_i vertices of an l1
+    ball give about as many columns as atoms; dense vertices give the
+    coordinates 0..d-1 in index order.
 
     Two vertices are one atom when they are equal as numbers on every
     coordinate, so a vertex that differs from an atom only in the sign of
@@ -143,25 +190,60 @@ class _Atoms:
         self.w: list[float] = []
         self.support = np.zeros(0, dtype=np.intp)
         self.covered = np.zeros(x.size, dtype=bool)  # coordinates in the support
-        self.add(x, 1.0)
+        self.column = np.zeros(x.size, dtype=np.intp)  # their columns
+        self.add(self.row(Answer(x, DENSE)), 1.0)
 
-    def away(self, grad: np.ndarray, s: np.ndarray) -> tuple[int, np.ndarray]:
-        """The away atom, maximizing <grad, v> (first inserted on ties), and
-        the pairwise direction from it to the vertex s."""
+    def row(self, s: Answer) -> np.ndarray:
+        """The answer s on V's columns, which are first made to cover its
+        nonzeros."""
+        point, on = s
+        if on is DENSE:
+            on = point.nonzero()[0]
+        if np.count_nonzero(self.covered[on]) < on.size:
+            self._cover(on[~self.covered[on]])
+        if s.support is DENSE:
+            return point[self.support]
+        row = np.zeros(self.support.size)
+        row[self.column[on]] = point[on]
+        return row
+
+    def _cover(self, fresh: np.ndarray) -> None:
+        """Append the coordinates ``fresh`` as columns, 0 in every atom."""
+        m, (rows, cols) = self.support.size, self.V.shape
+        self.covered[fresh] = True
+        self.column[fresh] = np.arange(m, m + fresh.size)
+        self.support = np.concatenate([self.support, fresh])
+        if self.support.size > cols:
+            # New entries are 0: an atom is 0 on the columns added after it.
+            grown = np.zeros((rows, max(self.support.size, min(2 * cols, self.column.size))))
+            grown[: len(self.w), :cols] = self.V[: len(self.w)]
+            self.V = grown
+
+    def away(self, grad: np.ndarray, s: Answer) -> tuple[int, tuple, np.ndarray]:
+        """The away atom i, maximizing <grad, v> (first inserted on ties);
+        the pairwise direction d = s - v_i from it to the answer s, as
+        (on, values): (DENSE, d) for a dense s, else d's nonzeros in
+        increasing coordinates; and s as a :meth:`row`, for :meth:`move`."""
+        row = self.row(s)
         # Each 1 x m @ m x 1 product of the stacked matmul runs the dot
         # kernel of ``grad @ v`` on the atom's entries, so the scores keep
         # the bits of the dense products: exactly for one-nonzero atoms, and
         # for dense atoms, whose support is 0..d-1 in index order.
-        m = self.support.size
+        m = row.size
         i = int((self.V[: len(self.w), None, :m] @ grad[self.support]).argmax())
-        d = s.copy()
-        d[self.support] -= self.V[i, :m]
-        return i, d
+        if s.support is DENSE:
+            d = s.point.copy()
+            d[self.support] -= self.V[i, :m]
+            return i, (DENSE, d), row
+        d = row - self.V[i, :m]
+        on = d.nonzero()[0]
+        on = on[self.support[on].argsort()]  # in increasing coordinates
+        return i, (self.support[on], d[on]), row
 
-    def move(self, i: int, s: np.ndarray, gamma: float) -> None:
-        """Move weight ``gamma`` from atom i to the vertex s.  Atom i is
-        dropped when that is all of its weight, and the later rows shift up,
-        so a vertex added again goes last."""
+    def move(self, i: int, row: np.ndarray, gamma: float) -> None:
+        """Move weight ``gamma`` from atom i to the vertex ``row``.  Atom i
+        is dropped when that is all of its weight, and the later rows shift
+        up, so a vertex added again goes last."""
         self.w[i] -= gamma
         if self.w[i] == 0.0:
             del self.w[i]
@@ -169,34 +251,25 @@ class _Atoms:
             # place, where it would copy a 2-D one whole first.
             flat, cols = self.V.reshape(-1), self.V.shape[1]
             flat[i * cols : len(self.w) * cols] = flat[(i + 1) * cols : (len(self.w) + 1) * cols]
-        self.add(s, gamma)
+        self.add(row, gamma)
 
-    def add(self, s: np.ndarray, weight: float) -> None:
-        """Add ``weight`` to the atom equal to s, or append s as an atom."""
-        n, on = len(self.w), s[self.support]
-        if np.count_nonzero(on) == np.count_nonzero(s):
-            hit = (self.V[:n, : on.size] == on).all(axis=1).nonzero()[0]
-            if hit.size:
-                self.w[hit[0]] += weight
+    def add(self, row: np.ndarray, weight: float) -> None:
+        """Add ``weight`` to the atom equal to the vertex ``row``, a
+        :meth:`row` of this store, or append it as an atom."""
+        n, m = len(self.w), row.size
+        # An atom equal to the row holds the row's first nonzero in its
+        # column; the zero vertex is compared with every atom.
+        first = row.nonzero()[0][:1]
+        candidates = (self.V[:n, first[0]] == row[first[0]]).nonzero()[0] if first.size else range(n)
+        for i in candidates:
+            if not np.count_nonzero(self.V[i, :m] != row):
+                self.w[i] += weight
                 return
-        else:
-            # s is nonzero off the support: a new atom on new columns.
-            fresh = s.nonzero()[0]
-            fresh = fresh[~self.covered[fresh]]
-            self.covered[fresh] = True
-            self.support = np.concatenate([self.support, fresh])
-            on = s[self.support]
-        rows, cols = self.V.shape
-        if on.size > cols:
-            # New entries are 0: an atom is 0 on the columns added after it.
-            grown = np.zeros((rows, max(on.size, min(2 * cols, s.size))))
-            grown[:n, :cols] = self.V[:n]
-            self.V = grown
-        if n == rows:
+        if n == self.V.shape[0]:
             # In place, so a large V is moved by the allocator, not copied,
             # and by a quarter, as resize writes zeros to the new rows.
-            self.V.resize((rows + rows // 4, self.V.shape[1]), refcheck=False)
-        self.V[n, : on.size] = on
+            self.V.resize((n + n // 4, self.V.shape[1]), refcheck=False)
+        self.V[n, :m] = row
         self.w.append(weight)
 
 
@@ -210,15 +283,18 @@ def standard_cg(
     """Classic Frank-Wolfe on a single smooth objective over ``region``.
 
     Stops when the FW duality gap <grad, x - s> drops to ``config.eps_f``.
-    ``line_search`` may be None (use the schedule), "backtracking", or
-    "exact" (exact for quadratics).  The FW gap is recorded in the
-    ``surrogate_f_gap`` trace column.
+    ``line_search`` may be None (use the schedule) or one of
+    ``LINE_SEARCHES``: "backtracking", or "exact" (exact for quadratics);
+    any other value raises ValueError before the first row.  The FW gap is
+    recorded in the ``surrogate_f_gap`` trace column.
 
     A row costs one oracle call, and none when the exact step carries a
     tag's :class:`_Residual`.  A backtracking step hands on its
     evaluation at the point it moves to, so only rejected backtracking
     trials, and the parabola fit of the exact step on an untagged
-    objective, add calls.
+    objective, add calls.  On a sparse LMO answer the rest of a row costs
+    O(support): the gap (see :func:`_gap`), the direction, its image and
+    the move of x in place.
 
     With a line search the steps are pairwise (Lacoste-Julien & Jaggi
     2015): x is kept as a convex combination of active atoms, the start and
@@ -229,6 +305,8 @@ def standard_cg(
     atoms live on their support (see :class:`_Atoms`): memory is
     O(atoms x support), not O(atoms x d).
     """
+    if line_search is not None and line_search not in LINE_SEARCHES:
+        raise ValueError(f"unknown line search mode {line_search!r}")
     x = np.array(region.feasible_point() if start is None else start, dtype=float)
     atoms = _Atoms(x)
     tracer = _Tracer(config.keep_iterates)
@@ -242,24 +320,32 @@ def standard_cg(
         except OracleError as exc:
             tracer.add(k, fx, np.nan, iterate=x)
             return tracer.outcome(x, f"oracle_failure: {exc}")
-        gap = float(grad @ (x - s))
+        gap = _gap(grad, x, s, residual)
         tracer.add(k, fx, np.nan, f_gap=gap, iterate=x)
         if gap <= config.eps_f:
             return tracer.outcome(x, "criterion_met")
         if k == config.max_iters:
             return tracer.outcome(x, "budget_exhausted")
         if line_search is None:
-            d = s - x
             gamma = config.schedule.step(k)
-        else:
-            away, d = atoms.away(grad, s)
-            image = None if residual is None else residual.image(d, d.nonzero()[0])
-            gamma, evaluation = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away], image)
-            if gamma > 0.0:
-                atoms.move(away, s, gamma)
-                if residual is not None:
-                    residual.r += gamma * image
-        x = x + gamma * d
+            if s.support is DENSE:  # the dense steps' bits, which the dictionary set-up rests on
+                x += gamma * (s.point - x)
+            else:
+                _toward(x, s, gamma)
+            continue
+        away, d, row = atoms.away(grad, s)
+        image = None if residual is None else residual.image(*d)
+        gamma, trial = _cg_step_length(oracle, x, fx, grad, d, line_search, ls_state, atoms.w[away], image)
+        evaluation = None
+        if gamma > 0.0:
+            atoms.move(away, row, gamma)
+            if trial is None:
+                on, values = d
+                x[on] += gamma * values
+            else:
+                x, evaluation = trial
+            if residual is not None:
+                residual.r += gamma * image
 
 
 def _line_search(oracle: SmoothOracle) -> str:
@@ -319,7 +405,10 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     that passes the test from an uncertified start reports
     "uncertified_start" instead of "criterion_met".  An infeasible ``x0``
     raises ConfigurationError.  A tagged level's :class:`_Residual` is
-    carried in place of its oracle.
+    carried in place of its oracle, and gives its <grad, x> in O(n), for
+    the gaps and the cut.  On a sparse cut answer the gaps read <grad, s>
+    on its support and x moves in place on it, so an l1 row costs one pass
+    over F per tagged level, the cut walk, and O(support).
     """
     x = np.asarray(x0, dtype=float).copy()
     region = instance.region
@@ -332,31 +421,32 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
     for k in range(config.max_iters + 1):
         f_val, f_grad = instance.upper(x) if upper is None else upper(x)
         g_val, g_grad = instance.lower(x) if lower is None else lower(x)
+        g_x = _inner(g_grad, x, lower)
         if k == 0:  # row 0 gives g(x0) and, with one plain LMO, the start's certificate
             g0_val = g_val
             plain = lmo(region, g_grad)
-            certificate, certified = _start_certificate(instance, g_val, float(g_grad @ (x - plain)), config.eps_g)
+            certificate, certified = _start_certificate(instance, g_val, _gap(g_grad, x, plain, lower, g_x),
+                                                        config.eps_g)
             start = {"init_certificate": certificate, "certified": certified}
             passed = "criterion_met" if certified else "uncertified_start"
-        cut = cutting_plane(g_grad, x, g0_val, g_val)
+        cut = cutting_plane(g_grad, g_x, g0_val, g_val)
         try:
             s = halfspace_lmo(region, cut, f_grad)
         except OracleError as exc:
             tracer.add(k, f_val, g_val, iterate=x)
             return tracer.outcome(x, f"oracle_failure: {exc}", **start)
-        f_gap = float(f_grad @ (x - s))
-        g_gap = float(g_grad @ (x - s))
+        f_gap = _gap(f_grad, x, s, upper)
+        g_gap = _gap(g_grad, x, s, lower, g_x)
         tracer.add(k, f_val, g_val, f_gap=f_gap, g_gap=g_gap, iterate=x)
         if f_gap <= config.eps_f and g_gap <= config.eps_g / 2.0:
             return tracer.outcome(x, passed, **start)
         if k == config.max_iters:
             return tracer.outcome(x, "budget_exhausted", **start)
         gamma = config.schedule.step(k)
-        x = (1.0 - gamma) * x + gamma * s
-        if carried:
-            on = s.nonzero()[0]
-            for residual in carried:
-                residual.r = (1.0 - gamma) * residual.r + gamma * (residual.image(s, on) - residual.h)
+        _toward(x, s, gamma)
+        for residual in carried:
+            image = residual.image(s.support, s.point[s.support])
+            residual.r = (1.0 - gamma) * residual.r + gamma * (image - residual.h)
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,12 @@ class TestL1BallColumns:
             rng.standard_normal(12) for _ in range(50)
         ]:
             exact = np.concatenate([brute_lmo_l1(1.5, col) for col in c.reshape(4, 3)])
-            np.testing.assert_array_equal(self.REGION.lmo(c), exact)
-            np.testing.assert_array_equal(self.REGION.lmo(c), self.BLOCKS.lmo(c))
+            (s, on), (blocks, blocks_on) = self.REGION.lmo(c), self.BLOCKS.lmo(c)
+            np.testing.assert_array_equal(s, exact)
+            np.testing.assert_array_equal(s, blocks)
+            # One nonzero per column, in increasing order.
+            np.testing.assert_array_equal(on, np.flatnonzero(s))
+            np.testing.assert_array_equal(blocks_on, on)
 
     def test_project_matches_the_block_loop(self):
         rng = np.random.default_rng(1)
@@ -256,11 +260,13 @@ class TestL1BallColumns:
         c, normal = rng.standard_normal(12), np.zeros(12)
         normal[6:9] = rng.standard_normal(3)  # column 2
         plain = self.REGION.lmo(c)
-        h = Halfspace(normal, float(normal @ plain) - 0.5)
-        s, mu = self.REGION.cut_lmo(h, c, plain)
-        col, col_mu = L1Ball(1.5, 3).cut_lmo(Halfspace(normal[6:9], h.offset), c[6:9], plain[6:9])
+        h = Halfspace(normal, float(normal @ plain.point) - 0.5)
+        (s, on), mu = self.REGION.cut_lmo(h, c, plain)
+        column = L1Ball(1.5, 3)
+        (col, _), col_mu = column.cut_lmo(Halfspace(normal[6:9], h.offset), c[6:9], column.lmo(c[6:9]))
         np.testing.assert_array_equal(s[6:9], col)
-        np.testing.assert_array_equal(np.delete(s, [6, 7, 8]), np.delete(plain, [6, 7, 8]))
+        np.testing.assert_array_equal(np.delete(s, [6, 7, 8]), np.delete(plain.point, [6, 7, 8]))
+        np.testing.assert_array_equal(on, np.flatnonzero(s))
         assert mu == col_mu > 0.0
 
 
@@ -348,7 +354,7 @@ class TestCuttingPlane:
         g = quad_oracle(np.zeros((0, 2)), q=[-1.0, -1.0])
         xk = np.array([0.25, 0.25])
         gk, grad = g(xk)
-        cut = cutting_plane(grad, xk, g.value(np.array([1.0, 0.0])), gk)
+        cut = cutting_plane(grad, float(grad @ xk), g.value(np.array([1.0, 0.0])), gk)
         np.testing.assert_allclose(cut.normal, [-1.0, -1.0])
         assert cut.offset == pytest.approx(-1.0)
 
@@ -357,7 +363,7 @@ class TestCuttingPlane:
         g = quad_oracle(np.zeros((0, 2)), q=[-1.0, -1.0])
         xk = np.array([0.3, 0.3])
         gk, grad = g(xk)
-        cut = cutting_plane(grad, xk, g.value(np.array([1.0, 0.0])), gk)
+        cut = cutting_plane(grad, float(grad @ xk), g.value(np.array([1.0, 0.0])), gk)
         for t in np.linspace(0.0, 1.0, 11):
             s = (1 - t) * np.array([0.5, 0.5]) + t * np.array([1.0, 0.0])
             assert cut.contains(s, tol=1e-12)

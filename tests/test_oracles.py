@@ -13,6 +13,8 @@ from bilevelcg.checks import (
     l1_cut_lp_value,
 )
 from bilevelcg.core import (
+    DENSE,
+    Answer,
     BallProduct,
     Halfspace,
     L1Ball,
@@ -65,11 +67,11 @@ class TestSimplex:
 
 class TestLmo:
     def test_l1_selects_largest_coefficient(self):
-        s = lmo(L1Ball(2.0, 3), np.array([3.0, -5.0, 2.0]))
+        s = lmo(L1Ball(2.0, 3), np.array([3.0, -5.0, 2.0])).point
         np.testing.assert_allclose(s, [0.0, 2.0, 0.0])
 
     def test_l1_tie_break_is_lowest_index(self):
-        s = lmo(L1Ball(1.0, 2), np.array([1.0, -1.0]))
+        s = lmo(L1Ball(1.0, 2), np.array([1.0, -1.0])).point
         np.testing.assert_allclose(s, [-1.0, 0.0])
 
     @pytest.mark.parametrize("c, expected", [
@@ -81,12 +83,12 @@ class TestLmo:
     def test_vertex_enumeration_breaks_ties_as_the_lmo(self, c, expected):
         c = np.array(c)
         np.testing.assert_array_equal(brute_lmo_l1(2.0, c), expected)
-        np.testing.assert_array_equal(lmo(L1Ball(2.0, 3), c), expected)
+        np.testing.assert_array_equal(lmo(L1Ball(2.0, 3), c).point, expected)
 
     def test_ball_product_per_column(self):
         region = BallProduct(num_cols=2, col_dim=2, radii=np.array([1.0, 2.0]))
         c = region.flatten(np.array([[3.0, 0.0], [4.0, 0.0]]))
-        s = lmo(region, c)
+        s = lmo(region, c).point
         cols = region.columns(s)
         np.testing.assert_allclose(cols[:, 0], [-0.6, -0.8])
         np.testing.assert_allclose(cols[:, 1], [-2.0, 0.0])  # zero column convention
@@ -96,12 +98,12 @@ class TestLmo:
         # norm 1e-11 point the same way as at norm 1.
         region = BallProduct(num_cols=2, col_dim=3, radii=1.0)
         c = np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0])
-        np.testing.assert_array_equal(lmo(region, 1e-11 * c), lmo(region, c))
-        np.testing.assert_array_equal(lmo(region, c), [0.0, -1.0, 0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(lmo(region, 1e-11 * c).point, lmo(region, c).point)
+        np.testing.assert_array_equal(lmo(region, c).point, [0.0, -1.0, 0.0, 0.0, 0.0, 1.0])
 
     def test_polytope_matches_vertex_minimum(self):
         c = np.array([-1.0, -1.0])
-        s = lmo(TOY_REGION, c)
+        s = lmo(TOY_REGION, c).point
         assert float(c @ s) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("region", [TOY_REGION, Polytope(np.eye(2), np.ones(2)), Polytope(np.eye(3), np.ones(3))])
@@ -111,15 +113,15 @@ class TestLmo:
         for c in itertools.product([-1.0, 0.0, 1.0], repeat=region.dimension):
             c = np.array(c)
             expected = simplex_solve(LpProblem(c, region.A, region.b)).point
-            np.testing.assert_allclose(lmo(region, c), expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(lmo(region, c).point, expected, rtol=0.0, atol=1e-12)
 
     def test_polytope_lmo_returns_a_fresh_vertex(self):
-        s = lmo(TOY_REGION, np.array([-1.0, 0.0]))
+        s = lmo(TOY_REGION, np.array([-1.0, 0.0])).point
         assert s.flags.writeable and not np.shares_memory(s, TOY_REGION.vertices())
 
     def test_product_region_blockwise(self):
         region = ProductRegion((L1Ball(1.0, 2), L1Ball(3.0, 2)))
-        s = lmo(region, np.array([1.0, 0.0, 0.0, -2.0]))
+        s = lmo(region, np.array([1.0, 0.0, 0.0, -2.0])).point
         np.testing.assert_allclose(s, [-1.0, 0.0, 0.0, 3.0])
 
     @given(st.integers(0, 2**31 - 1))
@@ -129,7 +131,7 @@ class TestLmo:
         d = int(rng.integers(2, 6))
         region = L1Ball(float(rng.uniform(0.5, 2.0)), d)
         c = rng.standard_normal(d)
-        s = lmo(region, c)
+        s = lmo(region, c).point
         assert region.contains(s, tol=1e-9)
         mags = rng.dirichlet(np.ones(d), size=50) * region.radius
         pts = mags * rng.choice([-1.0, 1.0], size=(50, d))
@@ -144,14 +146,14 @@ class TestHalfspaceLmo:
         c = np.array([1.0, -1.0])
         plain = lmo(region, c)
         h = Halfspace(np.array([0.0, 1.0]), 10.0)
-        np.testing.assert_array_equal(halfspace_lmo(region, h, c), plain)
+        np.testing.assert_array_equal(halfspace_lmo(region, h, c).point, plain.point)
 
     def test_barely_violated_cut_is_enforced(self):
         # The plain point (1, 0) violates the cut by 1e-6: the shortcut that
         # returns it must not accept any violation.
         region = L1Ball(1.0, 2)
         h = Halfspace(np.array([1.0, 0.0]), 1.0 - 1e-6)
-        s = halfspace_lmo(region, h, np.array([-1.0, 0.0]))
+        s = halfspace_lmo(region, h, np.array([-1.0, 0.0])).point
         assert h.contains(s, tol=1e-15) and region.contains(s, tol=1e-15)
         assert s[0] == pytest.approx(1.0 - 1e-6, abs=1e-15)
 
@@ -159,13 +161,13 @@ class TestHalfspaceLmo:
         # Minimize -x1 over the unit l1 ball cut by x1 <= 0.5.
         region = L1Ball(1.0, 2)
         h = Halfspace(np.array([1.0, 0.0]), 0.5)
-        s = halfspace_lmo(region, h, np.array([-1.0, 0.0]))
+        s = halfspace_lmo(region, h, np.array([-1.0, 0.0])).point
         assert s[0] == pytest.approx(0.5)
         assert region.contains(s, tol=1e-8) and h.contains(s, tol=1e-8)
 
     def test_polytope_restricted_appends_row(self):
         h = Halfspace(np.array([-1.0, -1.0]), -1.0)  # forces x1 + x2 >= 1
-        s = halfspace_lmo(TOY_REGION, h, np.array([1.0, 0.0]))
+        s = halfspace_lmo(TOY_REGION, h, np.array([1.0, 0.0])).point
         # cheapest x1 on the lower-level optimal face is at (0.5, 0.5)
         np.testing.assert_allclose(s, [0.5, 0.5], atol=1e-9)
 
@@ -174,19 +176,19 @@ class TestHalfspaceLmo:
         c = region.flatten(np.array([[1.0, -1.0], [0.0, 0.5]]))
         normal = region.flatten(np.array([[1.0, 0.0], [1.0, 0.0]]))
         plain = lmo(region, c)
-        loose = Halfspace(normal, float(normal @ plain) + 0.3)
-        np.testing.assert_array_equal(halfspace_lmo(region, loose, c), plain)
-        tight = Halfspace(normal, float(normal @ plain) - 0.3)  # cuts off the plain point
-        s2 = halfspace_lmo(region, tight, c)
+        loose = Halfspace(normal, float(normal @ plain.point) + 0.3)
+        np.testing.assert_array_equal(halfspace_lmo(region, loose, c).point, plain.point)
+        tight = Halfspace(normal, float(normal @ plain.point) - 0.3)  # cuts off the plain point
+        s2 = halfspace_lmo(region, tight, c).point
         assert region.contains(s2, tol=1e-7) and tight.contains(s2, tol=1e-7)
-        assert float(c @ s2) >= float(c @ plain) - 1e-9
+        assert float(c @ s2) >= float(c @ plain.point) - 1e-9
 
     def test_product_region_single_active_block(self):
         region = ProductRegion((L1Ball(1.0, 2), L1Ball(1.0, 2)))
         normal = np.array([1.0, 0.0, 0.0, 0.0])  # lives in the first block only
         c = np.array([-1.0, 0.0, -1.0, 0.0])
         h = Halfspace(normal, 0.25)
-        s = halfspace_lmo(region, h, c)
+        s = halfspace_lmo(region, h, c).point
         assert s[0] == pytest.approx(0.25)
         np.testing.assert_allclose(s[2:], [1.0, 0.0])
 
@@ -201,8 +203,8 @@ def _cut(region, h, c):
     """The cut LMO answer (s, mu) and its certificate gap."""
     c = np.asarray(c, dtype=float)
     plain = lmo(region, c)
-    assert not h.contains(plain)
-    s, mu = region.cut_lmo(h, c, plain)
+    assert not h.contains(plain.point)
+    (s, _), mu = region.cut_lmo(h, c, plain)
     return s, mu, cut_certificate_gap(region, h, c, s, mu)
 
 
@@ -236,7 +238,7 @@ class TestCutLmo:
         c = region.flatten(np.array([[1.0, 0.0], [0.0, 1.0]]))
         normal = region.flatten(np.array([[3.0, 0.0], [4.0, 0.0]]))
         plain = lmo(region, c)
-        s, mu = region.cut_lmo(Halfspace(normal, -5.0), c, plain)
+        (s, _), mu = region.cut_lmo(Halfspace(normal, -5.0), c, plain)
         np.testing.assert_allclose(region.columns(s), [[-0.6, 0.0], [-0.8, -1.0]])
         assert mu == np.inf
 
@@ -269,7 +271,7 @@ class TestCutLmo:
         region = BallProduct(num_cols=3, col_dim=2, radii=1.0)
         normal = region.flatten(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         c = region.flatten(np.array([[-1.0, 0.5, -0.3], [0.0, -1.0, 0.8]]))
-        at_one = lmo(region, c + normal)  # column 0 is exactly zero: -e_1
+        at_one = lmo(region, c + normal).point  # column 0 is exactly zero: -e_1
         h = Halfspace(normal, float(normal @ at_one) + 1.5)
         s, mu, gap = _cut(region, h, c)
         assert mu == pytest.approx(1.0, abs=1e-9) and gap <= 1e-9
@@ -293,7 +295,7 @@ class TestCutLmo:
             region = BallProduct(num_cols=8, col_dim=5, radii=rng.uniform(0.5, 2.0, size=8))
             c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
             plain = lmo(region, c)
-            h = Halfspace(normal, float(normal @ plain) - rng.uniform(0.1, 2.0))
+            h = Halfspace(normal, float(normal @ plain.point) - rng.uniform(0.1, 2.0))
             # The same cut with column 0 of c + mu a zero at the multiplier.
             _, tau = region.cut_lmo(h, c, plain)
             jump = region.columns(c.copy())
@@ -301,7 +303,7 @@ class TestCutLmo:
             for obj in (c, region.flatten(jump)):
                 plain = lmo(region, obj)
                 calls.clear()
-                s, mu = region.cut_lmo(h, obj, plain)
+                (s, _), mu = region.cut_lmo(h, obj, plain)
                 assert len(calls) <= 3
                 assert cut_certificate_gap(region, h, obj, s, mu) <= 1e-9
 
@@ -323,8 +325,9 @@ class TestCutLmo:
         # absolute floor of 1e-10 missed 1e-9 on 203 of 300 draws.
         rng = np.random.default_rng(11)
         worst = max(
-            cut_certificate_gap(reg, h, c, *reg.cut_lmo(h, c, plain))
+            cut_certificate_gap(reg, h, c, s.point, mu)
             for reg, c, h, plain in (_zero_column_cut(rng, top_radius=1000.0) for _ in range(100))
+            for s, mu in [reg.cut_lmo(h, c, plain)]
         )
         assert worst <= 1e-9
 
@@ -342,8 +345,8 @@ class TestCutLmo:
         c = 1e-11 * np.array([0.0, 1.0, 0.0, 0.0, 0.0, -1.0])
         h = Halfspace(np.array(normal), offset)
         plain = lmo(region, c)
-        s, mu = (plain, 0.0) if h.contains(plain, tol=0.0) else region.cut_lmo(h, c, plain)
-        np.testing.assert_array_equal(halfspace_lmo(region, h, c), s)
+        (s, _), mu = (plain, 0.0) if h.admits(plain) else region.cut_lmo(h, c, plain)
+        np.testing.assert_array_equal(halfspace_lmo(region, h, c).point, s)
         assert cut_certificate_gap(region, h, c, s, mu) <= 1e-9 * 1e-11
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-12, 1e-6, 1e6])
@@ -359,14 +362,14 @@ class TestCutLmo:
         for _ in range(100):
             reg, c, h, _ = _zero_column_cut(rng)
             c = scale * c
-            s, mu = reg.cut_lmo(h, c, lmo(reg, c))
+            (s, _), mu = reg.cut_lmo(h, c, lmo(reg, c))
             assert cut_certificate_gap(reg, h, c, s, mu) <= 1e-9 * scale
 
     def test_ball_product_newton_lands_on_the_cut(self):
         rng = np.random.default_rng(11)
         region = BallProduct(num_cols=6, col_dim=4, radii=rng.uniform(0.5, 2.0, size=6))
         c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
-        h = Halfspace(normal, float(normal @ lmo(region, c)) - 1.0)
+        h = Halfspace(normal, float(normal @ lmo(region, c).point) - 1.0)
         s, mu, gap = _cut(region, h, c)
         assert abs(h.violation(s)) <= 1e-12 and mu > 0.0 and abs(gap) <= 1e-11
 
@@ -386,8 +389,8 @@ class TestCutLmo:
     def test_cut_satisfied_by_the_plain_point_has_zero_multiplier(self, region, c):
         c = np.asarray(c)
         plain = lmo(region, c)
-        h = Halfspace(np.eye(region.dimension)[0], plain[0] + 0.5)
-        s, mu = region.cut_lmo(h, c, plain)
+        h = Halfspace(np.eye(region.dimension)[0], plain.point[0] + 0.5)
+        (s, _), mu = region.cut_lmo(h, c, plain)
         assert mu == 0.0
         assert cut_certificate_gap(region, h, c, s, mu) <= 1e-9
 
@@ -405,7 +408,7 @@ class TestCutLmo:
         c, normal = rng.standard_normal(5000), rng.standard_normal(5000)
         plain = lmo(region, c)
         low = -float(np.abs(normal).max())
-        h = Halfspace(normal, low + 0.3 * (float(normal @ plain) - low))
+        h = Halfspace(normal, low + 0.3 * (float(normal @ plain.point) - low))
         s, mu, gap = _cut(region, h, c)
         assert abs(float(c @ s) - l1_cut_lp_value(region, h, c)) <= 1e-9
         assert gap <= 1e-9
@@ -422,9 +425,9 @@ class TestCutLmo:
             c, normal = rng.standard_normal(region.dimension), rng.standard_normal(region.dimension)
             plain = lmo(region, c)
             # Halfway from the plain point's cut value to the region's least.
-            low = float(normal @ lmo(region, normal))
-            h = Halfspace(normal, 0.5 * (low + float(normal @ plain)))
-            s = halfspace_lmo(region, h, c)
+            low = float(normal @ lmo(region, normal).point)
+            h = Halfspace(normal, 0.5 * (low + float(normal @ plain.point)))
+            s = halfspace_lmo(region, h, c).point
             assert region.contains(s, tol=1e-9) and h.contains(s, tol=1e-9)
             assert cut_certificate_gap(region, h, c, s, region.cut_lmo(h, c, plain)[1]) <= 1e-9
 
@@ -452,15 +455,16 @@ def _masked_l1_cut_walk(r, a, beta, c):
     theta = (beta - a_right) / (a_left - a_right) if prev != k else 0.0
     s[prev // 2] += theta * (r if prev % 2 else -r)
     s[k // 2] += (1.0 - theta) * (r if k % 2 else -r)
-    return s, mu
+    return Answer(s, np.flatnonzero(s)), mu
 
 
 def _walk_hex(walk, *args):
+    """The walk's answer as hex: point, support and multiplier."""
     try:
-        s, mu = walk(*args)
+        (s, on), mu = walk(*args)
     except OracleError as exc:
         return str(exc)
-    return [v.hex() for v in s], mu.hex()
+    return [v.hex() for v in s], on.tolist(), mu.hex()
 
 
 class TestL1CutWalk:
@@ -474,7 +478,7 @@ class TestL1CutWalk:
             r = float(rng.integers(1, 4))
             c = rng.integers(-3, 4, size=d).astype(float)
             a = rng.integers(-3, 4, size=d).astype(float)
-            plain = L1Ball(r, d).lmo(c)
+            plain = L1Ball(r, d).lmo(c).point
             beta = float(a @ plain) - float(rng.integers(1, 4 * d + 1)) / 2.0
             if float(a @ plain) <= beta:
                 continue
@@ -495,6 +499,81 @@ class TestL1CutWalk:
         assert all(ok for _, ok, _ in check_oracles(count=100))
         # Two l1 draws per count, and the product regions' cuts in an l1 block.
         assert len(compared) >= 200
+
+
+def _assert_support(answer):
+    """A sparse answer's support is the increasing indices of its point's
+    nonzeros; a dense one's is DENSE.  Returns whether it is sparse."""
+    point, on = answer
+    if on is DENSE:
+        return False
+    assert on.dtype == np.intp
+    np.testing.assert_array_equal(on, np.flatnonzero(point))
+    return True
+
+
+class TestAnswerSupports:
+    @pytest.mark.parametrize("region, sparse", [
+        (L1Ball(1.5, 7), True),
+        (L1Ball(1.5, 12, num_cols=4), True),
+        (ProductRegion((L1Ball(1.0, 3), L1Ball(2.0, 4, num_cols=2))), True),
+        (BallProduct(num_cols=2, col_dim=3, radii=1.0), False),
+        (TOY_REGION, False),
+        # A product holding a dense block is dense, its l1 block too.
+        (ProductRegion((L1Ball(1.0, 3), BallProduct(1, 2, 1.0))), False),
+    ])
+    def test_plain_and_cut_answers_of_every_region(self, region, sparse):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            c, normal = rng.standard_normal(region.dimension), np.zeros(region.dimension)
+            normal[:2] = rng.standard_normal(2)  # in the first block and column
+            plain = lmo(region, c)
+            assert _assert_support(plain) == sparse
+            h = Halfspace(normal, float(normal @ plain.point) - 0.1)
+            if float(normal @ lmo(region, normal).point) < h.offset:
+                assert _assert_support(halfspace_lmo(region, h, c)) == sparse
+
+    @pytest.mark.parametrize("a, beta, c, point", [
+        # theta = 0: the cut passes through the walk's last vertex.
+        ([1.0, -3.0, 2.0], -6.0, [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]),
+        # theta = 1 by rounding: (beta + 3) / 4 rounds to 1, and the last
+        # vertex keeps the weight 0, an exact zero off the support.
+        ([1.0, -3.0], 1.0 - 2.0**-53, [-1.0, -0.5], [1.0, 0.0]),
+        # Both lines of one coordinate: +e_0 then -e_0, half and half.
+        ([1.0, 0.0], 0.0, [-1.0, 0.0], [0.0, 0.0]),
+    ], ids=["theta-0", "theta-1", "one-coordinate"])
+    def test_cut_walk_supports(self, a, beta, c, point):
+        r = 2.0 if len(a) == 3 else 1.0
+        answer, _ = core._l1_cut_walk(r, np.array(a), beta, np.array(c))
+        np.testing.assert_array_equal(answer.point, point)
+        _assert_support(answer)
+
+    def test_check_oracles_draws(self, monkeypatch):
+        # Every answer the checks draw carries its support, and the
+        # inactive-cut test agrees with the dense membership test on every
+        # cut's plain answer, which violates it, and on the answer that
+        # minimizes the cut's normal, which satisfies it.
+        sparse, admitted = [], []
+
+        def compared(h, answer):
+            admitted.append(h.admits(answer))
+            assert admitted[-1] == h.contains(answer.point, tol=0.0)
+
+        for cls in (L1Ball, BallProduct, Polytope, ProductRegion):
+            for name in ("lmo", "cut_lmo"):
+                def checked(*args, _fn=getattr(cls, name), _cut=name == "cut_lmo"):
+                    out = _fn(*args)
+                    sparse.append(_assert_support(out[0] if _cut else out))
+                    if _cut:
+                        region, h, _, plain = args
+                        compared(h, plain)
+                        compared(h, region.lmo(h.normal))
+                    return out
+
+                monkeypatch.setattr(cls, name, checked)
+        assert all(ok for _, ok, _ in check_oracles(count=100))
+        assert sum(sparse) > 500 and len(sparse) - sum(sparse) > 500
+        assert admitted.count(True) > 100 and admitted.count(False) > 100
 
 
 PROJECTIONS = [
@@ -543,7 +622,7 @@ def _ball_project_to_sphere(self, v):
 def _ball_lmo_first_column_flipped(self, c):
     cols = self._column_lmo(self.columns(c))[0]
     cols[:, 0] *= -1.0
-    return self.flatten(cols)
+    return Answer(self.flatten(cols), DENSE)
 
 
 def _l1_project_theta_from_rho(self, v):
@@ -567,21 +646,22 @@ def _l1_lmo_last_on_ties(self, c):
     last = rows.shape[1] - 1 - np.argmax(np.abs(rows)[:, ::-1], axis=1)
     s = np.zeros_like(rows)
     s[cols, last] = np.where(rows[cols, last] >= 0, -self.radius, self.radius)
-    return s.reshape(-1)
+    return Answer(s.reshape(-1), np.flatnonzero(s))
 
 
 def _polytope_lmo_first_on_ties(self, c):
     """Optimal, but takes the first minimizing vertex of a tie."""
     verts = self.vertices()
-    return verts[int(np.argmin(verts @ c))].copy()
+    return Answer(verts[int(np.argmin(verts @ c))].copy(), DENSE)
 
 
 def _polytope_cut_lmo_last_vertex(self, h, c, plain):
     """The walk's last vertex, which satisfies the cut, without the mix."""
     verts = self.vertices()
     values = verts @ c
-    _, k, _, mu = core._envelope_walk(values, verts @ h.normal, 1.0, h.offset, core._last_argmin(values), "polytope")
-    return verts[k].copy(), mu
+    _, k, _, mu = core._envelope_walk(((values, verts @ h.normal),), 1.0, h.offset, core._last_argmin(values),
+                                      "polytope")
+    return Answer(verts[k].copy(), DENSE), mu
 
 
 _L1_PROJECT = L1Ball.project
@@ -599,7 +679,7 @@ class TestCutCertificate:
     C = np.array([0.0, -2.0, 1.0])
 
     def test_exact_answer_passes(self):
-        s, mu = self.REGION.cut_lmo(self.CUT, self.C, lmo(self.REGION, self.C))
+        (s, _), mu = self.REGION.cut_lmo(self.CUT, self.C, lmo(self.REGION, self.C))
         assert cut_certificate_gap(self.REGION, self.CUT, self.C, s, mu) <= 1e-12
 
     @pytest.mark.parametrize("s, mu", [
@@ -638,7 +718,7 @@ class TestCutCertificate:
     def test_ball_product_lmo_with_a_flipped_column_fails(self):
         region = BallProduct(num_cols=2, col_dim=2, radii=np.array([1.0, 2.0]))
         c = np.array([0.3, -1.2, 0.7, 0.4])
-        s = lmo(region, c)
+        s = lmo(region, c).point
         assert cut_certificate_gap(region, None, c, s) <= 1e-12
         cols = region.columns(s).copy()
         cols[:, 1] *= -1.0

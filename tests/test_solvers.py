@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from bilevelcg.core import (
+    DENSE,
+    Answer,
     BallProduct,
     ConfigurationError,
     ConstantStep,
@@ -74,6 +76,15 @@ class TestStandardCg:
         out = standard_cg(oracle, L1Ball(1.0, 2), SolverConfig(eps_f=1e-10, max_iters=10))
         assert out.trace[0].surrogate_f_gap >= 0.0
         assert out.stop_reason == "criterion_met"  # minimum at the center
+
+    def test_an_unknown_line_search_raises_before_row_0(self):
+        # Row 0 already passes the test: the gradient is 0 at the origin.  A
+        # mode checked only when a step runs would let the typo through
+        # with "criterion_met".
+        oracle = quad_oracle(np.eye(3), L=1.0)
+        with pytest.raises(ValueError, match="unknown line search mode 'exat'"):
+            standard_cg(oracle, L1Ball(1.0, 3), SolverConfig(eps_f=1e-8, max_iters=10), line_search="exat")
+        assert set(solvers.LINE_SEARCHES) == {"exact", "backtracking"}
 
     def test_budget_exhaustion_records_final_row(self):
         # interior optimum: the gap cannot close in three schedule steps
@@ -229,23 +240,31 @@ def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
     store, the reference for it: a dict from each atom's bytes to
     [atom, weight], in insertion order, whose away atom is a Python max over
     one dot product per atom.  A tagged oracle's exact steps carry its
-    residual, as standard_cg's do.  Returns the rows (f, FW gap), the final
-    point, the largest active set and the number of atoms added again after
-    a drop step."""
+    residual, and the gaps and steps are taken as standard_cg takes them: a
+    sparse answer's FW gap reads <grad, x> and the answer's support, and the
+    pairwise direction s - v of a sparse answer is given on its nonzeros.
+    Returns the rows (f, FW gap), the final point, the largest active set
+    and the number of atoms added again after a drop step."""
     x = np.array(start, dtype=float)
     residual = solvers._carried(oracle, x) if line_search == "exact" else None
     active = {x.tobytes(): [x, 1.0]}
     rows, dropped, again, largest, state = [], set(), 0, 1, {}
     for k in range(max_iters + 1):
         fx, grad = oracle(x) if residual is None else residual(x)
-        s = solvers.lmo(region, grad)
-        gap = float(grad @ (x - s))
+        answer = solvers.lmo(region, grad)
+        gap = solvers._gap(grad, x, answer, residual)
         rows.append((float(fx), gap))
         if gap <= eps_f or k == max_iters:
             return rows, x, largest, again
+        s = answer.point
         away = max(active.values(), key=lambda atom: float(grad @ atom[0]))
         d = s - away[0]
-        image = None if residual is None else residual.image(d, d.nonzero()[0])
+        if answer.support is not DENSE:
+            on = np.flatnonzero(d)
+            d = (on, d[on])
+        else:
+            d = (DENSE, d)
+        image = None if residual is None else residual.image(*d)
         gamma, _ = solvers._cg_step_length(oracle, x, fx, grad, d, line_search, state, away[1], image)
         if gamma > 0.0:
             if residual is not None:
@@ -257,7 +276,7 @@ def _dict_pairwise_cg(oracle, region, eps_f, max_iters, line_search, start):
             again += s.tobytes() in dropped and s.tobytes() not in active
             active.setdefault(s.tobytes(), [s, 0.0])[1] += gamma
             largest = max(largest, len(active))
-        x = x + gamma * d
+            x = solvers._moved(x, d, gamma)
 
 
 def _least_squares_oracle(rows, dim, seed):
@@ -317,15 +336,20 @@ class TestAtomStore:
 
     def test_an_atom_added_again_after_its_drop_goes_last(self):
         atoms = solvers._Atoms(np.zeros(2))
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        atoms.move(0, e1, 0.5)  # origin 0.5, e1 0.5
-        atoms.move(1, e2, 0.5)  # e1 dropped: origin 0.5, e2 0.5
-        atoms.move(1, e1, 0.25)  # e1 again, after e2
+        e1, e2 = Answer(np.array([1.0, 0.0]), np.array([0])), Answer(np.array([0.0, 1.0]), np.array([1]))
+        atoms.move(0, atoms.row(e1), 0.5)  # origin 0.5, e1 0.5
+        atoms.move(1, atoms.row(e2), 0.5)  # e1 dropped: origin 0.5, e2 0.5
+        atoms.move(1, atoms.row(e1), 0.25)  # e1 again, after e2
         assert atoms.w == [0.5, 0.25, 0.25]
         # <(1, 1), v> ties e2 and e1: the first inserted, e2, is the away atom.
-        away, d = atoms.away(np.array([1.0, 1.0]), e1)
+        away, (on, values), row = atoms.away(np.array([1.0, 1.0]), e1)
         assert away == 1
-        np.testing.assert_array_equal(d, e1 - e2)
+        # The direction e1 - e2 on its nonzeros, and e1 on the columns.
+        d = np.zeros(2)
+        d[on] = values
+        np.testing.assert_array_equal(d, e1.point - e2.point)
+        np.testing.assert_array_equal(on, np.flatnonzero(d))
+        np.testing.assert_array_equal(row, e1.point[atoms.support])
 
     def test_dense_away_scores_keep_the_bits_of_the_dot_products(self):
         # Mirror-image atoms under a mirror-symmetric gradient have equal
@@ -338,22 +362,22 @@ class TestAtomStore:
             grad, v = np.concatenate([half, half[::-1]]), rng.standard_normal(64)
             mirror = v[::-1].copy()
             atoms = solvers._Atoms(v)
-            atoms.add(mirror, 0.5)
+            atoms.add(atoms.row(Answer(mirror, DENSE)), 0.5)
             scores = [float(grad @ v), float(grad @ mirror)]
-            assert atoms.away(grad, v)[0] == scores.index(max(scores))
+            assert atoms.away(grad, Answer(v, DENSE))[0] == scores.index(max(scores))
 
     def test_a_drop_step_moves_the_rows_in_place(self):
         # 100 dense atoms of 1,000 entries (0.8 MB): dropping the first one
-        # must not copy the 99 rows after it.  The step still compares the
-        # vertex with every row, a 99 x 1,000 boolean temporary.
+        # must not copy the 99 rows after it.
         rng = np.random.default_rng(0)
         atoms = solvers._Atoms(rng.standard_normal(1000))
         rows = [rng.standard_normal(1000) for _ in range(99)]
         for row in rows:
-            atoms.add(row, 0.0)
+            atoms.add(atoms.row(Answer(row, DENSE)), 0.0)
+        first = atoms.row(Answer(rows[0], DENSE))
         tracemalloc.start()
         try:
-            atoms.move(0, rows[0], 1.0)  # all of the start's weight
+            atoms.move(0, first, 1.0)  # all of the start's weight
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,11 +389,14 @@ class TestAtomStore:
         # -0.0 == 0.0: a vertex that differs from an atom only in the sign of
         # its zeros, on the support or off it, adds its weight to that atom.
         atoms = solvers._Atoms(np.array([0.0, 2.0, 0.0]))
-        atoms.add(np.array([-0.0, 2.0, -0.0]), 0.5)
-        atoms.add(np.array([3.0, -0.0, 0.0]), 0.25)
-        atoms.add(np.array([3.0, 0.0, -0.0]), 0.25)
+        for vertex, weight in (([-0.0, 2.0, -0.0], 0.5), ([3.0, -0.0, 0.0], 0.25), ([3.0, 0.0, -0.0], 0.25)):
+            atoms.add(atoms.row(Answer(np.array(vertex), DENSE)), weight)
         assert atoms.w == [1.5, 0.5]
         np.testing.assert_array_equal(atoms.support, [1, 0])
+        # A sparse answer equal to an atom is found through the column of its
+        # first nonzero.
+        atoms.add(atoms.row(Answer(np.array([3.0, 0.0, 0.0]), np.array([0]))), 1.0)
+        assert atoms.w == [1.5, 1.5]
 
 
 def _counted(oracle):
@@ -456,8 +483,8 @@ class TestOneEvaluationPerStep:
             if grad @ d > 0:
                 d = -d  # a descent direction, as a pairwise one is
             # A tag's step reads F d.
-            closed, none = solvers._cg_step_length(tagged, x, fx, grad, d, "exact", {}, np.inf, F @ d)
-            fitted, _ = solvers._cg_step_length(untagged, x, fx, grad, d, "exact", {}, np.inf)
+            closed, none = solvers._cg_step_length(tagged, x, fx, grad, (DENSE, d), "exact", {}, np.inf, F @ d)
+            fitted, _ = solvers._cg_step_length(untagged, x, fx, grad, (DENSE, d), "exact", {}, np.inf)
             assert none is None and closed > 0.0
             assert closed == pytest.approx(fitted, rel=1e-8)
             # The closed form is the exact minimizer along d.
@@ -471,7 +498,7 @@ class TestOneEvaluationPerStep:
         oracle = SmoothOracle(3, quadratic=form)
         x, d = np.zeros(3), np.array([0.0, 1.0, 0.0])
         fx, grad = oracle(x)
-        step = solvers._cg_step_length(oracle, x, fx, grad, d, "exact", {}, 0.375, image)
+        step = solvers._cg_step_length(oracle, x, fx, grad, (DENSE, d), "exact", {}, 0.375, image)
         assert step == (0.375, None)
 
 
@@ -523,6 +550,49 @@ class TestCarriedResidual:
         for oracle in (inst.upper, inst.lower):
             value_err, grad_err = _relative_errors(last[id(oracle.quadratic.F)], oracle, out.final_point)
             assert value_err <= 1e-12 and grad_err <= 1e-12
+
+
+def _carried_against_oracle(d: int) -> float:
+    """The largest move, relative to each column's largest magnitude, of the
+    f, g and gap columns of 100 cg_bio iterations on regression (n=100,
+    seed 0) from the exact-line-search start, carried against the same evals
+    untagged, which call the oracles."""
+    inst, _ = regression_problem(n=100, d=d, seed=0)
+    x0, _, _ = initialize_lower(inst, 1e-5, line_search="exact")
+    untagged = dataclasses.replace(inst, upper=dataclasses.replace(inst.upper, quadratic=None),
+                                   lower=dataclasses.replace(inst.lower, quadratic=None))
+    cfg = SolverConfig(eps_f=1e-300, eps_g=1e-300, max_iters=100)
+    columns = [
+        np.array([[r.f_val, r.g_val, r.surrogate_f_gap, r.surrogate_g_gap] for r in cg_bio(run, x0, cfg).trace])
+        for run in (inst, untagged)
+    ]
+    carried, oracle = columns
+    assert carried.shape == (101, 4)
+    return float((np.abs(carried - oracle).max(axis=0) / np.abs(oracle).max(axis=0)).max())
+
+
+class TestCarriedAgainstOracle:
+    """The carried residual and the oracle path give the same cg_bio run, up
+    to rounding: its columns move by about 3e-16 of their largest
+    magnitude."""
+
+    @pytest.mark.parametrize("d", [150, 5000])
+    def test_the_columns_agree(self, d):
+        assert _carried_against_oracle(d) <= 1e-12
+
+    def test_a_carry_that_drops_h_fails(self, monkeypatch):
+        # The residual's start is right, but every step and <grad, x> read a
+        # zero shift.
+        carried = solvers._carried
+
+        def dropping_h(oracle, x):
+            residual = carried(oracle, x)
+            if residual is not None:
+                residual.h = np.zeros_like(residual.h)
+            return residual
+
+        monkeypatch.setattr(solvers, "_carried", dropping_h)
+        assert _carried_against_oracle(150) > 1e-6
 
 
 class TestInitializeLower:
