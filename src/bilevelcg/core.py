@@ -80,55 +80,108 @@ class QuadraticForm:
         return value + float(self.q @ x), grad + self.q
 
 
-def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Halfspace]) -> np.ndarray:
-    """Minimize the convex quadratic ``quad`` over the intersection of the
-    :class:`Halfspace` list ``constraints``.
+class FactoredQP:
+    """The convex quadratic ``quad`` = 0.5 |F x - h|^2 + q'x, to be minimized
+    over intersections of a few :class:`Halfspace` constraints: the repo's
+    one exact QP.  The eigendecomposition of the Hessian F'F is taken once,
+    as the full SVD of F: its squared singular values are the eigenvalues,
+    and its d right singular vectors split into a basis of the range and
+    one of the null space, where an eigenvalue of at most d eps times the
+    largest counts as 0.  So a caller that solves many QPs of one
+    objective, as MNG does on every step, factors it once.
 
-    Active sets are visited in order of size, and each one's KKT system is
-    solved by least squares.  The first candidate that is feasible and has
-    nonnegative multipliers (up to rounding) is a KKT point, hence a global
-    minimizer, and is returned at once.  When no candidate qualifies (a
-    singular KKT system can give multipliers of the wrong sign), the
-    feasible candidate of least value is returned.  Raises OracleError when
-    no active set yields a feasible point.  The worst case visits all 2^m
-    active sets.  The Hessian F'F and linear term q - F'h are formed once.
+    :meth:`minimize` visits the active sets of its constraints in order of
+    size and solves each one's KKT system
 
-    Every caller has few halfspaces, where this enumeration is the simplest
-    exact method: MNG's step (at most 2), :meth:`Polytope.project` (the
-    polytope's rows plus its d sign constraints) and
-    ``harness._least_upper_excess`` (the same plus one).
+        F'F x + (q - F'h) = sum_j nu_j a_j,   <a_j, x> = beta_j  (j active)
+
+    by least squares in reduced coordinates: the range of F'F, where the
+    Hessian is its eigenvalues, plus the span of the active normals'
+    components in its null space, at most rank + 2m unknowns with the
+    multipliers.  The rest of the null space enters no equation, so the
+    minimum-norm solution has no component there and is the minimum-norm
+    solution of the full (d + m) system; its part of q - F'h is a residual
+    that no x removes.  The first candidate that passes the residual test,
+    is feasible and has nonnegative multipliers -nu (up to rounding) is a
+    KKT point, hence a global minimizer, and is returned at once.  When no
+    candidate qualifies (a singular KKT system can give multipliers of the
+    wrong sign), the feasible candidate of least value is returned.  Raises
+    OracleError when no active set yields a feasible point.  The worst case
+    visits all 2^m active sets; every caller has few halfspaces: MNG's step
+    (at most 2), :meth:`Polytope.project` (the polytope's rows plus its d
+    sign constraints) and ``harness._least_upper_excess`` (the same plus
+    one).
     """
-    F = quad.F
-    hessian = F.T @ F
-    q = -(F.T @ quad.h) if quad.q is None else quad.q - F.T @ quad.h
-    d = q.shape[0]
-    best, best_val = None, np.inf
-    for size in range(len(constraints) + 1):
-        for active in combinations(range(len(constraints)), size):
-            K = np.zeros((d + size, d + size))
-            K[:d, :d] = hessian
-            # An active halfspace <a, x> <= beta enters negated, as the row
-            # <-a, x> = -beta and the column -a.
-            rhs = np.concatenate([-q, [-constraints[i].offset for i in active]])
-            for j, i in enumerate(active):
-                K[:d, d + j] = K[d + j, :d] = -constraints[i].normal
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            scale = max(1.0, float(np.linalg.norm(rhs)))
-            if np.linalg.norm(K @ sol - rhs) > 1e-8 * scale:
-                continue  # singular and inconsistent: skip this case
-            x = sol[:d]
-            if not all(h.contains(x, tol=1e-9) for h in constraints):
-                continue
-            # The KKT rows read F'F x + q = sum_j sol[d + j] a_active[j]: the
-            # multipliers are -sol[d:].
-            if np.all(sol[d:] <= 1e-12 * scale):
-                return x
-            val = quad(x)[0]
-            if val < best_val - 1e-12:
-                best, best_val = x, val
-    if best is None:
-        raise OracleError("all active-set cases of the quadratic subproblem failed")
-    return best
+
+    def __init__(self, quad: QuadraticForm):
+        F = quad.F
+        self.quad = quad
+        self.linear = -(F.T @ quad.h) if quad.q is None else quad.q - F.T @ quad.h
+        # Right singular vectors: the eigenvectors, the range's first.
+        _, s, vt = np.linalg.svd(F)
+        eig = s * s
+        rank = int(np.count_nonzero(eig > np.finfo(float).eps * F.shape[1] * (eig[0] if eig.size else 0.0)))
+        self.eig, self.range, self.null = eig[:rank], vt[:rank].T, vt[rank:].T
+        self.linear_range = self.range.T @ self.linear
+        self.linear_null = self.null.T @ self.linear  # in the null basis's coordinates
+        self.linear_sq = float(self.linear @ self.linear)
+
+    def minimize(self, constraints: list[Halfspace]) -> np.ndarray:
+        d, rank = self.range.shape
+        normals = np.array([h.normal for h in constraints]).reshape(len(constraints), d)
+        offsets = np.array([h.offset for h in constraints])
+        on_range, on_null = normals @ self.range, normals @ self.null
+        floor = np.finfo(float).eps * d * float(np.abs(normals).max(initial=0.0))
+        best, best_val = None, np.inf
+        for size in range(len(constraints) + 1):
+            for active in combinations(range(len(constraints)), size):
+                active = list(active)
+                # The active normals' null-space parts span the null
+                # directions that enter the system.
+                span = _span(on_null[active].T, floor)
+                n = rank + span.shape[1]
+                coords = np.hstack([on_range[active], on_null[active] @ span])
+                # An active halfspace <a, x> <= beta enters negated, as the
+                # row <-a, x> = -beta and the column -a.
+                K = np.zeros((n + size, n + size))
+                K[np.arange(rank), np.arange(rank)] = self.eig
+                K[:n, n:] = -coords.T
+                K[n:, :n] = -coords
+                linear_span = span.T @ self.linear_null
+                rhs = np.concatenate([-self.linear_range, -linear_span, -offsets[active]])
+                sol = np.linalg.lstsq(K, rhs, rcond=None)[0] if K.size else rhs
+                scale = max(1.0, math.sqrt(self.linear_sq + float(offsets[active] @ offsets[active])))
+                unmet = self.linear_null - span @ linear_span
+                if math.hypot(np.linalg.norm(K @ sol - rhs), np.linalg.norm(unmet)) > 1e-8 * scale:
+                    continue  # singular and inconsistent: skip this case
+                x = self.range @ sol[:rank] + self.null @ (span @ sol[rank:n])
+                if not all(h.contains(x, tol=1e-9) for h in constraints):
+                    continue
+                # The KKT rows read F'F x + q - F'h = sum_j sol[n + j] a_j:
+                # the multipliers are -sol[n:].
+                if np.all(sol[n:] <= 1e-12 * scale):
+                    return x
+                val = self.quad(x)[0]
+                if val < best_val - 1e-12:
+                    best, best_val = x, val
+        if best is None:
+            raise OracleError("all active-set cases of the quadratic subproblem failed")
+        return best
+
+
+def _span(P: np.ndarray, floor: float) -> np.ndarray:
+    """An orthonormal basis of the column space of P, leaving out the
+    directions of singular value at most ``floor``: rounding, as in the
+    null-space part of a normal that lies in the Hessian's range."""
+    if not P.shape[1] or not P.shape[0]:
+        return np.zeros((P.shape[0], 0))
+    u, s, _ = np.linalg.svd(P, full_matrices=False)
+    return u[:, s > floor]
+
+
+def minimize_quadratic_over_halfspaces(quad: QuadraticForm, constraints: list[Halfspace]) -> np.ndarray:
+    """One :meth:`FactoredQP.minimize` of ``quad`` over ``constraints``."""
+    return FactoredQP(quad).minimize(constraints)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -15,6 +16,7 @@ from .core import (
     Answer,
     BilevelInstance,
     ConfigurationError,
+    FactoredQP,
     Halfspace,
     OracleError,
     Region,
@@ -23,7 +25,6 @@ from .core import (
     SolverConfig,
     TraceRow,
     cutting_plane,
-    minimize_quadratic_over_halfspaces,
 )
 from .oracles import halfspace_lmo, lmo, project
 
@@ -531,19 +532,96 @@ class MngConfig:
 # Projection-based baselines
 # ---------------------------------------------------------------------------
 
+class _Levels:
+    """Both tagged levels' residuals r_i = F_i x - h_i, carried along a
+    projection baseline's steps, so that a row reads each F_i once, for its
+    gradient F_i'r_i + q_i.  A step x+ = x - c_f grad f - c_g grad g moves
+    them in sample space: r_i+ = r_i - sum_j c_j (F_i F_j'r_j + F_i q_j),
+    through the Gram blocks F_i F_j' (n_i x n_j) and the images F_i q_j,
+    formed at the first such step.  After any other step, :meth:`reset`
+    drops them and the next row recomputes F_i x - h_i.  The residuals are
+    held stacked, upper first, so a step is one product with the stacked
+    Gram matrix."""
+
+    def __init__(self, upper, lower):
+        self.quads = (upper, lower)
+        self.split = upper.F.shape[0]
+        self.r: Optional[np.ndarray] = None
+
+    def rows(self, x: np.ndarray) -> list[tuple[float, np.ndarray]]:
+        """(value, gradient) of the upper and the lower level at x."""
+        if self.r is None:
+            # Each level's F_i x just before its F_i'r_i, as its oracle reads
+            # them, so that the second pass finds a small F_i still in cache.
+            residuals, rows = [], []
+            for quad in self.quads:
+                residuals.append(quad.F @ x - quad.h)
+                rows.append(quad.at_residual(residuals[-1], x))
+            self.r = np.concatenate(residuals)
+            return rows
+        upper, lower = self.quads
+        return [upper.at_residual(self.r[: self.split], x), lower.at_residual(self.r[self.split :], x)]
+
+    def reset(self) -> None:
+        self.r = None
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, list[Optional[np.ndarray]]]:
+        """The stacked Gram matrix [[F_f F_f', F_f F_g'], [F_g F_f', F_g F_g']]
+        and, for each level j, the stacked images F_i q_j (None for q_j
+        None)."""
+        gram = np.block([[qi.F @ qj.F.T for qj in self.quads] for qi in self.quads])
+        images = [None if qj.q is None else np.concatenate([qi.F @ qj.q for qi in self.quads]) for qj in self.quads]
+        return gram, images
+
+    def carry(self, step: tuple[float, float]) -> None:
+        """The residuals after the step x - c_f grad f - c_g grad g, for
+        ``step`` = (c_f, c_g)."""
+        gram, images = self.blocks
+        weighted = self.r.copy()
+        weighted[: self.split] *= step[0]
+        weighted[self.split :] *= step[1]
+        moved = self.r - gram @ weighted
+        for c, image in zip(step, images):
+            if image is not None:
+                moved -= c * image
+        self.r = moved
+
+
+def _unprojected(point: np.ndarray, v: np.ndarray, c_f: float, c_g: float) -> Optional[tuple[float, float]]:
+    """(c_f, c_g) when the projection returned its point v = x - c_f grad f -
+    c_g grad g unchanged, so the step is carried, else None."""
+    return (c_f, c_g) if np.array_equal(point, v) else None
+
+
 def _baseline_loop(instance, max_iters, keep_iterates, update, start=None):
-    x = np.array(instance.region.feasible_point() if start is None else start, dtype=float)
+    """One row per iterate; ``update(k, x, f_grad, g_grad, g_val)`` returns
+    the next iterate and, for a step x - c_f grad f - c_g grad g that its
+    projection left unchanged, (c_f, c_g), else None.  When both levels are
+    tagged their :class:`_Levels` residuals stand in for the oracles.  An
+    infeasible ``start`` raises ConfigurationError."""
+    region = instance.region
+    x = np.array(region.feasible_point() if start is None else start, dtype=float)
+    if not region.contains(x, tol=1e-8):
+        raise ConfigurationError("start is not feasible")
+    upper, lower = instance.upper.quadratic, instance.lower.quadratic
+    levels = None if upper is None or lower is None else _Levels(upper, lower)
     tracer = _Tracer(keep_iterates)
     for k in range(max_iters + 1):
-        f_val, f_grad = instance.upper(x)
-        g_val, g_grad = instance.lower(x)
+        (f_val, f_grad), (g_val, g_grad) = (instance.upper(x), instance.lower(x)) if levels is None else levels.rows(x)
         tracer.add(k, f_val, g_val, iterate=x)
         if k == max_iters:
             return tracer.outcome(x, "budget_exhausted")
         try:
-            x = update(k, x, f_grad, g_grad, g_val)
+            x, step = update(k, x, f_grad, g_grad, g_val)
         except OracleError as exc:
             return tracer.outcome(x, f"oracle_failure: {exc}")
+        if levels is None:
+            continue
+        if step is None:
+            levels.reset()
+        else:
+            levels.carry(step)
 
 
 def big_sam(
@@ -557,10 +635,11 @@ def big_sam(
     region = instance.region
 
     def update(k, x, f_grad, g_grad, g_val):
-        y = project(region, x - eta_g * g_grad)
+        v = x - eta_g * g_grad
+        y = project(region, v)
         z = x - eta_f * f_grad
         alpha = min(config.gamma / (k + 1.0), 1.0)
-        return alpha * z + (1.0 - alpha) * y
+        return alpha * z + (1.0 - alpha) * y, _unprojected(y, v, alpha * eta_f, (1.0 - alpha) * eta_g)
 
     return _baseline_loop(instance, max_iters, keep_iterates, update, start=start)
 
@@ -577,7 +656,9 @@ def a_irg(
     def update(k, x, f_grad, g_grad, g_val):
         gamma = config.gamma0 / np.sqrt(k + 1.0)
         eta = config.eta0 / (k + 1.0) ** 0.25
-        return project(region, x - gamma * (g_grad + eta * f_grad))
+        v = x - gamma * (g_grad + eta * f_grad)
+        point = project(region, v)
+        return point, _unprojected(point, v, gamma * eta, gamma)
 
     return _baseline_loop(instance, max_iters, keep_iterates, update, start=start)
 
@@ -598,7 +679,9 @@ def dbgd(
         else:
             phi = min(config.alpha * (g_val - config.g_hat), config.beta * sq)
             lam = max((phi - float(f_grad @ g_grad)) / sq, 0.0)
-        return project(region, x - config.step * (f_grad + lam * g_grad))
+        v = x - config.step * (f_grad + lam * g_grad)
+        point = project(region, v)
+        return point, _unprojected(point, v, config.step, config.step * lam)
 
     return _baseline_loop(instance, max_iters, keep_iterates, update, start=start)
 
@@ -618,7 +701,7 @@ def mng(
 
     Requires the upper-level objective to be an explicitly tagged quadratic;
     each step minimizes it over the gradient-mapping halfspace and the
-    upper-gradient halfspace.
+    upper-gradient halfspace, through one :class:`FactoredQP` of it per run.
     """
     quad = instance.upper.quadratic
     if quad is None:
@@ -632,6 +715,7 @@ def mng(
     elif L_g is not None and M < L_g:
         raise ConfigurationError("MNG smoothing constant must satisfy M >= L_g")
     region = instance.region
+    qp = FactoredQP(quad)
 
     def update(k, x, f_grad, g_grad, g_val):
         gm = M * (x - project(region, x - g_grad / M))
@@ -642,6 +726,6 @@ def mng(
             constraints.append(Halfspace(gm, float(gm @ x) - 0.75 / M * gm_sq))
         if float(f_grad @ f_grad) > 1e-24:
             constraints.append(Halfspace(-f_grad, -float(f_grad @ x)))
-        return minimize_quadratic_over_halfspaces(quad, constraints)
+        return qp.minimize(constraints), None
 
     return _baseline_loop(instance, max_iters, keep_iterates, update, start=start)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from bilevelcg.core import (
     BallProduct,
     ConfigurationError,
     ConstantStep,
+    FactoredQP,
     Halfspace,
     L1Ball,
     OracleError,
@@ -17,6 +19,7 @@ from bilevelcg.core import (
     ReferenceData,
     SmoothOracle,
     SolverConfig,
+    minimize_quadratic_over_halfspaces,
 )
 from bilevelcg import solvers
 from bilevelcg.problems import (
@@ -35,7 +38,6 @@ from bilevelcg.solvers import (
     cg_bio,
     dbgd,
     initialize_lower,
-    minimize_quadratic_over_halfspaces,
     mng,
     standard_cg,
 )
@@ -595,6 +597,66 @@ class TestCarriedAgainstOracle:
         assert _carried_against_oracle(150) > 1e-6
 
 
+# Settings of regression n=100, d=300, seed 0 at which some steps of each
+# baseline leave the projection's point unchanged, and are carried, and the
+# others are projected, and recompute F x.
+_MIXED_BASELINES = {
+    "big-sam": lambda inst: big_sam(inst, BigSamConfig(eta_g=0.01 / inst.lower.lipschitz_grad), max_iters=300),
+    "a-irg": lambda inst: a_irg(inst, AIrgConfig(gamma0=1e-4), max_iters=300),
+    "dbgd": lambda inst: dbgd(inst, DbgdConfig(step=4e-3), max_iters=300),
+}
+
+
+def _baseline_carried_against_oracle(monkeypatch, solver: str) -> tuple[float, dict]:
+    """The largest move, relative to each column's largest magnitude, of the
+    f and g columns of a :data:`_MIXED_BASELINES` run carried against the
+    same evals untagged, which call the oracles; and the carried run's
+    counts of carried and recomputed steps."""
+    inst, _ = regression_problem(n=100, d=300, seed=0)
+    untagged = dataclasses.replace(inst, upper=dataclasses.replace(inst.upper, quadratic=None),
+                                   lower=dataclasses.replace(inst.lower, quadratic=None))
+    counts = {"carried": 0, "recomputed": 0}
+    carry, reset = solvers._Levels.carry, solvers._Levels.reset
+
+    def counted(name, method):
+        def spy(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return spy
+
+    monkeypatch.setattr(solvers._Levels, "carry", counted("carried", carry))
+    monkeypatch.setattr(solvers._Levels, "reset", counted("recomputed", reset))
+    carried, oracle = (np.array([[r.f_val, r.g_val] for r in _MIXED_BASELINES[solver](run).trace])
+                       for run in (inst, untagged))
+    assert carried.shape == (301, 2)
+    return float((np.abs(carried - oracle).max(axis=0) / np.abs(oracle).max(axis=0)).max()), counts
+
+
+class TestBaselinesCarriedAgainstOracle:
+    """The projection baselines' carried residuals and the oracle path give
+    the same run, up to rounding."""
+
+    @pytest.mark.parametrize("solver", sorted(_MIXED_BASELINES))
+    def test_the_columns_agree(self, monkeypatch, solver):
+        move, counts = _baseline_carried_against_oracle(monkeypatch, solver)
+        assert move <= 1e-12
+        # Every step is carried or recomputed, and both kinds occur.
+        assert counts["carried"] + counts["recomputed"] == 300
+        assert min(counts.values()) >= 20, counts
+
+    def test_a_carry_that_drops_the_cross_block_fails(self, monkeypatch):
+        # The upper residual no longer moves with the lower gradient's step.
+        blocks = solvers._Levels.blocks.func
+
+        def dropping_cross(self):
+            gram, images = blocks(self)
+            gram[: self.split, self.split :] = 0.0
+            return gram, images
+
+        monkeypatch.setattr(solvers._Levels, "blocks", property(dropping_cross))
+        assert _baseline_carried_against_oracle(monkeypatch, "dbgd")[0] > 1e-6
+
+
 class TestInitializeLower:
     def test_l1_start_at_d5000_holds_its_atoms_on_their_support(self):
         # About 200 +-r e_i atoms: as dense vectors, and again as dict keys,
@@ -810,6 +872,94 @@ class TestQuadraticSubproblem:
         assert len(calls) == 2
 
 
+def _enumerated_qp(quad, constraints):
+    """The active-set QP solved on the full (d + m) KKT system of each
+    active set by least squares, as a reference for FactoredQP: the same
+    order of active sets and the same residual, feasibility and multiplier
+    tests."""
+    F = quad.F
+    hessian = F.T @ F
+    q = -(F.T @ quad.h) if quad.q is None else quad.q - F.T @ quad.h
+    d = q.shape[0]
+    best, best_val = None, np.inf
+    for size in range(len(constraints) + 1):
+        for active in itertools.combinations(range(len(constraints)), size):
+            K = np.zeros((d + size, d + size))
+            K[:d, :d] = hessian
+            rhs = np.concatenate([-q, [-constraints[i].offset for i in active]])
+            for j, i in enumerate(active):
+                K[:d, d + j] = K[d + j, :d] = -constraints[i].normal
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            scale = max(1.0, float(np.linalg.norm(rhs)))
+            if np.linalg.norm(K @ sol - rhs) > 1e-8 * scale:
+                continue
+            x = sol[:d]
+            if not all(h.contains(x, tol=1e-9) for h in constraints):
+                continue
+            if np.all(sol[d:] <= 1e-12 * scale):
+                return x
+            val = quad(x)[0]
+            if val < best_val - 1e-12:
+                best, best_val = x, val
+    if best is None:
+        raise OracleError("all active-set cases of the quadratic subproblem failed")
+    return best
+
+
+def _assert_matches_enumeration(quad, constraints, x):
+    reference = _enumerated_qp(quad, constraints)
+    assert np.linalg.norm(x - reference) <= 1e-11 * np.linalg.norm(reference)
+
+
+class TestFactoredQpAgainstEnumeration:
+    def test_mng_steps(self, monkeypatch):
+        inst, _ = regression_problem(n=100, d=150, seed=0)
+        solved = []
+        minimize = FactoredQP.minimize
+
+        def recorded(self, constraints):
+            x = minimize(self, constraints)
+            solved.append((self.quad, constraints, x))
+            return x
+
+        monkeypatch.setattr(FactoredQP, "minimize", recorded)
+        mng(inst, max_iters=60)
+        assert len(solved) == 60
+        assert {len(constraints) for _, constraints, _ in solved} == {2}
+        for quad, constraints, x in solved:
+            _assert_matches_enumeration(quad, constraints, x)
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_random_rank_deficient_objectives(self, with_q, m):
+        rng = np.random.default_rng(10 * m + with_q)
+        for _ in range(20):
+            d = int(rng.integers(3, 9))
+            rank = int(rng.integers(1, d))
+            n = int(rng.integers(rank, d + 3))
+            # Singular values in [0.5, 2] on the range: the enumeration works
+            # on F'F and loses cond(F)^2 eps, so an ill-conditioned F would
+            # measure its error rather than the factored one's.
+            left = np.linalg.qr(rng.normal(size=(n, rank)))[0]
+            right = np.linalg.qr(rng.normal(size=(d, rank)))[0]
+            F = left @ np.diag(rng.uniform(0.5, 2.0, size=rank)) @ right.T
+            quad = QuadraticForm(F, rng.normal(size=n), rng.normal(size=d) if with_q else None)
+            cons = [Halfspace(rng.normal(size=d), float(rng.normal())) for _ in range(m)]
+            try:
+                x = FactoredQP(quad).minimize(cons)
+            except OracleError:
+                with pytest.raises(OracleError):
+                    _enumerated_qp(quad, cons)
+                continue
+            _assert_matches_enumeration(quad, cons, x)
+
+    def test_toy_polytope_projections(self):
+        region = toy_problem().region
+        for v in ((1.2, 0.6), (0.3, 0.2), (-1.0, 2.0), (2.0, -1.0), (0.0, 0.0), (5.0, 5.0), (-0.5, -0.5)):
+            v = np.array(v)
+            _assert_matches_enumeration(QuadraticForm(np.eye(2), v), region.halfspaces(), region.project(v))
+
+
 class TestStartParameter:
     def test_baselines_accept_explicit_start(self):
         inst = toy_problem()
@@ -822,3 +972,15 @@ class TestStartParameter:
         ):
             out = run()
             np.testing.assert_array_equal(out.trace[0].iterate, start)
+
+
+    @pytest.mark.parametrize("run", [
+        lambda inst, start: big_sam(inst, BigSamConfig(eta_f=0.5, eta_g=0.5), max_iters=2, start=start),
+        lambda inst, start: a_irg(inst, max_iters=2, start=start),
+        lambda inst, start: dbgd(inst, max_iters=2, start=start),
+        lambda inst, start: mng(inst, MngConfig(M=1.0), max_iters=2, start=start),
+    ], ids=["big-sam", "a-irg", "dbgd", "mng"])
+    def test_baselines_reject_an_infeasible_start(self, run):
+        # (5, 5) is outside the toy polytope: g there is -10, below g* = -1.
+        with pytest.raises(ConfigurationError, match="start is not feasible"):
+            run(toy_problem(), np.array([5.0, 5.0]))
