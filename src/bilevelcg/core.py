@@ -84,7 +84,7 @@ class FactoredQP:
     """The convex quadratic ``quad`` = 0.5 |F x - h|^2 + q'x, to be minimized
     over intersections of a few :class:`Halfspace` constraints: the repo's
     one exact QP.  The eigendecomposition of the Hessian F'F is taken once,
-    as the full SVD of F: its squared singular values are the eigenvalues,
+    as the SVD of F: its squared singular values are the eigenvalues,
     and its d right singular vectors split into a basis of the range and
     one of the null space, where an eigenvalue of at most d eps times the
     largest counts as 0.  So a caller that solves many QPs of one
@@ -117,8 +117,10 @@ class FactoredQP:
         F = quad.F
         self.quad = quad
         self.linear = -(F.T @ quad.h) if quad.q is None else quad.q - F.T @ quad.h
-        # Right singular vectors: the eigenvectors, the range's first.
-        _, s, vt = np.linalg.svd(F)
+        # Right singular vectors: the eigenvectors, the range's first.  All d
+        # of them come with the reduced SVD when n >= d; for n < d the full
+        # one adds the null basis and an n x n left factor.
+        _, s, vt = np.linalg.svd(F, full_matrices=F.shape[0] < F.shape[1])
         eig = s * s
         rank = int(np.count_nonzero(eig > np.finfo(float).eps * F.shape[1] * (eig[0] if eig.size else 0.0)))
         self.eig, self.range, self.null = eig[:rank], vt[:rank].T, vt[rank:].T
@@ -194,8 +196,9 @@ class SmoothOracle:
     line search); the tag is then the ``eval`` and gives the constant
     |F|_2^2, unless given (a given ``eval`` must agree with it).  A tag
     keeps an O(nd) least-squares oracle free of d x d arrays on every path
-    but the exact QP, which forms F'F; standard_cg's exact steps and cg_bio
-    carry its residual Fx - h instead of calling it.
+    but the exact QP, which holds the d x d eigenvectors of F'F;
+    standard_cg's exact steps, cg_bio and, for n < d, the projection
+    baselines carry its residual Fx - h instead of calling it.
     """
 
     dimension: int

@@ -541,7 +541,10 @@ class _Levels:
     formed at the first such step.  After any other step, :meth:`reset`
     drops them and the next row recomputes F_i x - h_i.  The residuals are
     held stacked, upper first, so a step is one product with the stacked
-    Gram matrix."""
+    Gram matrix.  That product costs O((n_f + n_g)^2) against the
+    O((n_f + n_g) d) of the F_i x it replaces, and the matrix holds
+    (n_f + n_g)^2 numbers against the F_i's (n_f + n_g) d, so
+    :func:`_baseline_loop` carries only levels with n_f + n_g < d."""
 
     def __init__(self, upper, lower):
         self.quads = (upper, lower)
@@ -598,14 +601,16 @@ def _baseline_loop(instance, max_iters, keep_iterates, update, start=None):
     """One row per iterate; ``update(k, x, f_grad, g_grad, g_val)`` returns
     the next iterate and, for a step x - c_f grad f - c_g grad g that its
     projection left unchanged, (c_f, c_g), else None.  When both levels are
-    tagged their :class:`_Levels` residuals stand in for the oracles.  An
-    infeasible ``start`` raises ConfigurationError."""
+    tagged and have fewer rows together than d columns, their
+    :class:`_Levels` residuals stand in for the oracles.  An infeasible
+    ``start`` raises ConfigurationError."""
     region = instance.region
     x = np.array(region.feasible_point() if start is None else start, dtype=float)
     if not region.contains(x, tol=1e-8):
         raise ConfigurationError("start is not feasible")
     upper, lower = instance.upper.quadratic, instance.lower.quadratic
-    levels = None if upper is None or lower is None else _Levels(upper, lower)
+    wide = upper is not None and lower is not None and upper.F.shape[0] + lower.F.shape[0] < x.size
+    levels = _Levels(upper, lower) if wide else None
     tracer = _Tracer(keep_iterates)
     for k in range(max_iters + 1):
         (f_val, f_grad), (g_val, g_grad) = (instance.upper(x), instance.lower(x)) if levels is None else levels.rows(x)

@@ -24,6 +24,7 @@ from bilevelcg.core import (
 from bilevelcg import solvers
 from bilevelcg.problems import (
     fair_classification_problem,
+    load_csv,
     regression_problem,
     synthetic_regression_data,
     toy_problem,
@@ -657,6 +658,50 @@ class TestBaselinesCarriedAgainstOracle:
         assert _baseline_carried_against_oracle(monkeypatch, "dbgd")[0] > 1e-6
 
 
+def _tall_csv_regression(tmp_path, rows: int, features: int, l1_radius: float = 100.0):
+    """A regression instance loaded from a CSV of ``rows`` random rows, each
+    split holding more rows than there are features."""
+    table = np.random.default_rng(3).standard_normal((rows, features + 1))
+    path = tmp_path / "data.csv"
+    lines = [",".join(f"c{j}" for j in range(features)) + ",y"]
+    lines += [",".join(repr(float(v)) for v in row) for row in table]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inst, _ = regression_problem(data=load_csv(path, target_column="y"), l1_radius=l1_radius)
+    return inst
+
+
+class TestBaselinesOnTallData:
+    """With more rows than columns, a carried step's product with the
+    (n_f + n_g)-square Gram matrix would cost more than the F x it replaces,
+    so the baselines keep the oracle path: no Gram matrix, and the run of the
+    untagged evals bit for bit."""
+
+    @pytest.mark.parametrize("solver", ["big-sam", "a-irg", "dbgd"])
+    def test_no_gram_and_the_oracle_run(self, tmp_path, solver):
+        # 1500 rows: the stacked Gram matrix of the 1200 training and
+        # validation rows would take 11.5 MB.  The radius is large enough
+        # that no projection acts, so every step would be carried.
+        inst = _tall_csv_regression(tmp_path, 1500, 6)
+        L = max(inst.upper.lipschitz_grad, inst.lower.lipschitz_grad)
+        run = {
+            "big-sam": lambda inst: big_sam(inst, max_iters=50),
+            "a-irg": lambda inst: a_irg(inst, AIrgConfig(gamma0=1.0 / L), max_iters=50),
+            "dbgd": lambda inst: dbgd(inst, DbgdConfig(step=1.0 / L), max_iters=50),
+        }[solver]
+        untagged = dataclasses.replace(inst, upper=dataclasses.replace(inst.upper, quadratic=None),
+                                       lower=dataclasses.replace(inst.lower, quadratic=None))
+        tracemalloc.start()
+        try:
+            tagged = run(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        rows = [np.array([[r.f_val, r.g_val] for r in out.trace]) for out in (tagged, run(untagged))]
+        assert rows[0].shape == (51, 2)
+        np.testing.assert_array_equal(*rows)
+
+
 class TestInitializeLower:
     def test_l1_start_at_d5000_holds_its_atoms_on_their_support(self):
         # About 200 +-r e_i atoms: as dense vectors, and again as dict keys,
@@ -928,6 +973,40 @@ class TestFactoredQpAgainstEnumeration:
         assert {len(constraints) for _, constraints, _ in solved} == {2}
         for quad, constraints, x in solved:
             _assert_matches_enumeration(quad, constraints, x)
+
+    def test_mng_steps_on_tall_data(self, tmp_path, monkeypatch):
+        # 60 validation rows above 6 features: the Hessian has full rank.
+        inst = _tall_csv_regression(tmp_path, 300, 6, l1_radius=3.0)
+        assert inst.upper.quadratic.F.shape == (60, 6)
+        solved = []
+        minimize = FactoredQP.minimize
+
+        def recorded(self, constraints):
+            x = minimize(self, constraints)
+            solved.append((self.quad, constraints, x))
+            return x
+
+        monkeypatch.setattr(FactoredQP, "minimize", recorded)
+        mng(inst, max_iters=30)
+        assert len(solved) == 30
+        for quad, constraints, x in solved:
+            _assert_matches_enumeration(quad, constraints, x)
+
+    def test_a_tall_objective_builds_no_n_x_n_factor(self):
+        # F is 2000 x 20: a full SVD's left factor would take 32 MB; F'F's
+        # eigendecomposition needs only the 20 x 20 right factor.
+        rng = np.random.default_rng(4)
+        quad = QuadraticForm(rng.normal(size=(2000, 20)), rng.normal(size=2000))
+        tracemalloc.start()
+        try:
+            qp = FactoredQP(quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert qp.range.shape == (20, 20) and qp.null.shape == (20, 0)
+        cons = [Halfspace(rng.normal(size=20), -1.0)]
+        _assert_matches_enumeration(quad, cons, qp.minimize(cons))
 
     @pytest.mark.parametrize("with_q", [False, True])
     @pytest.mark.parametrize("m", [0, 1, 2])
