@@ -256,10 +256,21 @@ class Answer(NamedTuple):
     increasing indices of the point's nonzeros, for the l1 regions, whose
     answers have one or two nonzeros per column; or ``DENSE`` for the
     regions whose vertices are dense (ball product, polytope, a product
-    holding one of them).  ``point[support]`` is then the whole point."""
+    holding one of them).  ``point[support]`` is then the whole point, and
+    ``mu`` is 0: a :class:`CutAnswer` carries its cut's multiplier."""
 
     point: np.ndarray
     support: Union[np.ndarray, slice]
+    mu = 0.0
+
+
+class CutAnswer(Answer):
+    """``cut_lmo``'s (answer, mu) as one answer, with the cut's ``mu``."""
+
+    def __new__(cls, answer: Answer, mu: float):
+        self = super().__new__(cls, *answer)
+        self.mu = mu
+        return self
 
 
 class Region:
@@ -267,13 +278,14 @@ class Region:
     ``dimension`` (the checked entry points live in :mod:`oracles`):
 
     - ``lmo(c)``: the :class:`Answer` argmin of <c, s> over the region;
-    - ``cut_lmo(h, c, plain)``: the same over the region cut by the
-      halfspace ``h``, given the answer ``plain = lmo(c)``, which violates
-      ``h``.  It returns ``(s, mu)``: the minimizer's :class:`Answer` and a
-      multiplier mu >= 0 of the cut with <c, s> = min_{s' in region}
-      <c + mu a, s'> - mu beta up to rounding, a certificate of optimality
-      that :func:`bilevelcg.checks.cut_certificate_gap` verifies; it raises
-      :class:`OracleError` when the cut excludes the whole region;
+    - ``cut_lmo(h, c, plain, start=0.0)``: the same over the region cut by
+      the halfspace ``h``, given the answer ``plain = lmo(c)``, which
+      violates ``h``.  It returns ``(s, mu)``: the minimizer's
+      :class:`Answer` and a multiplier mu >= 0 of the cut with <c, s> =
+      min_{s' in region} <c + mu a, s'> - mu beta up to rounding, a
+      certificate that :func:`bilevelcg.checks.cut_certificate_gap`
+      verifies (the ball product's search for it starts at ``start``); it
+      raises :class:`OracleError` when the cut excludes the whole region;
     - ``project(v)``: Euclidean projection;
     - ``feasible_point()``: a deterministic feasible point.
 
@@ -326,7 +338,7 @@ class L1Ball(Region):
         s[at[rows.reshape(-1)[at] < 0]] = self.radius  # -0.0 takes -radius, as 0.0 does
         return Answer(s, at)
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer, start: float = 0.0) -> tuple[Answer, float]:
         """The envelope walk of :func:`_l1_cut_walk` on the one column the
         cut's normal lives in; the other columns keep their plain LMO
         columns.  A normal on several columns raises OracleError: no caller
@@ -450,6 +462,58 @@ def _spliced(answer: Answer, lo: int, hi: int, part: Answer) -> Answer:
     return Answer(np.concatenate([answer.point[:lo], part.point, answer.point[hi:]]), on)
 
 
+def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u_j, v_j> for each column j, with the bits of the one-vector ``u_j @ v_j``."""
+    return (u.T[:, None, :] @ v.T[:, :, None]).ravel()
+
+
+class _BallCut:
+    """A ball-product cut's Newton steps run on per-column scalars: the
+    component t_j = <a_j, c_j> / |a_j| of c_j along a_j and the norm p_j of
+    the rest.  Column j of u = c + mu a has the component x_j = |a_j| mu +
+    t_j along a_j, so |u_j| = hypot(x_j, p_j) and <a_j, u_j> = |a_j| x_j."""
+
+    def __init__(self, radii, a_cols, a_norms, c_cols, offset: float, slack: float):
+        self.radii, self.a_cols, self.a_norms, self.c_cols, self.offset = radii, a_cols, a_norms, c_cols, offset
+        inv = np.divide(1.0, a_norms, out=np.zeros(a_norms.size), where=a_norms > 0.0)
+        self.t = _column_dots(a_cols, c_cols) * inv
+        rest = c_cols - (self.t * inv) * a_cols
+        self.p = np.sqrt(_column_dots(rest, rest))
+        self.bend = radii * (a_norms * self.p) ** 2  # r_j |a_j|^2 p_j^2, for the slope
+        c_norms = np.hypot(self.t, self.p)
+        # The bracket's top: for mu >= 2 |c_j| / |a_j| no column with a_j != 0 is
+        # near zero, and res(mu) <= 2 sum_j r_j |c_j| / mu - slack (-slack for c = 0).
+        self.top = max(2.0 * float(radii @ c_norms) / slack, 2.0 * float((c_norms * inv).max())) or 1.0
+        self.near_c, self.near_a = NEAR_ZERO_RTOL * c_norms, NEAR_ZERO_RTOL * a_norms
+        # |u_j| >= p_j: a p_j above its near-zero test at the top passes it.
+        self.crossing = bool((self.p <= self.near_c + self.top * self.near_a).any())
+
+    def residual(self, mu: float) -> tuple[float, float]:
+        """res(mu) and its slope: res'(mu) = -sum_j r_j (|a_j|^2 -
+        <a_j, u_j>^2 / |u_j|^2) / |u_j|, which is -sum_j r_j |a_j|^2 p_j^2 /
+        |u_j|^3 over the columns not near zero."""
+        # Not |c_j|^2 + 2 mu <a_j, c_j> + mu^2 |a_j|^2, which cancels to
+        # about 1e-8, not 0, where a column crosses zero.
+        x = self.a_norms * mu + self.t
+        norms = np.hypot(x, self.p)
+        # Where column j of u crosses zero, x_j and p_j lose its direction:
+        # a column near zero adds no slope and takes its term from its own
+        # entries, as _column_lmo does (-r_j e_1 when all are 0), so that the
+        # LMO point at any mu has the sign of res(mu).  The test scales with
+        # |c_j| + mu |a_j|, as the direction's error does.
+        near = ()
+        if self.crossing:
+            near = (norms <= self.near_c + mu * self.near_a).nonzero()[0]
+            norms[near] = np.inf
+        inv = 1.0 / norms
+        along = self.a_norms * x * inv  # <a_j, u_j> / |u_j|
+        for j in near:
+            u = self.c_cols[:, j] + mu * self.a_cols[:, j]
+            size = np.sqrt(u @ u)
+            along[j] = self.a_cols[:, j] @ u / size if size > 0.0 else self.a_cols[0, j]
+        return -float(self.radii @ along) - self.offset, -float(self.bend @ inv**3)
+
+
 @dataclass(frozen=True)
 class BallProduct(Region):
     """Product of per-column Euclidean balls for a matrix variable stored
@@ -488,14 +552,12 @@ class BallProduct(Region):
         """LMO point of the objective columns ``cols`` (as columns) and the
         column norms.  Only an all-zero column counts as zero, so the point
         does not depend on the objective's scale."""
-        # Each 1 x m @ m x 1 product of the stacked matmul runs the dot
-        # kernel that ``col @ col`` runs on one column, so every norm keeps
-        # that one-vector sum's order and bits.  A reduction over axis 0 sums
-        # in another order, and that last bit, carried through the default
-        # dictionary set-up's 5,000 pretraining steps, moved its start by
-        # 3e-7 and cg_bio's final f and g by 2e-6 and 9e-6 relative.
-        norms = np.sqrt((cols.T[:, None, :] @ cols.T[:, :, None]).ravel())
+        # A sum over axis 0 has another order, and its last bit moved the
+        # default dictionary set-up's start by 3e-7 over 5,000 steps.
+        norms = np.sqrt(_column_dots(cols, cols))
         zero = norms == 0.0
+        if not zero.any():
+            return -self.radii * cols / norms, norms
         out = -self.radii * cols / np.where(zero, 1.0, norms)
         # Zero objective column: any feasible point is optimal; fix the first
         # axis direction for determinism.
@@ -506,33 +568,29 @@ class BallProduct(Region):
     def lmo(self, c: np.ndarray) -> Answer:
         return Answer(self.flatten(self._column_lmo(self.columns(c))[0]), DENSE)
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
-        """Root of the derivative of the smooth concave dual, which is the
-        cut residual res(mu) = <a, lmo(c + mu a)> - beta and falls from
-        res(0) > 0: Newton steps inside a bracket [lo, hi] with
-        res(lo) > 0 >= res(hi), and a bisection step whenever a Newton step
-        leaves it.
-
-        The steps run on per-column scalars computed once per call: the
-        component t_j = <a_j, c_j> / |a_j| of c_j along a_j and the norm p_j
-        of the rest.  Column j of u = c + mu a has the component
-        x_j = |a_j| mu + t_j along a_j, so |u_j| = hypot(x_j, p_j) and
-        <a_j, u_j> = |a_j| x_j: a step costs O(num_cols), and the LMO runs on
-        the full columns only at the answer, or at both ends of a bracket
-        that closes without one."""
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer, start: float = 0.0) -> tuple[Answer, float]:
+        """Root of the derivative of the smooth concave dual, the cut residual
+        res(mu) = <a, lmo(c + mu a)> - beta, which falls from res(0) > 0
+        towards -slack, slack = beta - min_s <a, s>: safeguarded Newton steps
+        on phi(mu) = (res(mu) + slack)^(-1/2) - slack^(-1/2), nearly linear
+        as res + slack falls like 1 / mu^2 once no column of c + mu a is near
+        zero (the transform of Moré & Sorensen 1983), from ``start`` when it
+        lies in the bracket, else from 0.  Each step costs O(num_cols) on
+        :class:`_BallCut`'s scalars; the LMO runs on the full columns only at
+        the answer, or at both ends of a bracket that closes without one."""
         if h.admits(plain):
             return plain, 0.0
         a_cols = self.columns(h.normal)
-        a_norms = np.linalg.norm(a_cols, axis=0)
+        a_norms = np.sqrt(_column_dots(a_cols, a_cols))
         # beta - min_s <a, s>: negative when the cut misses the region.
         slack = h.offset + float(self.radii @ a_norms)
         if slack < 0.0:
             raise OracleError("the cut excludes the whole ball product")
-        pinned = a_norms > 0.0
         if slack == 0.0:
             # The cut touches the region in one face, and no finite multiplier
             # attains the dual: columns with a_j != 0 are pinned to
             # -r_j a_j / |a_j|, the others keep their plain LMO columns.
+            pinned = a_norms > 0.0
             cols = self.columns(plain.point).copy()
             cols[:, pinned] = -self.radii[pinned] * a_cols[:, pinned] / a_norms[pinned]
             return Answer(self.flatten(cols), DENSE), np.inf
@@ -540,50 +598,20 @@ class BallProduct(Region):
         # The steps run on c scaled by a power of two to a largest entry in
         # [0.5, 1), and mu is scaled back: exact, where at tiny objective
         # scales the slope's |u_j|^3 would underflow.
-        exponent = int(np.frexp(np.max(np.abs(c)))[1])
+        exponent = math.frexp(max(c.max(), -c.min()))[1]
         c_cols = self.columns(np.ldexp(c, -exponent))
-        inv = np.divide(1.0, a_norms, out=np.zeros(self.num_cols), where=pinned)
-        t = np.sum(a_cols * c_cols, axis=0) * inv
-        p = np.linalg.norm(c_cols - (t * inv) * a_cols, axis=0)
-        # For mu >= 2 |c_j| / |a_j| no column with a_j != 0 is near zero, and
-        # res(mu) <= 2 sum_j r_j |c_j| / mu - slack; when c is 0, every
-        # mu > 0 has res(mu) = -slack.
-        c_norms = np.hypot(t, p)
-        lo, hi = 0.0, max(2.0 * float(self.radii @ c_norms) / slack, 2.0 * float(np.max(c_norms * inv))) or 1.0
-        near_c, near_a = NEAR_ZERO_RTOL * c_norms, NEAR_ZERO_RTOL * a_norms
-        bend = self.radii * (a_norms * p) ** 2  # r_j |a_j|^2 p_j^2, for the slope
-        mu = 0.0
+        cut = _BallCut(self.radii, a_cols, a_norms, c_cols, h.offset, slack)
+        lo, hi, mu = 0.0, cut.top, start / math.ldexp(1.0, exponent)
+        mu = mu if lo < mu < hi else 0.0
         for _ in range(NEWTON_MAX_STEPS):
-            # Not |c_j|^2 + 2 mu <a_j, c_j> + mu^2 |a_j|^2, which cancels to
-            # about 1e-8, not 0, where a column crosses zero.
-            x = a_norms * mu + t
-            norms = np.hypot(x, p)
-            # Where column j of u = c + mu a crosses zero, x_j and p_j keep
-            # too few good bits of its direction, and rounding makes it differ
-            # from the one _column_lmo computes.  So a column near zero adds
-            # no slope and takes its term from its own entries, as
-            # _column_lmo does (-r_j e_1 when they are all 0), and the LMO
-            # point at any mu has the sign of res(mu).  The test, and the
-            # direction's error, scale with |c_j| + mu |a_j|.
-            near = norms <= near_c + mu * near_a
-            norms[near] = np.inf
-            along = a_norms * x / norms  # <a_j, u_j> / |u_j|
-            for j in near.nonzero()[0]:
-                u = c_cols[:, j] + mu * a_cols[:, j]
-                size = np.sqrt(u @ u)
-                along[j] = a_cols[:, j] @ u / size if size > 0.0 else a_cols[0, j]
-            res = float((-self.radii * along).sum()) - h.offset
+            res, slope = cut.residual(mu)
             if abs(res) <= NEWTON_TOL:
                 return Answer(self.flatten(self._column_lmo(c_cols + mu * a_cols)[0]), DENSE), math.ldexp(mu, exponent)
-            if res > 0.0:
-                lo = mu
-            else:
-                hi = mu
-            # res'(mu) = -sum_j r_j (|a_j|^2 - <a_j, u_j>^2 / |u_j|^2) / |u_j|,
-            # which is -sum_j r_j |a_j|^2 p_j^2 / |u_j|^3 over the columns not
-            # near zero.
-            slope = -float((bend / norms**3).sum())
-            newton = mu - res / slope if slope < 0.0 else hi
+            lo, hi = (mu, hi) if res > 0.0 else (lo, mu)  # res(lo) > 0 >= res(hi)
+            # phi' = -0.5 (res + slack)^(-3/2) res', so the Newton step on phi
+            # is 2 w (1 - sqrt(w / slack)) / res' for w = res + slack > 0.
+            w = res + slack
+            newton = mu + 2.0 * w * (1.0 - math.sqrt(w / slack)) / slope if slope < 0.0 and w > 0.0 else hi
             # A Newton step moves at most half the bracket: longer ones can
             # cycle between two points near its ends, closing it too slowly.
             mu = newton if lo < newton < hi and abs(newton - mu) <= 0.5 * (hi - lo) else 0.5 * (lo + hi)
@@ -695,7 +723,7 @@ class Polytope(Region):
         verts = self.vertices()
         return Answer(verts[_last_argmin(verts @ c)].copy(), DENSE)
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer, start: float = 0.0) -> tuple[Answer, float]:
         verts = self.vertices()
         values = verts @ c
         j, k, theta, mu = _envelope_walk(((values, verts @ h.normal),), 1.0, h.offset, _last_argmin(values), "polytope")
@@ -754,9 +782,9 @@ class ProductRegion(Region):
             return Answer(point, DENSE)
         return Answer(point, np.concatenate([answer.support + lo for answer, (lo, _) in zip(answers, self._offsets)]))
 
-    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer) -> tuple[Answer, float]:
+    def cut_lmo(self, h: Halfspace, c: np.ndarray, plain: Answer, start: float = 0.0) -> tuple[Answer, float]:
         normals = self.split(h.normal)
-        active = [i for i, n in enumerate(normals) if np.any(n != 0.0)]
+        active = [i for i, n in enumerate(normals) if n.any()]
         # ``plain`` violates the cut, so a zero normal excludes every point.
         if not active:
             raise OracleError("the cut excludes the whole product region")
@@ -768,7 +796,7 @@ class ProductRegion(Region):
         # blocks contribute zero to it, and keep their slices of ``plain``.
         cut, part, mu = Halfspace(normals[i], h.offset), _block(plain, lo, hi), 0.0
         if not cut.admits(part):
-            part, mu = self.blocks[i].cut_lmo(cut, c[lo:hi], part)
+            part, mu = self.blocks[i].cut_lmo(cut, c[lo:hi], part, start)
         return _spliced(plain, lo, hi, part), mu
 
     def project(self, v: np.ndarray) -> np.ndarray:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import json
 import multiprocessing
 import numbers
 import os
+import pathlib
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -559,6 +561,13 @@ def _cell_hash(cell: dict) -> str:
     return hashlib.sha256(json.dumps(cell, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _source_hash() -> str:
+    """The sha256 of the package's own .py files, names and bytes, in name order."""
+    files = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+    return hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() for f in files)).hexdigest()
+
+
 def _read_summary(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -566,9 +575,10 @@ def _read_summary(path: str) -> dict:
 
 def _stored_summary(cell: dict, index: int, out_dir: str) -> Optional[dict]:
     """The summary of a completed cell, else None.  A cell is completed when
-    its trace and summary exist and the summary's ``cell_sha256`` matches
-    the cell: one written for another cell config is stale, and one that is
-    not a JSON object (a truncated file) is unfinished."""
+    its trace and summary exist, the summary's ``cell_sha256`` matches the
+    cell and its ``source_sha256`` this package's source: one written for
+    another cell config or by other code is stale, and one that is not a
+    JSON object (a truncated file) is unfinished."""
     trace_path, summary_path = _cell_paths(cell, index, out_dir)
     if not (os.path.exists(trace_path) and os.path.exists(summary_path)):
         return None
@@ -576,7 +586,8 @@ def _stored_summary(cell: dict, index: int, out_dir: str) -> Optional[dict]:
         stored = _read_summary(summary_path)
     except ValueError:  # not JSON, or not UTF-8
         return None
-    return stored if isinstance(stored, dict) and stored.get("cell_sha256") == _cell_hash(cell) else None
+    fresh = {"cell_sha256": _cell_hash(cell), "source_sha256": _source_hash()}
+    return stored if isinstance(stored, dict) and all(stored.get(k) == v for k, v in fresh.items()) else None
 
 
 def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> None:
@@ -598,7 +609,7 @@ def _run_cell(cell: dict, index: int, out_dir: str, record_timing: bool) -> None
         # No iterations, and every final value None.
         outcome = SolveOutcome(np.zeros(0), f"error: {exc}", (TraceRow(0, np.nan, np.nan, np.nan, np.nan, 0),))
     summary = RunRecord(cell["instance"], cell["solver"], config_to_dict(config), seed, outcome, g_star).summary
-    summary["cell_sha256"] = _cell_hash(cell)
+    summary["cell_sha256"], summary["source_sha256"] = _cell_hash(cell), _source_hash()
     tmp = summary_path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -643,12 +654,12 @@ def run_experiment(
 ) -> list[dict]:
     """Execute a suite of cells {instance, solver, config, seed, ...},
     persisting one trace CSV and one summary JSON per cell, and return each
-    cell's summary as its file holds it.  Completed cells (both files
-    present, the summary's ``cell_sha256`` matching the cell) are read
-    back, not run, making reruns resumable, and fixed seeds reproduce
-    output files byte-for-byte.  Every cell and ``jobs`` are validated
-    before the first cell runs (SuiteError names a malformed cell, or an
-    ``out_dir`` that cannot be made, such as a path through a file).
+    cell's summary as its file holds it.  Completed cells (see
+    :func:`_stored_summary`) are read back, not run, making reruns
+    resumable, and fixed seeds reproduce output files byte-for-byte.  Every
+    cell and ``jobs`` are validated before the first cell runs (SuiteError
+    names a malformed cell, or an ``out_dir`` that cannot be made, such as
+    a path through a file).
 
     ``jobs`` counts the processes that run cells, the calling one included;
     None means the usable CPUs.  The caller starts on the pending cells at

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Answer
+from .core import Answer, CutAnswer
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
@@ -177,9 +177,9 @@ def lmo(region, c: np.ndarray) -> Answer:
     return region.lmo(_checked(region, c, "objective"))
 
 
-def halfspace_lmo(region, h, c: np.ndarray) -> Answer:
-    """argmin_{s in region, <h.normal, s> <= h.offset} <c, s>, with its
-    support."""
+def halfspace_lmo(region, h, c: np.ndarray, start: float = 0.0) -> Answer:
+    """argmin_{s in region, <h.normal, s> <= h.offset} <c, s>, with its support,
+    and an active cut's multiplier (a :class:`CutAnswer`; its search starts at ``start``)."""
     c = np.asarray(c, dtype=float)
     # When the plain LMO point already satisfies the halfspace it solves the
     # constrained problem too, and its answer is returned itself: an
@@ -187,7 +187,7 @@ def halfspace_lmo(region, h, c: np.ndarray) -> Answer:
     plain = lmo(region, c)
     if h.admits(plain):
         return plain
-    return region.cut_lmo(h, c, plain)[0]
+    return CutAnswer(*region.cut_lmo(h, c, plain, start))
 
 
 def project(region, v: np.ndarray) -> np.ndarray:

@@ -358,9 +358,7 @@ def dict_pack(D: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def dict_unpack(z: np.ndarray, m: int, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    D = z[: m * p].reshape(m, p, order="F")
-    X = z[m * p :].reshape(p, n, order="F")
-    return D, X
+    return z[: m * p].reshape(m, p, order="F"), z[m * p :].reshape(p, n, order="F")
 
 
 def _dict_region(m: int, p: int, n: int, delta: float) -> ProductRegion:
@@ -376,8 +374,10 @@ def _reconstruction_oracle(A: np.ndarray, m: int, p: int) -> SmoothOracle:
     def evaluate(z):
         D, X = dict_unpack(z, m, p, n)
         R = D @ X - A
-        val = 0.5 * float(np.sum(R * R)) / n
-        return val, dict_pack(R @ X.T / n, D.T @ R / n)
+        grad = np.empty(m * p + p * n)  # dict_pack's layout, each block written in place
+        np.divide(R @ X.T, n, out=grad[: m * p].reshape(m, p, order="F"))
+        np.divide(D.T @ R, n, out=grad[m * p :].reshape(p, n, order="F"))
+        return 0.5 * float(np.sum(R * R)) / n, grad
 
     return SmoothOracle(m * p + p * n, evaluate)
 
@@ -387,12 +387,12 @@ def _fixed_codes_oracle(A: np.ndarray, X: np.ndarray, dimension: int) -> SmoothO
     codes X held fixed.  D, column-major, is the first m * p entries of a
     vector of length ``dimension``; the gradient is zero on the rest."""
     (m, n), p = A.shape, X.shape[0]
-    rest = np.zeros(dimension - m * p)
 
     def evaluate(z):
         R = z[: m * p].reshape(m, p, order="F") @ X - A
-        grad = (R @ X.T / n).reshape(-1, order="F")
-        return 0.5 * float(np.sum(R * R)) / n, np.concatenate([grad, rest])
+        grad = np.zeros(dimension)
+        np.divide(R @ X.T, n, out=grad[: m * p].reshape(m, p, order="F"))
+        return 0.5 * float(np.sum(R * R)) / n, grad
 
     return SmoothOracle(dimension, evaluate, lipschitz_grad=lambda_max_gram(X.T) / n)
 

@@ -432,7 +432,8 @@ def cg_bio(instance: BilevelInstance, x0: np.ndarray, config: SolverConfig) -> S
             passed = "criterion_met" if certified else "uncertified_start"
         cut = cutting_plane(g_grad, g_x, g0_val, g_val)
         try:
-            s = halfspace_lmo(region, cut, f_grad)
+            # The previous row's multiplier starts the cut's search.
+            s = halfspace_lmo(region, cut, f_grad, s.mu if k else 0.0)
         except OracleError as exc:
             tracer.add(k, f_val, g_val, iterate=x)
             return tracer.outcome(x, f"oracle_failure: {exc}", **start)

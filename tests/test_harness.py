@@ -558,6 +558,33 @@ class TestRunExperiment:
         stored = json.loads((tmp_path / "000_toy_cg-bio_seed0.json").read_text())
         assert stored == second
 
+    def test_resume_reruns_every_cell_after_a_source_change(self, tmp_path, monkeypatch):
+        cells = [{"instance": "toy", "solver": "cg-bio", "config": {"eps_f": 1e-5, "eps_g": 1e-5}, "seed": 0},
+                 {"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}}]
+        first = run_experiment(cells, str(tmp_path), jobs=1)
+        assert {summary["source_sha256"] for summary in first} == {harness._source_hash()}
+        files = sorted(tmp_path.iterdir())
+        written = {path.name: path.read_bytes() for path in files}
+        stamps = [path.stat().st_mtime_ns for path in files]
+        # The same code resumes: nothing runs, and the files keep their bytes.
+        assert run_experiment(cells, str(tmp_path), jobs=1) == first
+        assert [path.stat().st_mtime_ns for path in files] == stamps
+        assert {path.name: path.read_bytes() for path in files} == written
+        # Other code: every cell runs again, and records the new fingerprint.
+        monkeypatch.setattr(harness, "_source_hash", lambda: "0" * 64)
+        runs, run_cell = [], harness._run_cell
+
+        def recorded(cell, *args):
+            runs.append(cell)
+            run_cell(cell, *args)
+
+        monkeypatch.setattr(harness, "_run_cell", recorded)
+        again = run_experiment(cells, str(tmp_path), jobs=1)
+        assert runs == cells
+        assert [summary["source_sha256"] for summary in again] == ["0" * 64] * 2
+        assert [dict(summary, source_sha256=None) for summary in again] == [
+            dict(summary, source_sha256=None) for summary in first]
+
     @pytest.mark.parametrize("stored", ['{"instance": "to', "[]", "\xff"], ids=["truncated", "a-list", "not-utf8"])
     def test_resume_reruns_a_cell_whose_summary_is_unreadable(self, tmp_path, stored):
         cells = [{"instance": "toy", "solver": "dbgd", "config": {"max_iters": 5}}]
@@ -795,6 +822,7 @@ class TestRunExperiment:
         common = {
             "instance", "solver", "config", "stop_reason", "iterations", "final_f", "final_g",
             "final_g_excess", "final_f_gap", "final_g_gap", "wall_nanos_total", "seed", "cell_sha256",
+            "source_sha256",
         }
         data = json.loads((tmp_path / "000_toy_cg-bio_seed3.json").read_text())
         assert set(data) == common | {"certified", "init_certificate", "init_iterations"}
