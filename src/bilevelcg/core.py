@@ -601,7 +601,7 @@ class BallProduct(Region):
         exponent = math.frexp(max(c.max(), -c.min()))[1]
         c_cols = self.columns(np.ldexp(c, -exponent))
         cut = _BallCut(self.radii, a_cols, a_norms, c_cols, h.offset, slack)
-        lo, hi, mu = 0.0, cut.top, start / math.ldexp(1.0, exponent)
+        lo, hi, mu = 0.0, cut.top, 0.5 * start / math.ldexp(0.5, exponent)  # 2^(exponent - 1) never overflows
         mu = mu if lo < mu < hi else 0.0
         for _ in range(NEWTON_MAX_STEPS):
             res, slope = cut.residual(mu)
